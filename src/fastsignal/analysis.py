@@ -16,8 +16,7 @@ import numpy as np
 from .grid import Field, _laplacian, mode_eigenvalues
 from .linsolve import HelmholtzOperator, from_modes, helmholtz_solve, to_modes
 from .model import ModelParams
-from .sim_eps import EpsState, Trajectory, run_eps, stable_dt
-from .sim_limit import run_limit
+from .sim_eps import Trajectory, _run_members, _Stepper, initial_stable_dt
 
 __all__ = [
     "InitialLayerSpec",
@@ -246,23 +245,15 @@ class RateReport:
         return "\n".join(lines) + "\n"
 
 
-def _rate_task(args):
-    (u_values, grid, gamma, eps, T, p, times, dt, scheme, solver_method,
-     solver_tol, etd_order, chemical_mode, own_limit) = args
-    u10, u20, u30 = (Field(v, grid) for v in u_values)
-    spec = InitialLayerSpec(gamma, eps)
-    v30 = make_layer_data(u30, spec, p)
-    eps_in = initial_layer_size(u30, v30, p)
-    traj = run_eps(u10, u20, u30, v30, eps, T, p, times, dt=dt, scheme=scheme,
-                   solver_method=solver_method, solver_tol=solver_tol,
-                   etd_order=etd_order, chemical_mode=chemical_mode,
-                   record_steps=False)
-    limit = None
-    if own_limit:
-        limit = run_limit(u10, u20, u30, T, p, times, dt=dt, scheme=scheme,
-                          solver_method=solver_method, solver_tol=solver_tol,
-                          record_steps=False)
-    return eps_in, traj, limit
+def _layer_pair(args):
+    """One eps run of a layer study and its own limit run, as one batch."""
+    u_values, grid, gamma, eps, T, p, times, dt, stepper_kw = args
+    u0 = tuple(Field(v, grid) for v in u_values)
+    v30 = make_layer_data(u0[2], InitialLayerSpec(gamma, eps), p)
+    st = _Stepper(grid, p, eps=[eps, None], **stepper_kw)
+    traj, limit = _run_members(st, u0, [v30, None], T, times, dt=dt,
+                               record_steps=False)
+    return initial_layer_size(u0[2], v30, p), traj, limit
 
 
 def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
@@ -278,12 +269,15 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     difference and only the relaxation effect remains.
 
     On-manifold studies use a single schedule (the measured differences are
-    schedule-independent there) and one shared limit run.  Layer studies use
-    the per-eps schedule dt_eps = dt0 * sqrt(eps / eps_list[0]): the species
+    schedule-independent there) and one shared limit run; all eps runs and
+    the limit run advance together as one batch.  Layer studies use the
+    per-eps schedule dt_eps = dt0 * sqrt(eps / eps_list[0]): the species
     stages feel the decaying layer for one step, so a schedule shrinking like
     sqrt(eps) realises the sqrt(eps) * eps_in layer contribution of the rate
     bounds; a fixed schedule would inflate it to O(dt * eps_in) and a
-    layer-resolving schedule would suppress it to O(eps * eps_in).
+    layer-resolving schedule would suppress it to O(eps * eps_in).  Each eps
+    run of a layer study is batched with its own limit run, and ``workers``
+    processes share these pairs; an on-manifold study runs in this process.
     """
     eps_list = np.asarray(list(eps_list), dtype=float)
     if eps_list.size < 3 or np.any(np.diff(eps_list) >= 0) or np.any(eps_list <= 0):
@@ -292,46 +286,38 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
         raise ValueError("rate study needs T > 0")
     grid = u10.grid
     times = np.linspace(0.0, T, n_outputs)
+    u0 = (u10, u20, u30)
+    stepper_kw = dict(scheme=scheme, solver_method=solver_method, solver_tol=solver_tol,
+                      etd_order=etd_order, chemical_mode=chemical_mode)
 
     # base fixed step, sized once from the initial state with a safety margin
-    spec0 = InitialLayerSpec(gamma, float(eps_list[0]))
-    v30_probe = make_layer_data(u30, spec0, p)
-    v1_probe, _ = helmholtz_solve(
-        HelmholtzOperator(p.lambda1, p.mu1, grid), Field(p.zeta1 * u10.values, grid)
-    )
-    v2_probe, _ = helmholtz_solve(
-        HelmholtzOperator(p.lambda2, p.mu2, grid), Field(p.zeta2 * u20.values, grid)
-    )
-    probe = EpsState(0.0, float(eps_list[0]), u10, u20, u30, v1_probe, v2_probe, v30_probe)
-    dt0 = stable_dt(probe, p, cfl)
+    v30_probe = make_layer_data(u30, InitialLayerSpec(gamma, float(eps_list[0])), p)
+    dt0 = initial_stable_dt(u10, u20, u30, v30_probe, p, cfl)
 
-    on_manifold = gamma == "on_manifold"
-    if on_manifold:
-        dts = [dt0] * eps_list.size
-        shared_limit = run_limit(u10, u20, u30, T, p, times, dt=dt0, scheme=scheme,
-                                 solver_method=solver_method, solver_tol=solver_tol,
-                                 record_steps=False)
+    if gamma == "on_manifold":
+        v30s = [make_layer_data(u30, InitialLayerSpec(gamma, float(e)), p)
+                for e in eps_list]
+        st = _Stepper(grid, p, eps=[*map(float, eps_list), None], **stepper_kw)
+        *trajs, limit = _run_members(st, u0, [*v30s, None], T, times, dt=dt0,
+                                     record_steps=False)
+        results = [(initial_layer_size(u30, v30, p), traj, limit)
+                   for v30, traj in zip(v30s, trajs)]
     else:
-        dts = [dt0 * float(np.sqrt(e / eps_list[0])) for e in eps_list]
-        shared_limit = None
-
-    tasks = [
-        ((u10.values, u20.values, u30.values), grid, gamma, float(e), T, p, times,
-         dts[i], scheme, solver_method, solver_tol, etd_order, chemical_mode,
-         not on_manifold)
-        for i, e in enumerate(eps_list)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_rate_task, tasks))
-    else:
-        results = [_rate_task(t) for t in tasks]
+        tasks = [
+            ((u10.values, u20.values, u30.values), grid, gamma, float(e), T, p, times,
+             dt0 * float(np.sqrt(e / eps_list[0])), stepper_kw)
+            for e in eps_list
+        ]
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as ex:
+                results = list(ex.map(_layer_pair, tasks))
+        else:
+            results = [_layer_pair(t) for t in tasks]
 
     eps_in = np.array([r[0] for r in results])
     errors = {c: np.zeros(eps_list.size) for c in RateReport.COLUMNS}
-    for i, (_, traj, own_limit) in enumerate(results):
-        comp = compare_trajectories(traj, own_limit if own_limit is not None else shared_limit)
-        for c, val in comp.as_dict().items():
+    for i, (_, traj, limit) in enumerate(results):
+        for c, val in compare_trajectories(traj, limit).as_dict().items():
             errors[c][i] = val
 
     slopes = {}

@@ -44,9 +44,8 @@ from .sim_eps import (
     BlowUpError,
     StabilityError,
     default_initial_fields,
+    initial_stable_dt,
     run_eps,
-    stable_dt,
-    EpsState,
 )
 from .sim_limit import run_limit
 
@@ -287,8 +286,7 @@ def _cmd_simulate_eps(cfg: RunConfig) -> int:
     T = cfg.resolve_T("simulate-eps")
     grid, u10, u20, u30, v30 = _initial_data(cfg, p, cfg.eps)
     times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
-    probe = EpsState(0.0, cfg.eps, u10, u20, u30, v30, v30, v30)
-    est_steps = T / stable_dt(probe, p, cfg.cfl) if T > 0 else 0
+    est_steps = T / initial_stable_dt(u10, u20, u30, v30, p, cfg.cfl) if T > 0 else 0
     traj = run_eps(
         u10, u20, u30, v30, cfg.eps, T, p, times, cfl=cfg.cfl,
         scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
@@ -569,8 +567,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ConfigError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fastsignal",
         description="Numerical laboratory for a chemotaxis system and its "
                     "fast signal diffusion limit",
@@ -589,8 +594,11 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors; that is a validation failure here
+        # --help prints and exits 0
         return 0 if exc.code in (0, None) else 1
+    except ConfigError as exc:
+        print(f'fastsignal: status=error kind=validation msg="{exc}"', file=sys.stderr)
+        return 1
     overrides = {k: getattr(args, k) for k in _REGISTRY if getattr(args, k) is not None}
     try:
         cfg = parse_config(args.config, overrides)

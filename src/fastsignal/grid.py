@@ -82,11 +82,12 @@ def make_grid(L: float, n: int) -> Grid:
 
 
 def _laplacian(values: np.ndarray, dx: float) -> np.ndarray:
-    # mirrored ghosts f[-1] = f[0], f[n] = f[n-1] encode the no-flux condition
+    # along the last axis; mirrored ghosts f[-1] = f[0], f[n] = f[n-1] encode
+    # the no-flux condition
     out = np.empty_like(values)
-    out[1:-1] = values[:-2] - 2.0 * values[1:-1] + values[2:]
-    out[0] = values[1] - values[0]
-    out[-1] = values[-2] - values[-1]
+    out[..., 1:-1] = values[..., :-2] - 2.0 * values[..., 1:-1] + values[..., 2:]
+    out[..., 0] = values[..., 1] - values[..., 0]
+    out[..., -1] = values[..., -2] - values[..., -1]
     out /= dx * dx
     return out
 
@@ -97,21 +98,23 @@ def laplacian_neumann(f: Field) -> Field:
 
 
 def _chemotaxis_div(
-    u: np.ndarray, v: np.ndarray, chi: float, dx: float, scheme: str = "upwind"
+    u: np.ndarray, v: np.ndarray, chi, dx: float, scheme: str = "upwind"
 ) -> np.ndarray:
-    # face flux of chi * div(u grad v); boundary faces carry zero flux
-    g = (v[1:] - v[:-1]) / dx
+    # face flux of chi * div(u grad v) along the last axis; boundary faces carry
+    # zero flux.  chi is a scalar or broadcasts against the faces, one
+    # coefficient per leading row.
+    g = (v[..., 1:] - v[..., :-1]) / dx
     if scheme == "upwind":
         # donor cell of the drift -chi*grad(v): cell j+1 when chi*g > 0
-        u_face = np.where(chi * g > 0.0, u[1:], u[:-1])
+        cg = chi * g
+        flux = np.maximum(cg, 0.0) * u[..., 1:] + np.minimum(cg, 0.0) * u[..., :-1]
     elif scheme == "central":
-        u_face = 0.5 * (u[1:] + u[:-1])
+        flux = chi * (0.5 * (u[..., 1:] + u[..., :-1])) * g
     else:
         raise ValueError(f"unknown face scheme {scheme!r}")
-    flux = chi * u_face * g
-    out = np.zeros_like(u)
-    out[:-1] += flux
-    out[1:] -= flux
+    out = np.zeros(flux.shape[:-1] + u.shape[-1:])
+    out[..., :-1] += flux
+    out[..., 1:] -= flux
     out /= dx
     return out
 

@@ -70,16 +70,16 @@ class SolverConvergenceError(RuntimeError):
 
 
 def to_modes(values: np.ndarray) -> np.ndarray:
-    """Coefficients c with values_j = sum_k c_k cos(k pi (j+1/2) / n)."""
+    """Coefficients c with values_j = sum_k c_k cos(k pi (j+1/2) / n), along the last axis."""
     c = dct(values, type=2)
-    c /= values.size
-    c[0] *= 0.5
+    c /= values.shape[-1]
+    c[..., 0] *= 0.5
     return c
 
 
 def from_modes(coeffs: np.ndarray) -> np.ndarray:
-    y = coeffs * coeffs.size
-    y[0] *= 2.0
+    y = coeffs * coeffs.shape[-1]
+    y[..., 0] *= 2.0
     return idct(y, type=2)
 
 
@@ -229,9 +229,6 @@ def gmres(
         x = x + V[:j_used].T @ y
 
 
-_EXP_FACTOR_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
 def _ramp_weight(z: np.ndarray) -> np.ndarray:
     """psi(z) = 1 - (1 - e^-z)/z, series-evaluated for small z."""
     small = z < 1e-3
@@ -241,34 +238,44 @@ def _ramp_weight(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _exp_factors(lam: float, mu: float, eps: float, dt: float, grid: Grid):
-    key = (lam, mu, eps, dt, grid.L, grid.n)
-    hit = _EXP_FACTOR_CACHE.get(key)
-    if hit is None:
-        b = mu - lam * mode_eigenvalues(grid)
-        z = b * (dt / eps)
-        decay = np.exp(-z)
-        gain = -np.expm1(-z) / b
-        ramp = _ramp_weight(z) / b
-        if len(_EXP_FACTOR_CACHE) > 256:
-            _EXP_FACTOR_CACHE.clear()
-        hit = _EXP_FACTOR_CACHE[key] = (decay, gain, ramp)
-    return hit
+def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):
+    """Per-mode (decay, gain, ramp) factors of the exponential update over dt.
+
+    eps may be an array of shape (B, 1), which gives (B, n) factors, one row
+    per relaxation parameter.
+    """
+    b = mu - lam * mode_eigenvalues(grid)
+    z = b * (dt / eps)
+    decay = np.exp(-z)
+    gain = -np.expm1(-z) / b
+    ramp = _ramp_weight(z) / b
+    return decay, gain, ramp
+
+
+def _exp_step(factors, v: np.ndarray, source_start: np.ndarray,
+              source_end: np.ndarray | None = None) -> np.ndarray:
+    """Exponential update from precomputed factors, along the last axis.
+
+    Without source_end the source is frozen at source_start; with it the
+    source varies linearly from source_start to source_end over the step.
+    """
+    decay, gain, ramp = factors
+    if source_end is None:
+        c, s0 = to_modes(np.stack([v, source_start]))
+        return from_modes(decay * c + gain * s0)
+    c, s0, s1 = to_modes(np.stack([v, source_start, source_end]))
+    return from_modes(decay * c + gain * s0 + ramp * (s1 - s0))
 
 
 def _exp_propagate_values(lam: float, mu: float, eps: float, dt: float,
                           v: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndarray:
-    decay, gain, _ = _exp_factors(lam, mu, eps, dt, grid)
-    return from_modes(decay * to_modes(v) + gain * to_modes(source))
+    return _exp_step(_exp_factors(lam, mu, eps, dt, grid), v, source)
 
 
 def _exp_ramp_values(lam: float, mu: float, eps: float, dt: float, v: np.ndarray,
                      source_start: np.ndarray, source_end: np.ndarray,
                      grid: Grid) -> np.ndarray:
-    decay, gain, ramp = _exp_factors(lam, mu, eps, dt, grid)
-    s0 = to_modes(source_start)
-    s1 = to_modes(source_end)
-    return from_modes(decay * to_modes(v) + gain * s0 + ramp * (s1 - s0))
+    return _exp_step(_exp_factors(lam, mu, eps, dt, grid), v, source_start, source_end)
 
 
 def exp_propagate(

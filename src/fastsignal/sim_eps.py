@@ -8,6 +8,12 @@ new densities, and an exponential update of the slow chemical that is exact
 per mode for a source varying linearly over the step (etd_order=1 freezes the
 source instead).  Species stay non-negative under the stable_dt bound;
 negative round-off is clipped and accounted.
+
+The stepping kernel is batch-native: one step advances B members that share
+dt, held as (B, 3, n) species and chemical arrays.  A member is either a
+relaxation-time run with its own eps or a run of the limiting system, whose
+slow chemical is elliptic as well; a per-member mask says which chemicals are
+elliptic.  Single runs are batches of one.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import numpy as np
 
 from .grid import Field, Grid, _chemotaxis_div, _laplacian
 from .linsolve import (
-    _exp_propagate_values,
-    _exp_ramp_values,
+    _exp_factors,
+    _exp_step,
     _solve_tridiagonal_values,
     HelmholtzOperator,
     helmholtz_solve,
@@ -28,10 +34,12 @@ from .model import ModelParams, kinetics
 
 __all__ = [
     "EpsState",
+    "LimitState",
     "Trajectory",
     "BlowUpError",
     "StabilityError",
     "default_initial_fields",
+    "initial_stable_dt",
     "stable_dt",
     "step_eps",
     "run_eps",
@@ -69,9 +77,26 @@ class EpsState:
         return self.u1.grid
 
 
+@dataclass(frozen=True)
+class LimitState:
+    """Full solution at one time for the limiting system."""
+
+    t: float
+    u1: Field
+    u2: Field
+    u3: Field
+    v1: Field
+    v2: Field
+    v3: Field
+
+    @property
+    def grid(self) -> Grid:
+        return self.u1.grid
+
+
 @dataclass
 class Trajectory:
-    """Snapshots at the requested output times plus stepping diagnostics.
+    """Snapshots of one run at the requested output times plus stepping diagnostics.
 
     ``step_dts``/``step_masses``/``balance_residuals`` hold one entry per
     accepted step when per-step recording is on; the aggregate fields are
@@ -106,13 +131,20 @@ def default_initial_fields(grid: Grid) -> tuple[Field, Field, Field]:
     )
 
 
-def _grad_max(values: np.ndarray, dx: float) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(np.max(np.abs(np.diff(values)))) / dx
+def _as_batch(x) -> np.ndarray:
+    """(B, 3, n) array of a batch; a (3, n) array or three (n,) arrays are a batch of one."""
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim == 3 else x[None]
 
 
-def _reaction_rate_bounds(p: ModelParams, m1: float, m2: float, m3: float):
+def _grad_max(values: np.ndarray, dx: float) -> np.ndarray:
+    # largest |difference| along the last axis, per leading index
+    if values.shape[-1] < 2:
+        return np.zeros(values.shape[:-1])
+    return np.abs(np.diff(values)).max(-1) / dx
+
+
+def _reaction_rate_bounds(p: ModelParams, m1, m2, m3):
     lam1 = p.alpha1 * (1.0 + 2.0 * m1 + p.beta1 * m2) + p.m1 * m3 / p.eta1
     lam2 = p.alpha2 * (1.0 + 2.0 * m2 + p.beta2 * m1) + p.m2 * m3 / p.eta2
     lam3 = p.gamma1 * p.m1 + p.gamma2 * p.m2 + p.k + 2.0 * p.l * m3
@@ -120,13 +152,15 @@ def _reaction_rate_bounds(p: ModelParams, m1: float, m2: float, m3: float):
 
 
 def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float,
-                      max_dt: float = np.inf) -> float:
-    g1 = _grad_max(v[0], dx)
-    g2 = _grad_max(v[1], dx)
-    g3 = _grad_max(v[2], dx)
-    r1, r2, r3 = _reaction_rate_bounds(
-        p, float(u[0].max()), float(u[1].max()), float(u[2].max())
-    )
+                      max_dt: float = np.inf):
+    """Stable step of each member of a (B, 3, n) batch, shape (B,); a scalar
+    for one (3, n) state."""
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError("cfl must lie in (0, 1]")
+    g = _grad_max(np.asarray(v, dtype=float), dx)
+    g1, g2, g3 = g[..., 0], g[..., 1], g[..., 2]
+    m = np.asarray(u, dtype=float).max(-1)
+    r1, r2, r3 = _reaction_rate_bounds(p, m[..., 0], m[..., 1], m[..., 2])
     den1 = 2.0 * p.d1 + 2.0 * p.chi1 * g3 * dx + dx * dx * r1
     den2 = 2.0 * p.d2 + 2.0 * p.chi2 * g3 * dx + dx * dx * r2
     den3 = (
@@ -134,8 +168,8 @@ def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float,
         + 2.0 * (p.chi31 * g1 + p.chi32 * g2) * dx
         + dx * dx * r3
     )
-    dt = cfl * dx * dx / max(den1, den2, den3)
-    return min(dt, max_dt)
+    dt = cfl * dx * dx / np.maximum(np.maximum(den1, den2), den3)
+    return np.minimum(dt, max_dt)
 
 
 def stable_dt(s, p: ModelParams, cfl: float, max_dt: float = np.inf) -> float:
@@ -145,64 +179,75 @@ def stable_dt(s, p: ModelParams, cfl: float, max_dt: float = np.inf) -> float:
     gradients, and a local Lipschitz estimate of the reaction terms; never
     exceeds max_dt (the output interval, when the caller has one).
     """
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError("cfl must lie in (0, 1]")
-    return _stable_dt_values(
+    return float(_stable_dt_values(
         (s.u1.values, s.u2.values, s.u3.values),
         (s.v1.values, s.v2.values, s.v3.values),
         p, s.grid.dx, cfl, max_dt,
-    )
+    ))
 
 
-def _species_rhs(u1, u2, u3, v1, v2, v3, p: ModelParams, dx: float, scheme: str):
-    f1, f2, f3 = kinetics(u1, u2, u3, p)
-    r1 = p.d1 * _laplacian(u1, dx) + _chemotaxis_div(u1, v3, p.chi1, dx, scheme) + f1
-    r2 = p.d2 * _laplacian(u2, dx) + _chemotaxis_div(u2, v3, p.chi2, dx, scheme) + f2
-    r3 = (
-        p.d3 * _laplacian(u3, dx)
-        + _chemotaxis_div(u3, v1, -p.chi31, dx, scheme)
-        + _chemotaxis_div(u3, v2, -p.chi32, dx, scheme)
-        + f3
-    )
-    return (r1, r2, r3), (f1, f2, f3)
+def initial_stable_dt(u10: Field, u20: Field, u30: Field, v30: Field,
+                      p: ModelParams, cfl: float) -> float:
+    """stable_dt of the state a run starts from: the species data, v30, and
+    the fast chemicals at their elliptic solves from the species data."""
+    grid = u10.grid
+    v1 = _solve_tridiagonal_values(p.lambda1, p.mu1, grid, p.zeta1 * u10.values)
+    v2 = _solve_tridiagonal_values(p.lambda2, p.mu2, grid, p.zeta2 * u20.values)
+    return float(_stable_dt_values((u10.values, u20.values, u30.values),
+                                   (v1, v2, v30.values), p, grid.dx, cfl))
+
+
+# the four chemotactic drifts: species _DRIFT_U[k] climbs chemical _DRIFT_V[k]
+_DRIFT_U = np.array([0, 1, 2, 2])
+_DRIFT_V = np.array([2, 2, 0, 1])
+
+
+def _species_rhs(u, v, p: ModelParams, dx: float, scheme: str):
+    """Species right-hand sides and reaction terms, both shaped like u (..., 3, n)."""
+    f = np.stack(kinetics(u[..., 0, :], u[..., 1, :], u[..., 2, :], p), axis=-2)
+    chi = np.array([[p.chi1], [p.chi2], [-p.chi31], [-p.chi32]])
+    drift = _chemotaxis_div(u[..., _DRIFT_U, :], v[..., _DRIFT_V, :], chi, dx, scheme)
+    d = np.array([[p.d1], [p.d2], [p.d3]])
+    r = d * _laplacian(u, dx) + drift[..., :3, :]
+    r[..., 2, :] += drift[..., 3, :]
+    r += f
+    return r, f
 
 
 def _heun_species(u, v, p: ModelParams, dx: float, dt: float, scheme: str):
     """One SSP-RK2 step of the species subsystem with frozen chemicals.
 
-    Returns the pre-clip update and the time-centred reaction mass rate per
-    species (transport contributes exactly zero total mass).
+    u and v are (..., 3, n).  Returns the pre-clip update and the time-centred
+    reaction mass rate per species (transport contributes exactly zero total
+    mass).
     """
-    (r1, r2, r3), (f1a, f2a, f3a) = _species_rhs(*u, *v, p, dx, scheme)
-    s1 = u[0] + dt * r1
-    s2 = u[1] + dt * r2
-    s3 = u[2] + dt * r3
-    (q1, q2, q3), (f1b, f2b, f3b) = _species_rhs(s1, s2, s3, *v, p, dx, scheme)
-    new = (
-        u[0] + 0.5 * dt * (r1 + q1),
-        u[1] + 0.5 * dt * (r2 + q2),
-        u[2] + 0.5 * dt * (r3 + q3),
-    )
-    reaction_rate = np.array(
-        [
-            dx * 0.5 * (f1a.sum() + f1b.sum()),
-            dx * 0.5 * (f2a.sum() + f2b.sum()),
-            dx * 0.5 * (f3a.sum() + f3b.sum()),
-        ]
-    )
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    r, fa = _species_rhs(u, v, p, dx, scheme)
+    q, fb = _species_rhs(u + dt * r, v, p, dx, scheme)
+    new = u + 0.5 * dt * (r + q)
+    reaction_rate = dx * 0.5 * (fa.sum(-1) + fb.sum(-1))
     return new, reaction_rate
 
 
 class _Stepper:
-    """Array-level stepping kernel shared by both simulators."""
+    """Array-level stepping kernel shared by both simulators.
+
+    One step advances a batch of members that share dt.  ``eps`` holds each
+    member's relaxation parameter, None marking a member of the limiting
+    system; a single value is a batch of one.  Chemical i of member b is
+    elliptic where ``elliptic[b, i]`` holds and follows the exponential update
+    otherwise.
+    """
 
     def __init__(self, grid: Grid, p: ModelParams, *, scheme: str = "upwind",
                  solver_method: str = "tridiagonal", solver_tol: float = 1e-10,
-                 eps: float | None = None, chemical_mode: str = "mixed",
-                 etd_order: int = 2):
+                 eps=None, chemical_mode: str = "mixed", etd_order: int = 2):
         if chemical_mode not in ("mixed", "fully_parabolic"):
             raise ValueError(f"unknown chemical_mode {chemical_mode!r}")
-        if chemical_mode == "fully_parabolic" and eps is None:
+        eps = [eps] if eps is None or np.ndim(eps) == 0 else list(eps)
+        limit = np.array([e is None for e in eps])
+        if chemical_mode == "fully_parabolic" and limit.all():
             raise ValueError("fully_parabolic mode needs a relaxation parameter")
         if etd_order not in (1, 2):
             raise ValueError("etd_order must be 1 or 2")
@@ -212,76 +257,105 @@ class _Stepper:
         self.solver_method = solver_method
         self.solver_tol = solver_tol
         self.eps = eps
-        self.chemical_mode = chemical_mode
         self.etd_order = etd_order
-        self.clipped = np.zeros(3)
+        self.elliptic = np.column_stack(
+            [limit | (chemical_mode == "mixed")] * 2 + [limit])
+        self.clipped = np.zeros((len(eps), 3))
         self._lam = (p.lambda1, p.lambda2, p.lambda3)
         self._mu = (p.mu1, p.mu2, p.mu3)
         self._zeta = (p.zeta1, p.zeta2, p.zeta3)
+        self._elliptic_rows = [np.flatnonzero(self.elliptic[:, i]) for i in range(3)]
+        self._exp_rows = [np.flatnonzero(~self.elliptic[:, i]) for i in range(3)]
+        self._exp_eps = [np.array([eps[b] for b in rows], dtype=float)[:, None]
+                         for rows in self._exp_rows]
+        # per chemical: the dt of the last exponential update and its factors
+        self._factors = [(None, None)] * 3
+
+    def member_label(self, b: int) -> str:
+        return "limit run" if self.eps[b] is None else f"eps={self.eps[b]:g} run"
 
     def solve_elliptic(self, u: np.ndarray, which: int) -> np.ndarray:
+        """Resolvent of chemical ``which`` for (n,) or (B, n) densities."""
         lam, mu, zeta = self._lam[which], self._mu[which], self._zeta[which]
+        rhs = zeta * u
         if self.solver_method == "tridiagonal":
-            return _solve_tridiagonal_values(lam, mu, self.grid, zeta * u)
+            # one multi-right-hand-side solve, right-hand sides as columns
+            return _solve_tridiagonal_values(lam, mu, self.grid, rhs.T).T
         op = HelmholtzOperator(lam, mu, self.grid)
-        v, _ = helmholtz_solve(op, Field(zeta * u, self.grid),
-                               method=self.solver_method, tol=self.solver_tol)
-        return v.values
+        rows = [
+            helmholtz_solve(op, Field(r, self.grid), method=self.solver_method,
+                            tol=self.solver_tol)[0].values
+            for r in np.atleast_2d(rhs)
+        ]
+        return np.reshape(rows, rhs.shape)
 
     def _exp_chem(self, v: np.ndarray, u_old: np.ndarray, u_new: np.ndarray,
                   which: int, dt: float) -> np.ndarray:
+        # v, u_old, u_new hold the rows of the members that update chemical
+        # ``which`` exponentially
         lam, mu, zeta = self._lam[which], self._mu[which], self._zeta[which]
+        last_dt, factors = self._factors[which]
+        if dt != last_dt:
+            factors = _exp_factors(lam, mu, self._exp_eps[which], dt, self.grid)
+            self._factors[which] = (dt, factors)
         if self.etd_order == 2:
-            return _exp_ramp_values(lam, mu, self.eps, dt, v, zeta * u_old,
-                                    zeta * u_new, self.grid)
-        return _exp_propagate_values(lam, mu, self.eps, dt, v, zeta * u_new, self.grid)
+            return _exp_step(factors, v, zeta * u_old, zeta * u_new)
+        return _exp_step(factors, v, zeta * u_new)
 
-    def advance_chemicals(self, u_old, u_new, v, dt: float):
-        raise NotImplementedError
+    def advance_chemicals(self, u_old, u_new, v, dt: float) -> np.ndarray:
+        """Chemicals of a batch after its species moved from u_old to u_new."""
+        u_old, u_new, v = _as_batch(u_old), _as_batch(u_new), _as_batch(v)
+        new_v = np.empty_like(v)
+        for i in range(3):
+            rows = self._elliptic_rows[i]
+            if rows.size:
+                new_v[rows, i] = self.solve_elliptic(u_new[rows, i], i)
+            rows = self._exp_rows[i]
+            if rows.size:
+                new_v[rows, i] = self._exp_chem(v[rows, i], u_old[rows, i],
+                                                u_new[rows, i], i, dt)
+        return new_v
+
+    def _check_finite(self, arrays: np.ndarray, prefix: str, t: float) -> None:
+        bad = ~np.isfinite(arrays).all(-1)
+        if bad.any():
+            b, i = np.argwhere(bad)[0]
+            raise BlowUpError(f"{prefix}{i + 1} ({self.member_label(b)})", t)
 
     def step(self, t: float, u, v, dt: float):
-        """Advance (u, v) by dt; returns new arrays plus mass diagnostics."""
+        """Advance every member of (u, v) by dt.
+
+        Returns the new (B, 3, n) species and chemicals, the (B, 3) species
+        masses and the (B,) mass-balance residuals.
+        """
+        u, v = _as_batch(u), _as_batch(v)
         dx = self.grid.dx
-        mass_old = np.array([u[0].sum(), u[1].sum(), u[2].sum()]) * dx
+        mass_old = u.sum(-1) * dx
         with np.errstate(over="ignore", invalid="ignore"):
             new_u, reaction_rate = _heun_species(u, v, self.p, dx, dt, self.scheme)
-        for name, arr in zip(("u1", "u2", "u3"), new_u):
-            if not np.all(np.isfinite(arr)):
-                raise BlowUpError(name, t + dt)
-        mass_pre = np.array([new_u[0].sum(), new_u[1].sum(), new_u[2].sum()]) * dx
+        self._check_finite(new_u, "u", t + dt)
+        mass_pre = new_u.sum(-1) * dx
         scale = np.maximum(np.abs(mass_old), 1.0)
-        residual = float(
-            np.max(np.abs((mass_pre - mass_old) / dt - reaction_rate) / scale)
-        )
-        clipped_u = []
-        for i, arr in enumerate(new_u):
-            neg_mass = arr.min()
-            if neg_mass < 0.0:
-                neg = arr < 0.0
-                self.clipped[i] += -dx * arr[neg].sum()
-                arr = np.where(neg, 0.0, arr)
-            clipped_u.append(arr)
-        new_v = self.advance_chemicals(u, clipped_u, v, dt)
-        for name, arr in zip(("v1", "v2", "v3"), new_v):
-            if not np.all(np.isfinite(arr)):
-                raise BlowUpError(name, t + dt)
-        mass_new = np.array([clipped_u[0].sum(), clipped_u[1].sum(), clipped_u[2].sum()]) * dx
-        return tuple(clipped_u), tuple(new_v), mass_new, residual
+        residual = np.max(np.abs((mass_pre - mass_old) / dt - reaction_rate) / scale,
+                          axis=-1)
+        neg = new_u < 0.0
+        if neg.any():
+            for b, i in zip(*np.nonzero(neg.any(-1))):
+                self.clipped[b, i] += -dx * new_u[b, i][neg[b, i]].sum()
+            new_u = np.where(neg, 0.0, new_u)
+        new_v = self.advance_chemicals(u, new_u, v, dt)
+        self._check_finite(new_v, "v", t + dt)
+        return new_u, new_v, new_u.sum(-1) * dx, residual
 
 
 class _EpsStepper(_Stepper):
     def __init__(self, grid, p, eps, **kw):
         super().__init__(grid, p, eps=eps, **kw)
 
-    def advance_chemicals(self, u_old, u_new, v, dt):
-        if self.chemical_mode == "mixed":
-            v1 = self.solve_elliptic(u_new[0], 0)
-            v2 = self.solve_elliptic(u_new[1], 1)
-        else:
-            v1 = self._exp_chem(v[0], u_old[0], u_new[0], 0, dt)
-            v2 = self._exp_chem(v[1], u_old[1], u_new[1], 1, dt)
-        v3 = self._exp_chem(v[2], u_old[2], u_new[2], 2, dt)
-        return v1, v2, v3
+
+class _LimitStepper(_Stepper):
+    def __init__(self, grid, p, **kw):
+        super().__init__(grid, p, eps=None, **kw)
 
 
 def step_eps(s: EpsState, p: ModelParams, dt: float, *, scheme: str = "upwind",
@@ -297,8 +371,7 @@ def step_eps(s: EpsState, p: ModelParams, dt: float, *, scheme: str = "upwind",
     v = (s.v1.values, s.v2.values, s.v3.values)
     u, v, _, _ = st.step(s.t, u, v, dt)
     g = s.grid
-    return EpsState(s.t + dt, s.eps, Field(u[0], g), Field(u[1], g), Field(u[2], g),
-                    Field(v[0], g), Field(v[1], g), Field(v[2], g))
+    return EpsState(s.t + dt, s.eps, *(Field(x, g) for x in (*u[0], *v[0])))
 
 
 def _normalise_output_times(T: float, output_times) -> np.ndarray:
@@ -313,57 +386,106 @@ def _normalise_output_times(T: float, output_times) -> np.ndarray:
 
 
 def _integrate(stepper: _Stepper, make_state, u, v, T: float, output_times,
-               *, cfl: float, dt_fixed: float | None, record_steps: bool) -> Trajectory:
-    times = _normalise_output_times(T, output_times)
-    grid = stepper.grid
-    dx = grid.dx
-    state0 = make_state(0.0, u, v)
+               *, cfl: float, dt_fixed: float | None, record_steps: bool):
+    """Step every member of the batch (u, v) from t = 0 to T.
 
-    snapshots = [state0]
+    ``make_state`` holds one snapshot constructor (t, u_b, v_b) -> state per
+    member and the result one Trajectory per member; a single constructor is
+    a batch of one and gets a single Trajectory.  All members share the step
+    schedule: the fixed dt, checked against every member's stability bound,
+    or the smallest member's stable step.
+    """
+    single = callable(make_state)
+    make_states = [make_state] if single else list(make_state)
+    u, v = _as_batch(u), _as_batch(v)
+    times = _normalise_output_times(T, output_times)
+    dx = stepper.grid.dx
+    p = stepper.p
+
+    snapshots = [[make(0.0, u[b], v[b])] for b, make in enumerate(make_states)]
     dts: list[float] = []
     masses: list[np.ndarray] = []
-    residuals: list[float] = []
-    initial_mass = np.array([dx * ui.sum() for ui in u])
+    residuals: list[np.ndarray] = []
+    initial_mass = u.sum(-1) * dx
     n_steps = 0
-    max_residual = 0.0
+    max_residual = np.zeros(u.shape[0])
 
     t = 0.0
     for target in times[1:]:
         while t < target:
             if dt_fixed is not None:
-                cap = _stable_dt_values(u, v, stepper.p, dx, 1.0)
-                if dt_fixed > cap * (1.0 + 1e-9):
+                cap = _stable_dt_values(u, v, p, dx, 1.0)
+                over = np.flatnonzero(dt_fixed > cap * (1.0 + 1e-9))
+                if over.size:
+                    b = over[0]
                     raise StabilityError(
                         f"fixed dt {dt_fixed:.3e} exceeds the stability bound "
-                        f"{cap:.3e} at t={t:.6g}"
+                        f"{cap[b]:.3e} of the {stepper.member_label(b)} at t={t:.6g}"
                     )
                 nominal = dt_fixed
             else:
-                nominal = _stable_dt_values(u, v, stepper.p, dx, cfl)
+                nominal = float(_stable_dt_values(u, v, p, dx, cfl).min())
             remaining = target - t
             dt = remaining if remaining <= nominal * (1.0 + 1e-9) else nominal
             u, v, mass, residual = stepper.step(t, u, v, dt)
             t += dt
             n_steps += 1
-            max_residual = max(max_residual, residual)
+            np.maximum(max_residual, residual, out=max_residual)
             if record_steps:
                 dts.append(dt)
                 masses.append(mass)
                 residuals.append(residual)
         t = target
-        snapshots.append(make_state(t, u, v))
+        for b, make in enumerate(make_states):
+            snapshots[b].append(make(t, u[b], v[b]))
 
-    return Trajectory(
-        times=times,
-        states=snapshots,
-        step_dts=np.array(dts),
-        step_masses=np.array(masses) if masses else np.zeros((0, 3)),
-        balance_residuals=np.array(residuals),
-        clipped_mass=stepper.clipped.copy(),
-        initial_mass=initial_mass,
-        n_steps=n_steps,
-        max_balance_residual=max_residual,
-    )
+    step_masses = np.array(masses) if masses else np.zeros((0, u.shape[0], 3))
+    step_residuals = np.array(residuals).reshape(-1, u.shape[0])
+    trajectories = [
+        Trajectory(
+            times=times,
+            states=snapshots[b],
+            step_dts=np.array(dts),
+            step_masses=step_masses[:, b],
+            balance_residuals=step_residuals[:, b],
+            clipped_mass=stepper.clipped[b].copy(),
+            initial_mass=initial_mass[b],
+            n_steps=n_steps,
+            max_balance_residual=float(max_residual[b]),
+        )
+        for b in range(u.shape[0])
+    ]
+    return trajectories[0] if single else trajectories
+
+
+def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
+                 cfl: float = 0.9, dt: float | None = None,
+                 record_steps: bool = True) -> list:
+    """Integrate every member of ``stepper``'s batch on one step schedule.
+
+    All members start from the species data u0 = (u10, u20, u30), with the
+    fast chemicals at their elliptic solves.  v30s[b] is the slow-chemical
+    datum of eps member b and None for a limit member, whose v3 starts from
+    its elliptic solve too.  Returns one Trajectory per member.
+    """
+    grid = stepper.grid
+    if len(v30s) != len(stepper.eps):
+        raise ValueError("need one slow-chemical datum (or None) per member")
+    u = np.repeat(np.stack([f.values for f in u0])[None], len(stepper.eps), axis=0)
+    v = np.empty_like(u)
+    v[:, 0] = stepper.solve_elliptic(u[:, 0], 0)
+    v[:, 1] = stepper.solve_elliptic(u[:, 1], 1)
+    for b, v30 in enumerate(v30s):
+        v[b, 2] = stepper.solve_elliptic(u[b, 2], 2) if v30 is None else v30.values
+
+    def make_state(eps):
+        def make(t, uu, vv):
+            fields = (Field(x, grid) for x in (*uu, *vv))
+            return LimitState(t, *fields) if eps is None else EpsState(t, eps, *fields)
+        return make
+
+    return _integrate(stepper, [make_state(e) for e in stepper.eps], u, v, T,
+                      output_times, cfl=cfl, dt_fixed=dt, record_steps=record_steps)
 
 
 def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float,
@@ -393,14 +515,5 @@ def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float
     st = _EpsStepper(grid, p, eps, scheme=scheme, chemical_mode=chemical_mode,
                      solver_method=solver_method, solver_tol=solver_tol,
                      etd_order=etd_order)
-    u = (u10.values.copy(), u20.values.copy(), u30.values.copy())
-    v1 = st.solve_elliptic(u[0], 0)
-    v2 = st.solve_elliptic(u[1], 1)
-    v = (v1, v2, v30.values.copy())
-
-    def make_state(t, uu, vv):
-        return EpsState(t, eps, Field(uu[0], grid), Field(uu[1], grid), Field(uu[2], grid),
-                        Field(vv[0], grid), Field(vv[1], grid), Field(vv[2], grid))
-
-    return _integrate(st, make_state, u, v, T, output_times,
-                      cfl=cfl, dt_fixed=dt, record_steps=record_steps)
+    return _run_members(st, (u10, u20, u30), [v30], T, output_times, cfl=cfl,
+                        dt=dt, record_steps=record_steps)[0]

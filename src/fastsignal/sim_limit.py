@@ -8,39 +8,11 @@ initial value is the resolvent applied to the initial predator density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .grid import Field, Grid
+from .grid import Field
 from .model import ModelParams
-from .sim_eps import Trajectory, _integrate, _Stepper
+from .sim_eps import LimitState, Trajectory, _LimitStepper, _run_members
 
 __all__ = ["LimitState", "step_limit", "run_limit"]
-
-
-@dataclass(frozen=True)
-class LimitState:
-    """Full solution at one time for the limiting system."""
-
-    t: float
-    u1: Field
-    u2: Field
-    u3: Field
-    v1: Field
-    v2: Field
-    v3: Field
-
-    @property
-    def grid(self) -> Grid:
-        return self.u1.grid
-
-
-class _LimitStepper(_Stepper):
-    def advance_chemicals(self, u_old, u_new, v, dt):
-        return (
-            self.solve_elliptic(u_new[0], 0),
-            self.solve_elliptic(u_new[1], 1),
-            self.solve_elliptic(u_new[2], 2),
-        )
 
 
 def step_limit(s: LimitState, p: ModelParams, dt: float, *, scheme: str = "upwind",
@@ -54,8 +26,7 @@ def step_limit(s: LimitState, p: ModelParams, dt: float, *, scheme: str = "upwin
     v = (s.v1.values, s.v2.values, s.v3.values)
     u, v, _, _ = st.step(s.t, u, v, dt)
     g = s.grid
-    return LimitState(s.t + dt, Field(u[0], g), Field(u[1], g), Field(u[2], g),
-                      Field(v[0], g), Field(v[1], g), Field(v[2], g))
+    return LimitState(s.t + dt, *(Field(x, g) for x in (*u[0], *v[0])))
 
 
 def run_limit(u10: Field, u20: Field, u30: Field, T: float, p: ModelParams,
@@ -78,12 +49,5 @@ def run_limit(u10: Field, u20: Field, u30: Field, T: float, p: ModelParams,
 
     st = _LimitStepper(grid, p, scheme=scheme, solver_method=solver_method,
                        solver_tol=solver_tol)
-    u = (u10.values.copy(), u20.values.copy(), u30.values.copy())
-    v = (st.solve_elliptic(u[0], 0), st.solve_elliptic(u[1], 1), st.solve_elliptic(u[2], 2))
-
-    def make_state(t, uu, vv):
-        return LimitState(t, Field(uu[0], grid), Field(uu[1], grid), Field(uu[2], grid),
-                          Field(vv[0], grid), Field(vv[1], grid), Field(vv[2], grid))
-
-    return _integrate(st, make_state, u, v, T, output_times,
-                      cfl=cfl, dt_fixed=dt, record_steps=record_steps)
+    return _run_members(st, (u10, u20, u30), [None], T, output_times, cfl=cfl,
+                        dt=dt, record_steps=record_steps)[0]

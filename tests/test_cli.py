@@ -175,3 +175,12 @@ def test_main_numerical_failure_exit_code(tmp_path):
                "--solver_method", "gmres", "--solver_tol", "1e-15",
                "--outdir", str(tmp_path / "fail")])
     assert rc == 2
+
+
+def test_unknown_flag_prints_validation_line(capsys):
+    rc = main(["simulate-eps", "--etd_order", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="')
+    assert "--etd_order" in err[0]

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fastsignal.analysis import compare_trajectories, norm_l2
+from fastsignal.analysis import (
+    InitialLayerSpec,
+    compare_trajectories,
+    make_layer_data,
+    norm_l2,
+)
 from fastsignal.grid import Field, make_grid
 from fastsignal.linsolve import HelmholtzOperator
 from fastsignal.model import default_params
@@ -12,7 +19,11 @@ from fastsignal.sim_eps import (
     BlowUpError,
     EpsState,
     StabilityError,
+    _run_members,
+    _stable_dt_values,
+    _Stepper,
     default_initial_fields,
+    initial_stable_dt,
     run_eps,
     stable_dt,
     step_eps,
@@ -296,3 +307,72 @@ def test_fully_parabolic_rate_slopes_match_default_mode():
     for name in ("err_u1", "err_u2", "err_u3", "err_v3_h1"):
         slope, _, _ = rep.slopes[name]
         assert abs(slope - 1.0) <= 0.15, (name, slope)
+
+
+@pytest.mark.parametrize("mode", ["mixed", "fully_parabolic"])
+def test_batch_matches_separate_runs(mode):
+    """Three eps members and one limit member stepped as one batch give what
+    separate run_eps/run_limit calls give on the same fixed schedule."""
+    grid = make_grid(1.0, 32)
+    u0 = default_initial_fields(grid)
+    eps_list = (1e-1, 1e-2, 1e-3)
+    v30s = [make_layer_data(u0[2], InitialLayerSpec(0.5, e), P) for e in eps_list]
+    T, dt = 0.3, 7e-4
+    times = np.linspace(0.0, T, 7)
+    st_batch = _Stepper(grid, P, eps=[*eps_list, None], chemical_mode=mode)
+    batch = _run_members(st_batch, u0, [*v30s, None], T, times, dt=dt)
+    separate = [run_eps(*u0, v30, e, T, P, times, dt=dt, chemical_mode=mode)
+                for e, v30 in zip(eps_list, v30s)]
+    separate.append(run_limit(*u0, T, P, times, dt=dt))
+    for got, ref in zip(batch, separate):
+        assert type(got.states[0]) is type(ref.states[0])
+        assert got.n_steps == ref.n_steps
+        assert np.array_equal(got.clipped_mass, ref.clipped_mass)
+        assert got.max_balance_residual == ref.max_balance_residual
+        for sg, sr in zip(got.states, ref.states):
+            for name in ("u1", "u2", "u3", "v1", "v2", "v3"):
+                a, b = getattr(sg, name).values, getattr(sr, name).values
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_batch_member_over_its_cap_raises():
+    grid = make_grid(1.0, 32)
+    u0 = default_initial_fields(grid)
+    calm = make_layer_data(u0[2], InitialLayerSpec("on_manifold", 1e-2), P)
+    steep = Field(calm.values + 20.0 * (1.0 + np.cos(3 * np.pi * grid.centers)), grid)
+    cap_calm = initial_stable_dt(*u0, calm, P, 1.0)
+    cap_steep = initial_stable_dt(*u0, steep, P, 1.0)
+    assert cap_steep < 0.5 * cap_calm
+    st_batch = _Stepper(grid, P, eps=[1e-2, 1e-3, None])
+    with pytest.raises(StabilityError, match="eps=0.001 run"):
+        _run_members(st_batch, u0, [calm, steep, None], 0.1, [0.0, 0.1],
+                     dt=np.sqrt(cap_calm * cap_steep))
+
+
+@st.composite
+def species_batches(draw):
+    """Members with random species and slow-chemical data; None marks a limit member."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(4, 48))
+    elements = st.floats(0.0, 3.0, allow_subnormal=False)
+    u = draw(arrays(float, (b, 3, n), elements=elements))
+    v3 = draw(arrays(float, (b, n), elements=st.floats(0.0, 30.0, allow_subnormal=False)))
+    eps = draw(st.lists(st.one_of(st.none(), st.floats(1e-5, 1.0)), min_size=b, max_size=b))
+    return u, v3, eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(species_batches())
+def test_batched_step_under_stable_dt_keeps_species_non_negative(batch):
+    u, v3, eps = batch
+    grid = make_grid(1.0, u.shape[-1])
+    st_batch = _Stepper(grid, P, eps=eps)
+    v = np.empty_like(u)
+    v[:, 0] = st_batch.solve_elliptic(u[:, 0], 0)
+    v[:, 1] = st_batch.solve_elliptic(u[:, 1], 1)
+    v[:, 2] = v3
+    dt = float(_stable_dt_values(u, v, P, grid.dx, 0.9).min())
+    new_u, _, _, _ = st_batch.step(0.0, u, v, dt)
+    # nothing was clipped, so positivity holds without the clip
+    assert np.all(st_batch.clipped == 0.0)
+    assert np.all(new_u >= 0.0)
