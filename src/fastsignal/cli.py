@@ -257,11 +257,12 @@ def _write_echo(outdir: Path, cfg: RunConfig, subcommand: str, T: float) -> None
 
 def _write_snapshots(outdir: Path, traj, columns) -> None:
     x = traj.states[0].grid.centers
+    header = "x," + ",".join(columns)
+    row = ",".join(["{:.17g}"] * (len(columns) + 1))
     for i, (t, s) in enumerate(zip(traj.times, traj.states)):
-        rows = ["x," + ",".join(columns)]
-        data = [getattr(s, c).values for c in columns]
-        for j in range(x.size):
-            rows.append(",".join([f"{x[j]:.17g}"] + [f"{d[j]:.17g}" for d in data]))
+        # Python floats format faster than numpy scalars, to the same digits
+        table = np.column_stack([x] + [getattr(s, c).values for c in columns]).tolist()
+        rows = [header] + [row.format(*r) for r in table]
         (outdir / f"t{i}_{t:.6g}.csv").write_text("\n".join(rows) + "\n")
 
 

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct, idct
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .grid import Field, Grid, _laplacian, mode_eigenvalues, mode_vector
 
@@ -106,8 +107,18 @@ def _banded_cholesky(lam: float, mu: float, L: float, n: int):
 
 def _solve_tridiagonal_values(lam: float, mu: float, grid: Grid,
                               rhs: np.ndarray) -> np.ndarray:
-    cb = _banded_cholesky(lam, mu, grid.L, grid.n)
-    return cho_solve_banded((cb, False), rhs)
+    """Banded Cholesky solve for an (n,) or (n, B) right-hand side.
+
+    Calls LAPACK dpbtrs on the cached factor directly: the same arithmetic as
+    scipy's cho_solve_banded without its wrapper overhead, which dominates
+    at these sizes.
+    """
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpbtrs(_banded_cholesky(lam, mu, grid.L, grid.n), rhs, lower=False)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpbtrs failed with info={info}")
+    return x
 
 
 def helmholtz_solve(
@@ -126,8 +137,7 @@ def helmholtz_solve(
         raise ValueError("rhs grid does not match the operator grid")
     b = rhs.values
     if method == "tridiagonal":
-        cb = _banded_cholesky(op.lam, op.mu, op.grid.L, op.grid.n)
-        x = cho_solve_banded((cb, False), b)
+        x = _solve_tridiagonal_values(op.lam, op.mu, op.grid, b)
         iters = 0
     elif method == "spectral":
         ak = mode_eigenvalues(op.grid)

@@ -111,15 +111,16 @@ def kinetics(u1, u2, u3, p: ModelParams):
     return f1, f2, f3
 
 
-def kinetics_jacobian(u1: float, u2: float, u3: float, p: ModelParams) -> np.ndarray:
-    """Exact 3x3 Jacobian of the kinetics at one state."""
+def kinetics_jacobian(u1, u2, u3, p: ModelParams) -> np.ndarray:
+    """Exact Jacobian of the kinetics: (3, 3) at one state, (..., 3, 3) for
+    same-shape arrays of states."""
     s1 = p.eta1 + u1
     s2 = p.eta2 + u2
     h1 = p.m1 * u1 / s1
     h2 = p.m2 * u2 / s2
     dh1 = p.m1 * p.eta1 / (s1 * s1)
     dh2 = p.m2 * p.eta2 / (s2 * s2)
-    return np.array(
+    J = np.array(
         [
             [
                 p.alpha1 * (1.0 - 2.0 * u1 - p.beta1 * u2) - dh1 * u3,
@@ -138,3 +139,4 @@ def kinetics_jacobian(u1: float, u2: float, u3: float, p: ModelParams) -> np.nda
             ],
         ]
     )
+    return np.moveaxis(J, (0, 1), (-2, -1))

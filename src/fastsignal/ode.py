@@ -2,13 +2,15 @@
 predator-prey systems, equilibrium/stability analysis, oscillation detection,
 and dense bifurcation sweeps.
 
-Sweeps replace continuation: every parameter value gets its own damped-Newton
-equilibrium search plus eigenvalue classification, and long integrations are
-run only where no non-negative equilibrium is stable.
+Sweeps replace continuation: one stacked damped-Newton solve searches for the
+equilibria of every parameter value at once, each equilibrium gets an
+eigenvalue classification, and long integrations are run only where no
+non-negative equilibrium is stable.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -45,39 +47,51 @@ class OdeTrajectory:
     n_rejected: int
 
 
+# The right-hand sides take one (dim,) state or an (..., dim) stack.  ``y.T``
+# reverses the axes, so its rows are the components and a second ``.T`` puts
+# the stack back; a 1-D state yields numpy scalars, which keeps the per-step
+# cost of ``integrate`` low.
+
+
 def ode_rhs_3pop(y, p: ModelParams) -> np.ndarray:
     """Right-hand side of the three-population system (= the kinetics)."""
-    f1, f2, f3 = kinetics(y[0], y[1], y[2], p)
-    return np.array([f1, f2, f3])
+    yt = np.asarray(y).T
+    return np.array(kinetics(yt[0], yt[1], yt[2], p)).T
 
 
 def ode_jacobian_3pop(y, p: ModelParams) -> np.ndarray:
-    return kinetics_jacobian(y[0], y[1], y[2], p)
+    """(3, 3) Jacobian at one state, (..., 3, 3) for an (..., 3) stack."""
+    y = np.asarray(y)
+    return kinetics_jacobian(y[..., 0], y[..., 1], y[..., 2], p)
 
 
 def ode_rhs_pp(y, p: ModelParams) -> np.ndarray:
     """Reduced one-prey/one-predator system in (u1, u3)."""
-    u1, u3 = y
+    yt = np.asarray(y).T
+    u1, u3 = yt[0], yt[1]
     h1 = p.m1 * u1 / (p.eta1 + u1)
     return np.array(
         [
             p.alpha1 * u1 * (1.0 - u1) - h1 * u3,
             (p.gamma1 * h1 - p.k) * u3 - p.l * u3 * u3,
         ]
-    )
+    ).T
 
 
 def ode_jacobian_pp(y, p: ModelParams) -> np.ndarray:
-    u1, u3 = y
+    """(2, 2) Jacobian at one state, (..., 2, 2) for an (..., 2) stack."""
+    y = np.asarray(y)
+    u1, u3 = y[..., 0], y[..., 1]
     s1 = p.eta1 + u1
     h1 = p.m1 * u1 / s1
     dh1 = p.m1 * p.eta1 / (s1 * s1)
-    return np.array(
+    J = np.array(
         [
             [p.alpha1 * (1.0 - 2.0 * u1) - dh1 * u3, -h1],
             [p.gamma1 * dh1 * u3, p.gamma1 * h1 - p.k - 2.0 * p.l * u3],
         ]
     )
+    return np.moveaxis(J, (0, 1), (-2, -1))
 
 
 # Dormand-Prince 5(4) coefficients
@@ -135,8 +149,6 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
             next_eval += 1
 
     if T == 0.0:
-        if eval_times is None:
-            return OdeTrajectory(np.array(out_t), np.array(out_y), 0, 0)
         return OdeTrajectory(np.array(out_t), np.array(out_y), 0, 0)
 
     # initial step from the scale of the data
@@ -146,7 +158,10 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     h0 = 0.01 * d0 / d1 if (d0 > 1e-12 and d1 > 1e-12) else 1e-3
     h = min(T, h0, max_step)
 
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A[1:]
     k = np.zeros((7, dim))
+    k0, k1, k2, k3, k4 = k[:5]  # row views; each step overwrites the rows
     while t < T:
         if T - t <= 1e-12 * max(1.0, T):
             t = T
@@ -154,10 +169,13 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         h = min(h, T - t, max_step)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t:.6g}")
+        # stage sums unrolled, each in the tableau's left-to-right order
         k[0] = f
-        for i in range(1, 6):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-            k[i] = rhs(yi)
+        k[1] = rhs(y + h * (a21 * k0))
+        k[2] = rhs(y + h * (a31 * k0 + a32 * k1))
+        k[3] = rhs(y + h * (a41 * k0 + a42 * k1 + a43 * k2))
+        k[4] = rhs(y + h * (a51 * k0 + a52 * k1 + a53 * k2 + a54 * k3))
+        k[5] = rhs(y + h * (a61 * k0 + a62 * k1 + a63 * k2 + a64 * k3 + a65 * k4))
         y5 = y + h * (_B5[:6] @ k[:6])
         k[6] = rhs(y5)
         err_vec = h * (_ERR @ k)
@@ -196,54 +214,114 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     return OdeTrajectory(np.array(out_t), np.array(out_y), n_steps, n_rejected)
 
 
-def _newton(rhs, jac, y0, max_iter: int = 60, tol: float = 1e-12):
-    y = np.array(y0, dtype=float)
-    fnorm = np.max(np.abs(rhs(y)))
-    for _ in range(max_iter):
-        if fnorm <= tol:
-            return y
+def _solve_rows(J: np.ndarray, F: np.ndarray):
+    """Newton steps ``J[i]^-1 F[i]`` and a mask of the rows that have one.
+
+    A batched ``np.linalg.solve`` raises for the whole stack when one matrix
+    is singular, so rows whose LU determinant is zero or not finite are
+    retried one by one; only those that still raise have no step.
+    """
+    step = np.empty_like(F)
+    has_step = np.ones(F.shape[0], dtype=bool)
+    det = np.linalg.det(J)
+    regular = np.isfinite(det) & (det != 0.0)
+    step[regular] = np.linalg.solve(J[regular], F[regular][..., None])[..., 0]
+    for i in np.flatnonzero(~regular):
         try:
-            step = np.linalg.solve(jac(y), rhs(y))
+            step[i] = np.linalg.solve(J[i], F[i])
         except np.linalg.LinAlgError:
-            return None
+            has_step[i] = False
+    return step, has_step
+
+
+def _newton(rhs, jac, y0, args=(), max_iter: int = 60, tol: float = 1e-12):
+    """Damped Newton on every row of an ``(N, dim)`` stack at once.
+
+    ``args`` holds per-row arrays passed after the states, sliced with them.
+    Each row takes the path a lone solve from it would: stop once
+    max |rhs| <= tol; otherwise halve the step from lam = 1 (at most 40
+    times) until max |rhs| decreases, and give up on a singular Jacobian, a
+    failed line search or after ``max_iter`` steps.  Only the rows still
+    iterating are evaluated.  Returns the final states and a converged mask.
+    """
+    y = np.array(y0, dtype=float)
+    f = rhs(y, *args)
+    fnorm = np.max(np.abs(f), axis=-1)
+    converged = np.zeros(y.shape[0], dtype=bool)
+    live = np.arange(y.shape[0])  # rows still iterating
+    for _ in range(max_iter):
+        done = fnorm[live] <= tol
+        converged[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
+            break
+        step, has_step = _solve_rows(jac(y[live], *(a[live] for a in args)), f[live])
+        live, step = live[has_step], step[has_step]
+        # line search; ``pending`` indexes the rows of ``live`` still halving
+        pending = np.arange(live.size)
         lam = 1.0
         for _ in range(40):
-            cand = y - lam * step
-            cnorm = np.max(np.abs(rhs(cand)))
-            if cnorm < fnorm:
-                y, fnorm = cand, cnorm
+            rows = live[pending]
+            cand = y[rows] - lam * step[pending]
+            fc = rhs(cand, *(a[rows] for a in args))
+            cnorm = np.max(np.abs(fc), axis=-1)
+            better = cnorm < fnorm[rows]
+            took = rows[better]
+            y[took], f[took], fnorm[took] = cand[better], fc[better], cnorm[better]
+            pending = pending[~better]
+            if pending.size == 0:
                 break
             lam *= 0.5
-        else:
-            return None
-    return y if fnorm <= tol else None
+        live = np.delete(live, pending)
+    converged[live] = fnorm[live] <= tol
+    return y, converged
 
 
-def find_equilibria(rhs, jacobian, guesses=None, dim: int | None = None) -> list[np.ndarray]:
+def find_equilibria(rhs, jacobian, guesses=None, dim: int | None = None,
+                    args=None):
     """Damped Newton from a lattice of guesses; keeps non-negative roots.
 
-    Converged roots (max |rhs| <= 1e-12) are deduplicated to 1e-8 and sorted
-    lexicographically for reproducibility.
+    ``rhs`` and ``jacobian`` take an ``(N, dim)`` stack of states and return
+    ``(N, dim)`` and ``(N, dim, dim)``; every guess is one row of a single
+    stacked Newton solve.  Converged roots (max |rhs| <= 1e-12) are
+    deduplicated to 1e-8 in guess order and sorted lexicographically for
+    reproducibility.
+
+    With ``args`` (a sequence of K problem values), the guesses are solved
+    for all K problems in the same stack: the callables are then called as
+    ``rhs(y, a)``, where ``a`` holds each row's problem value, and one root
+    list per problem is returned.
     """
     if guesses is None:
         if dim is None:
             raise ValueError("need guesses or dim for the default lattice")
         axis = np.linspace(0.0, 1.5, 6)
-        guesses = [np.array(g) for g in itertools.product(axis, repeat=dim)]
-    roots: list[np.ndarray] = []
-    for g in guesses:
-        y = _newton(rhs, jacobian, g)
-        if y is None:
-            continue
-        if np.min(y) < -1e-10:
-            continue
-        y = np.where(np.abs(y) < 1e-10, 0.0, y)
-        if np.max(np.abs(rhs(y))) > 1e-12:
-            continue
-        if any(np.max(np.abs(y - r)) < 1e-8 for r in roots):
-            continue
-        roots.append(y)
-    return sorted(roots, key=tuple)
+        guesses = list(itertools.product(axis, repeat=dim))
+    guesses = np.array(guesses, dtype=float)
+    n_guess = guesses.shape[0]
+    values = None if args is None else np.asarray(args, dtype=float)
+    n_prob = 1 if values is None else values.size
+    row_args = () if values is None else (np.repeat(values, n_guess),)
+    y, ok = _newton(rhs, jacobian, np.tile(guesses, (n_prob, 1)), row_args)
+
+    rows = np.flatnonzero(ok)
+    rows = rows[~(np.min(y[rows], axis=-1) < -1e-10)]
+    y = y[rows]
+    y[np.abs(y) < 1e-10] = 0.0
+    resid = np.max(np.abs(rhs(y, *(a[rows] for a in row_args))), axis=-1)
+    keep = ~(resid > 1e-12)
+    rows, y = rows[keep], y[keep]
+
+    roots = []
+    bounds = np.searchsorted(rows // n_guess, np.arange(n_prob + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # a candidate survives when no earlier kept root lies within 1e-8
+        cand, found = y[lo:hi], []
+        while cand.shape[0]:
+            found.append(cand[0])
+            cand = cand[~(np.max(np.abs(cand - cand[0]), axis=-1) < 1e-8)]
+        roots.append(sorted(found, key=tuple))
+    return roots[0] if values is None else roots
 
 
 def _eig_with_residual(J: np.ndarray):
@@ -329,6 +407,16 @@ def detect_oscillation(traj: OdeTrajectory, transient_fraction: float = 0.5,
     return OscillationRecord(detected, amplitude, period, n_peaks)
 
 
+def _row_params(p: ModelParams, param: str, column: np.ndarray) -> ModelParams:
+    """``p`` with coefficient ``param`` replaced by one value per stacked row.
+
+    ModelParams validates scalars only, so the caller validates the values.
+    """
+    q = copy.copy(p)
+    object.__setattr__(q, param, column)
+    return q
+
+
 _SWEEP_Y0 = {"3pop": np.array([1.0, 1.0, 0.5]), "pp": np.array([1.0, 0.5])}
 
 
@@ -346,12 +434,16 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
         raise ValueError(f"unknown model {model!r}")
     start = _SWEEP_Y0[model] if y0 is None else np.asarray(y0, dtype=float)
 
+    values = np.asarray(values, dtype=float)
+    params = [p.with_updates(**{param: float(val)}) for val in values]  # validates
+
+    roots = find_equilibria(lambda y, c: rhs_of(y, _row_params(p, param, c)),
+                            lambda y, c: jac_of(y, _row_params(p, param, c)),
+                            dim=dim, args=values)
     points: list[BranchPoint] = []
-    for val in np.asarray(values, dtype=float):
-        pv = p.with_updates(**{param: float(val)})
+    for val, pv, eqs in zip(values, params, roots):
         rhs = lambda y, _pv=pv: rhs_of(y, _pv)
         jac = lambda y, _pv=pv: jac_of(y, _pv)
-        eqs = find_equilibria(rhs, jac, dim=dim)
         branch = []
         any_stable = False
         for eq in eqs:

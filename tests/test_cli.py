@@ -1,8 +1,13 @@
 """Tests for config parsing, the CLI subcommands, and output determinism."""
 
+import numpy as np
 import pytest
 
-from fastsignal.cli import ConfigError, main, parse_config
+from fastsignal.cli import ConfigError, _write_snapshots, main, parse_config
+from fastsignal.grid import make_grid
+from fastsignal.model import default_params
+from fastsignal.sim_eps import default_initial_fields
+from fastsignal.sim_limit import run_limit
 
 FAST_RATE_FLAGS = [
     "--n", "16", "--T", "0.1", "--output_count", "3",
@@ -184,3 +189,19 @@ def test_unknown_flag_prints_validation_line(capsys):
     assert len(err) == 1
     assert err[0].startswith('fastsignal: status=error kind=validation msg="')
     assert "--etd_order" in err[0]
+
+
+def test_write_snapshots_matches_per_value_formatting(tmp_path):
+    grid = make_grid(1.0, 16)
+    traj = run_limit(*default_initial_fields(grid), 0.01, default_params(),
+                     np.linspace(0.0, 0.01, 3))
+    columns = ("u1", "u2", "u3", "v1", "v2", "v3")
+    _write_snapshots(tmp_path, traj, columns)
+    x = grid.centers
+    for i, (t, s) in enumerate(zip(traj.times, traj.states)):
+        data = [getattr(s, c).values for c in columns]
+        rows = ["x," + ",".join(columns)]
+        for j in range(x.size):
+            rows.append(",".join([f"{x[j]:.17g}"] + [f"{d[j]:.17g}" for d in data]))
+        written = (tmp_path / f"t{i}_{t:.6g}.csv").read_text()
+        assert written == "\n".join(rows) + "\n"

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
 from fastsignal.grid import Field, make_grid, mode_eigenvalues, mode_vector
 from fastsignal.linsolve import (
     HelmholtzOperator,
     SolverConvergenceError,
+    _banded_cholesky,
     _project_modes,
+    _solve_tridiagonal_values,
     exp_propagate,
     exp_propagate_ramp,
     from_modes,
@@ -101,6 +104,17 @@ def test_helmholtz_maximum_principle():
         rhs = Field(rng.random(GRID.n), GRID)
         v, _ = helmholtz_solve(OP, rhs)
         assert v.values.min() >= -1e-12
+
+
+@pytest.mark.parametrize("shape", [(256,), (256, 5)])
+def test_tridiagonal_solve_equals_cho_solve_banded(shape):
+    rhs = np.random.default_rng(3).standard_normal(shape)
+    cb = _banded_cholesky(OP.lam, OP.mu, GRID.L, GRID.n)
+    x = _solve_tridiagonal_values(OP.lam, OP.mu, GRID, rhs)
+    assert np.array_equal(x, cho_solve_banded((cb, False), rhs))
+    rhs[3] = np.nan
+    with pytest.raises(ValueError):
+        _solve_tridiagonal_values(OP.lam, OP.mu, GRID, rhs)
 
 
 def test_helmholtz_rejects_mismatched_grid_and_unknown_method():

@@ -108,6 +108,15 @@ def test_jacobian_matches_finite_differences():
         assert np.max(np.abs(J - fd_jacobian(u, p))) <= 1e-6
 
 
+def test_stacked_jacobian_equals_per_state_jacobians():
+    p = default_params()
+    u = np.random.default_rng(6).random((4, 5, 3)) * 2.0
+    J = kinetics_jacobian(u[..., 0], u[..., 1], u[..., 2], p)
+    assert J.shape == (4, 5, 3, 3)
+    for idx in np.ndindex(4, 5):
+        assert np.array_equal(J[idx], kinetics_jacobian(*u[idx], p))
+
+
 def test_logistic_sign_bounds():
     p = default_params()
     rng = np.random.default_rng(9)

@@ -1,11 +1,20 @@
 """Tests for the homogeneous ODE systems, integrator and bifurcation sweeps."""
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fastsignal.cli import main
 from fastsignal.model import default_params, kinetics
 from fastsignal.ode import (
     StiffnessError,
+    _newton,
+    _row_params,
+    _solve_rows,
     bifurcation_sweep,
     classify_stability,
     detect_oscillation,
@@ -221,3 +230,134 @@ def test_integrate_reports_stiffness_failure():
     # finite-time derivative blow-up: y' = -1/y^2 reaches y = 0 at t = 1/3
     with pytest.raises(StiffnessError):
         integrate(lambda y: -1.0 / (y * y), np.array([1.0]), 1.0)
+
+
+MODELS = {
+    "pp": (ode_rhs_pp, ode_jacobian_pp, 2),
+    "3pop": (ode_rhs_3pop, ode_jacobian_3pop, 3),
+}
+
+
+def newton_reference(rhs, jac, y0, max_iter=60, tol=1e-12):
+    """The damped Newton for one guess, as a lone solve takes it."""
+    y = np.array(y0, dtype=float)
+    fnorm = np.max(np.abs(rhs(y)))
+    for _ in range(max_iter):
+        if fnorm <= tol:
+            return y
+        try:
+            step = np.linalg.solve(jac(y), rhs(y))
+        except np.linalg.LinAlgError:
+            return None
+        lam = 1.0
+        for _ in range(40):
+            cand = y - lam * step
+            cnorm = np.max(np.abs(rhs(cand)))
+            if cnorm < fnorm:
+                y, fnorm = cand, cnorm
+                break
+            lam *= 0.5
+        else:
+            return None
+    return y if fnorm <= tol else None
+
+
+def find_equilibria_reference(rhs, jac, dim):
+    """Per-guess filter and deduplication of one problem's lattice."""
+    axis = np.linspace(0.0, 1.5, 6)
+    roots = []
+    for g in itertools.product(axis, repeat=dim):
+        y = newton_reference(rhs, jac, np.array(g))
+        if y is None or np.min(y) < -1e-10:
+            continue
+        y = np.where(np.abs(y) < 1e-10, 0.0, y)
+        if np.max(np.abs(rhs(y))) > 1e-12:
+            continue
+        if any(np.max(np.abs(y - r)) < 1e-8 for r in roots):
+            continue
+        roots.append(y)
+    return sorted(roots, key=tuple)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_stacked_rhs_and_jacobian_equal_row_by_row(model):
+    rhs_of, jac_of, dim = MODELS[model]
+    y = np.random.default_rng(8).random((3, 4, dim)) * 2.0
+    f, J = rhs_of(y, P), jac_of(y, P)
+    assert f.shape == (3, 4, dim) and J.shape == (3, 4, dim, dim)
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(f[idx], rhs_of(y[idx], P))
+        assert np.array_equal(J[idx], jac_of(y[idx], P))
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.sampled_from(sorted(MODELS)), eta2=st.floats(0.05, 1.0),
+       k=st.floats(0.01, 0.3), data=st.data())
+def test_stacked_newton_matches_scalar_reference(model, eta2, k, data):
+    rhs_of, jac_of, dim = MODELS[model]
+    p = P.with_updates(eta2=eta2, k=k)
+    n = data.draw(st.integers(1, 12))
+    guesses = data.draw(arrays(float, (n, dim), elements=st.floats(0.0, 1.5)))
+    m1 = data.draw(arrays(float, n, elements=st.floats(0.05, 1.5)))
+    # with m1 = alpha1 and eta1 = 1 the Jacobian's first row vanishes at
+    # u1 = u2 = 0, u3 = 1, so a lone solve from there stops at once
+    singular = np.zeros(dim)
+    singular[-1] = 1.0
+    assert P.alpha1 == 0.8 and P.eta1 == 1.0
+    guesses = np.vstack([guesses[: n // 2], singular, guesses[n // 2:]])
+    m1 = np.insert(m1, n // 2, 0.8)
+
+    y, ok = _newton(lambda y, c: rhs_of(y, _row_params(p, "m1", c)),
+                    lambda y, c: jac_of(y, _row_params(p, "m1", c)), guesses, (m1,))
+    assert not ok[n // 2]
+    for i in range(n + 1):
+        pv = p.with_updates(m1=float(m1[i]))
+        ref = newton_reference(lambda y: rhs_of(y, pv), lambda y: jac_of(y, pv),
+                               guesses[i])
+        assert ok[i] == (ref is not None)
+        if ref is not None:
+            assert np.array_equal(y[i], ref)
+
+
+def test_solve_rows_retries_screened_rows_one_by_one():
+    J = np.array([np.eye(2) * 1e-200, [[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]]])
+    F = np.array([[1e-200, 2e-200], [1.0, 2.0], [1.0, 1.0]])
+    step, has_step = _solve_rows(J, F)
+    assert np.linalg.det(J[0]) == 0.0  # underflows, yet the matrix is regular
+    assert has_step.tolist() == [True, True, False]
+    for i in range(2):
+        assert np.array_equal(step[i], np.linalg.solve(J[i], F[i]))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_find_equilibria_over_values_matches_per_value_reference(model):
+    rhs_of, jac_of, dim = MODELS[model]
+    p = P.with_updates(eta1=0.2, eta2=0.2)
+    values = np.array([0.05, 0.3, 0.8, 1.5])
+    roots = find_equilibria(lambda y, c: rhs_of(y, _row_params(p, "m1", c)),
+                            lambda y, c: jac_of(y, _row_params(p, "m1", c)),
+                            dim=dim, args=values)
+    assert len(roots) == values.size
+    for val, got in zip(values, roots):
+        pv = p.with_updates(m1=float(val))
+        ref = find_equilibria_reference(lambda y: rhs_of(y, pv),
+                                        lambda y: jac_of(y, pv), dim)
+        assert len(got) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize(
+    "model, flags",
+    [
+        ("pp", ["--eta1", "0.2", "--eta2", "0.2", "--sweep_max", "0.8",
+                "--sweep_count", "4", "--t_osc", "800"]),
+        ("3pop", ["--eta2", "0.05", "--sweep_max", "1.5", "--sweep_count", "6",
+                  "--t_osc", "300"]),
+    ],
+)
+def test_branch_csv_matches_golden(tmp_path, model, flags):
+    code = main(["ode-bifurcation", "--ode_model", model, "--sweep_min", "0.05",
+                 *flags, "--outdir", str(tmp_path)])
+    assert code == 0
+    golden = Path(__file__).parent / "data" / f"branch_{model}.csv"
+    assert (tmp_path / "branch.csv").read_bytes() == golden.read_bytes()
