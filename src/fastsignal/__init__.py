@@ -17,19 +17,11 @@ from .analysis import (
     rate_study,
     semigroup_identity_residual,
 )
-from .grid import (
-    Field,
-    Grid,
-    chemotaxis_divergence,
-    laplacian_neumann,
-    make_grid,
-    neumann_modes,
-)
+from .grid import Field, Grid, make_grid, neumann_modes
 from .linsolve import (
     HelmholtzOperator,
     SolverConvergenceError,
     SolverStats,
-    exp_propagate,
     gmres,
     helmholtz_solve,
 )
@@ -49,14 +41,14 @@ from .ode import (
 )
 from .sim_eps import (
     BlowUpError,
-    EpsState,
     StabilityError,
+    State,
     Trajectory,
     default_initial_fields,
     run_eps,
     stable_dt,
-    step_eps,
+    step,
 )
-from .sim_limit import LimitState, run_limit, step_limit
+from .sim_limit import run_limit
 
 __version__ = "0.1.0"

@@ -251,8 +251,7 @@ def _layer_pair(args):
     u0 = tuple(Field(v, grid) for v in u_values)
     v30 = make_layer_data(u0[2], InitialLayerSpec(gamma, eps), p)
     st = _Stepper(grid, p, eps=[eps, None], **stepper_kw)
-    traj, limit = _run_members(st, u0, [v30, None], T, times, dt=dt,
-                               record_steps=False)
+    traj, limit = _run_members(st, u0, [v30, None], T, times, dt=dt)
     return initial_layer_size(u0[2], v30, p), traj, limit
 
 
@@ -260,7 +259,7 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
                eps_list, T: float, p: ModelParams, *, n_outputs: int = 64,
                cfl: float = 0.45, scheme: str = "upwind",
                solver_method: str = "tridiagonal", solver_tol: float = 1e-10,
-               etd_order: int = 2, chemical_mode: str = "mixed",
+               chemical_mode: str = "mixed",
                floor: float = ERROR_FLOOR, workers: int = 1) -> RateReport:
     """Sweep the relaxation parameter and fit per-component convergence rates.
 
@@ -288,7 +287,7 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     times = np.linspace(0.0, T, n_outputs)
     u0 = (u10, u20, u30)
     stepper_kw = dict(scheme=scheme, solver_method=solver_method, solver_tol=solver_tol,
-                      etd_order=etd_order, chemical_mode=chemical_mode)
+                      chemical_mode=chemical_mode)
 
     # base fixed step, sized once from the initial state with a safety margin
     v30_probe = make_layer_data(u30, InitialLayerSpec(gamma, float(eps_list[0])), p)
@@ -298,8 +297,7 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
         v30s = [make_layer_data(u30, InitialLayerSpec(gamma, float(e)), p)
                 for e in eps_list]
         st = _Stepper(grid, p, eps=[*map(float, eps_list), None], **stepper_kw)
-        *trajs, limit = _run_members(st, u0, [*v30s, None], T, times, dt=dt0,
-                                     record_steps=False)
+        *trajs, limit = _run_members(st, u0, [*v30s, None], T, times, dt=dt0)
         results = [(initial_layer_size(u30, v30, p), traj, limit)
                    for v30, traj in zip(v30s, trajs)]
     else:

@@ -44,7 +44,6 @@ from .sim_eps import (
     BlowUpError,
     StabilityError,
     default_initial_fields,
-    initial_stable_dt,
     run_eps,
 )
 from .sim_limit import run_limit
@@ -287,12 +286,10 @@ def _cmd_simulate_eps(cfg: RunConfig) -> int:
     T = cfg.resolve_T("simulate-eps")
     grid, u10, u20, u30, v30 = _initial_data(cfg, p, cfg.eps)
     times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
-    est_steps = T / initial_stable_dt(u10, u20, u30, v30, p, cfg.cfl) if T > 0 else 0
     traj = run_eps(
         u10, u20, u30, v30, cfg.eps, T, p, times, cfl=cfg.cfl,
         scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
         solver_method=cfg.solver_method, solver_tol=cfg.solver_tol,
-        record_steps=est_steps <= 2e6,
     )
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "simulate-eps", T)
@@ -311,7 +308,6 @@ def _cmd_simulate_limit(cfg: RunConfig) -> int:
     traj = run_limit(
         u10, u20, u30, T, p, times, cfl=cfg.cfl, scheme=cfg.flux_scheme,
         solver_method=cfg.solver_method, solver_tol=cfg.solver_tol,
-        record_steps=True,
     )
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "simulate-limit", T)
@@ -358,7 +354,7 @@ def _cmd_manifold_distance(cfg: RunConfig) -> int:
         traj = run_eps(
             u10, u20, u30, v30, eps, T, p, times, cfl=min(0.45, cfg.cfl),
             scheme=cfg.flux_scheme, solver_method=cfg.solver_method,
-            solver_tol=cfg.solver_tol, record_steps=False,
+            solver_tol=cfg.solver_tol,
         )
         dist = np.array([manifold_distance(s, p) for s in traj.states])
         for t, d in zip(traj.times, dist):

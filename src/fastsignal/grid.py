@@ -16,8 +16,6 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
-    "laplacian_neumann",
-    "chemotaxis_divergence",
     "neumann_modes",
 ]
 
@@ -92,17 +90,14 @@ def _laplacian(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def laplacian_neumann(f: Field) -> Field:
-    """Second-order Laplacian with mirrored ghost cells (discrete no-flux)."""
-    return Field(_laplacian(f.values, f.grid.dx), f.grid)
-
-
 def _chemotaxis_div(
     u: np.ndarray, v: np.ndarray, chi, dx: float, scheme: str = "upwind"
 ) -> np.ndarray:
-    # face flux of chi * div(u grad v) along the last axis; boundary faces carry
-    # zero flux.  chi is a scalar or broadcasts against the faces, one
-    # coefficient per leading row.
+    # conservative face-flux discretization of chi * div(u grad v) along the
+    # last axis; boundary faces carry zero flux.  chi is a scalar or
+    # broadcasts against the faces, one coefficient per leading row.  The sign
+    # of chi selects the upwind side, so a negative chi evaluates
+    # -|chi| div(u grad v) with donor cells chosen for the reversed drift.
     g = (v[..., 1:] - v[..., :-1]) / dx
     if scheme == "upwind":
         # donor cell of the drift -chi*grad(v): cell j+1 when chi*g > 0
@@ -117,20 +112,6 @@ def _chemotaxis_div(
     out[..., 1:] -= flux
     out /= dx
     return out
-
-
-def chemotaxis_divergence(
-    u: Field, v: Field, chi: float, scheme: str = "upwind"
-) -> Field:
-    """Conservative face-flux discretization of chi * div(u grad v).
-
-    The sign of chi selects the upwind side, so passing a negative chi
-    evaluates -|chi| div(u grad v) with donor cells chosen for the reversed
-    drift direction.
-    """
-    if u.grid != v.grid:
-        raise ValueError("u and v live on different grids")
-    return Field(_chemotaxis_div(u.values, v.values, chi, u.grid.dx, scheme), u.grid)
 
 
 def mode_eigenvalues(grid: Grid) -> np.ndarray:

@@ -3,9 +3,9 @@
 The operator A = -lam * Lap + mu * I on the Neumann grid is symmetric positive
 definite with smallest eigenvalue mu, so it admits three interchangeable solve
 paths: banded Cholesky elimination, restarted GMRES, and expansion in the
-discrete cosine modes.  The exponential propagator advances
-eps * dv/dt = lam * Lap v - mu * v + source exactly per mode with the source
-frozen over the step.
+discrete cosine modes.  The exponential update advances
+eps * dv/dt = lam * Lap v - mu * v + source exactly per mode for a source
+varying linearly over the step.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "SolverConvergenceError",
     "helmholtz_solve",
     "gmres",
-    "exp_propagate",
-    "exp_propagate_ramp",
     "to_modes",
     "from_modes",
 ]
@@ -251,6 +249,8 @@ def _ramp_weight(z: np.ndarray) -> np.ndarray:
 def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):
     """Per-mode (decay, gain, ramp) factors of the exponential update over dt.
 
+    The gain is evaluated with expm1 so small arguments do not cancel.
+
     eps may be an array of shape (B, 1), which gives (B, n) factors, one row
     per relaxation parameter.
     """
@@ -263,71 +263,27 @@ def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):
 
 
 def _exp_step(factors, v: np.ndarray, source_start: np.ndarray,
-              source_end: np.ndarray | None = None) -> np.ndarray:
+              source_end: np.ndarray) -> np.ndarray:
     """Exponential update from precomputed factors, along the last axis.
 
-    Without source_end the source is frozen at source_start; with it the
-    source varies linearly from source_start to source_end over the step.
+    Exact for a source varying linearly from source_start to source_end over
+    the step.  Per mode: v <- e^-z v + (1-e^-z)/b s0 + psi(z)/b (s1 - s0) with
+    b = mu - lam a_k and z = b dt / eps.  Unlike a frozen-source update this
+    retains the O(eps) quasi-steady lag -eps A^-2 ds/dt when dt >> eps/b,
+    which is what makes relaxation-vs-limit differences measurable for small
+    eps at practical step sizes.
     """
     decay, gain, ramp = factors
-    if source_end is None:
-        c, s0 = to_modes(np.stack([v, source_start]))
-        return from_modes(decay * c + gain * s0)
     c, s0, s1 = to_modes(np.stack([v, source_start, source_end]))
     return from_modes(decay * c + gain * s0 + ramp * (s1 - s0))
-
-
-def _exp_propagate_values(lam: float, mu: float, eps: float, dt: float,
-                          v: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndarray:
-    return _exp_step(_exp_factors(lam, mu, eps, dt, grid), v, source)
 
 
 def _exp_ramp_values(lam: float, mu: float, eps: float, dt: float, v: np.ndarray,
                      source_start: np.ndarray, source_end: np.ndarray,
                      grid: Grid) -> np.ndarray:
+    """Advance eps * dv/dt = lam * Lap v - mu * v + source over dt by _exp_step."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     return _exp_step(_exp_factors(lam, mu, eps, dt, grid), v, source_start, source_end)
-
-
-def exp_propagate(
-    lam: float, mu: float, eps: float, dt: float, v: Field, source: Field
-) -> Field:
-    """Advance eps * dv/dt = lam * Lap v - mu * v + source exactly over dt.
-
-    Exponential-Euler update in the cosine basis with the source frozen:
-    each mode relaxes toward source_k / (mu - lam * a_k) at rate
-    (mu - lam * a_k) / eps.  The gain factor is evaluated with expm1 so small
-    arguments do not cancel.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if v.grid != source.grid:
-        raise ValueError("v and source live on different grids")
-    return Field(_exp_propagate_values(lam, mu, eps, dt, v.values, source.values, v.grid),
-                 v.grid)
-
-
-def exp_propagate_ramp(
-    lam: float, mu: float, eps: float, dt: float, v: Field,
-    source_start: Field, source_end: Field,
-) -> Field:
-    """Exponential update that is exact for a source varying linearly over dt.
-
-    Per mode: v <- e^-z v + (1-e^-z)/b s0 + psi(z)/b (s1 - s0) with
-    b = mu - lam a_k and z = b dt / eps.  Unlike the frozen-source update this
-    retains the O(eps) quasi-steady lag -eps A^-2 ds/dt when dt >> eps/b,
-    which is what makes relaxation-vs-limit differences measurable for small
-    eps at practical step sizes.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if v.grid != source_start.grid or v.grid != source_end.grid:
-        raise ValueError("fields live on different grids")
-    return Field(
-        _exp_ramp_values(lam, mu, eps, dt, v.values, source_start.values,
-                         source_end.values, v.grid),
-        v.grid,
-    )

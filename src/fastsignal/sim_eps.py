@@ -5,15 +5,15 @@ parabolic chemical.
 One step applies a first-order splitting: an explicit Heun (SSP-RK2) update of
 the species transport + reaction, a refresh of the elliptic chemicals at the
 new densities, and an exponential update of the slow chemical that is exact
-per mode for a source varying linearly over the step (etd_order=1 freezes the
-source instead).  Species stay non-negative under the stable_dt bound;
-negative round-off is clipped and accounted.
+per mode for a source varying linearly over the step.  Species stay
+non-negative under the stable_dt bound; negative round-off is clipped and
+accounted.
 
 The stepping kernel is batch-native: one step advances B members that share
 dt, held as (B, 3, n) species and chemical arrays.  A member is either a
-relaxation-time run with its own eps or a run of the limiting system, whose
-slow chemical is elliptic as well; a per-member mask says which chemicals are
-elliptic.  Single runs are batches of one.
+relaxation-time run with its own eps or a run of the limiting system (eps is
+None), whose slow chemical is elliptic as well; a per-member mask says which
+chemicals are elliptic.  Single runs are batches of one.
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ from .linsolve import (
 from .model import ModelParams, kinetics
 
 __all__ = [
-    "EpsState",
-    "LimitState",
+    "State",
     "Trajectory",
     "BlowUpError",
     "StabilityError",
     "default_initial_fields",
     "initial_stable_dt",
     "stable_dt",
-    "step_eps",
+    "step",
     "run_eps",
 ]
 
@@ -60,28 +59,11 @@ class StabilityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EpsState:
-    """Full solution at one time for the relaxation-time system."""
+class State:
+    """Full solution of one run at one time; eps is None for the limiting system."""
 
     t: float
-    eps: float
-    u1: Field
-    u2: Field
-    u3: Field
-    v1: Field
-    v2: Field
-    v3: Field
-
-    @property
-    def grid(self) -> Grid:
-        return self.u1.grid
-
-
-@dataclass(frozen=True)
-class LimitState:
-    """Full solution at one time for the limiting system."""
-
-    t: float
+    eps: float | None
     u1: Field
     u2: Field
     u3: Field
@@ -98,16 +80,14 @@ class LimitState:
 class Trajectory:
     """Snapshots of one run at the requested output times plus stepping diagnostics.
 
-    ``step_dts``/``step_masses``/``balance_residuals`` hold one entry per
-    accepted step when per-step recording is on; the aggregate fields are
-    always filled.
+    The diagnostics are aggregates over the whole run: the step count, the
+    worst per-step mass-balance residual and the mass clipped per species.
+    They are accumulated while stepping, so memory does not grow with the
+    number of steps.
     """
 
     times: np.ndarray
     states: list
-    step_dts: np.ndarray
-    step_masses: np.ndarray
-    balance_residuals: np.ndarray
     clipped_mass: np.ndarray
     initial_mass: np.ndarray
     n_steps: int
@@ -242,22 +222,19 @@ class _Stepper:
 
     def __init__(self, grid: Grid, p: ModelParams, *, scheme: str = "upwind",
                  solver_method: str = "tridiagonal", solver_tol: float = 1e-10,
-                 eps=None, chemical_mode: str = "mixed", etd_order: int = 2):
+                 eps=None, chemical_mode: str = "mixed"):
         if chemical_mode not in ("mixed", "fully_parabolic"):
             raise ValueError(f"unknown chemical_mode {chemical_mode!r}")
         eps = [eps] if eps is None or np.ndim(eps) == 0 else list(eps)
         limit = np.array([e is None for e in eps])
         if chemical_mode == "fully_parabolic" and limit.all():
             raise ValueError("fully_parabolic mode needs a relaxation parameter")
-        if etd_order not in (1, 2):
-            raise ValueError("etd_order must be 1 or 2")
         self.grid = grid
         self.p = p
         self.scheme = scheme
         self.solver_method = solver_method
         self.solver_tol = solver_tol
         self.eps = eps
-        self.etd_order = etd_order
         self.elliptic = np.column_stack(
             [limit | (chemical_mode == "mixed")] * 2 + [limit])
         self.clipped = np.zeros((len(eps), 3))
@@ -298,9 +275,7 @@ class _Stepper:
         if dt != last_dt:
             factors = _exp_factors(lam, mu, self._exp_eps[which], dt, self.grid)
             self._factors[which] = (dt, factors)
-        if self.etd_order == 2:
-            return _exp_step(factors, v, zeta * u_old, zeta * u_new)
-        return _exp_step(factors, v, zeta * u_new)
+        return _exp_step(factors, v, zeta * u_old, zeta * u_new)
 
     def advance_chemicals(self, u_old, u_new, v, dt: float) -> np.ndarray:
         """Chemicals of a batch after its species moved from u_old to u_new."""
@@ -325,8 +300,8 @@ class _Stepper:
     def step(self, t: float, u, v, dt: float):
         """Advance every member of (u, v) by dt.
 
-        Returns the new (B, 3, n) species and chemicals, the (B, 3) species
-        masses and the (B,) mass-balance residuals.
+        Returns the new (B, 3, n) species and chemicals and the (B,)
+        mass-balance residuals.
         """
         u, v = _as_batch(u), _as_batch(v)
         dx = self.grid.dx
@@ -345,7 +320,7 @@ class _Stepper:
             new_u = np.where(neg, 0.0, new_u)
         new_v = self.advance_chemicals(u, new_u, v, dt)
         self._check_finite(new_v, "v", t + dt)
-        return new_u, new_v, new_u.sum(-1) * dx, residual
+        return new_u, new_v, residual
 
 
 class _EpsStepper(_Stepper):
@@ -358,20 +333,26 @@ class _LimitStepper(_Stepper):
         super().__init__(grid, p, eps=None, **kw)
 
 
-def step_eps(s: EpsState, p: ModelParams, dt: float, *, scheme: str = "upwind",
-             chemical_mode: str = "mixed", solver_method: str = "tridiagonal",
-             solver_tol: float = 1e-10, etd_order: int = 2) -> EpsState:
-    """One split step of the relaxation-time system."""
+def _states(stepper: _Stepper, t: float, u: np.ndarray, v: np.ndarray) -> list:
+    """One State per member of the (B, 3, n) batch (u, v) at time t."""
+    g = stepper.grid
+    return [State(t, eps, *(Field(x, g) for x in (*u[b], *v[b])))
+            for b, eps in enumerate(stepper.eps)]
+
+
+def step(s: State, p: ModelParams, dt: float, *, scheme: str = "upwind",
+         chemical_mode: str = "mixed", solver_method: str = "tridiagonal",
+         solver_tol: float = 1e-10) -> State:
+    """One split step of the relaxation-time system, or of the limiting
+    system when s.eps is None."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    st = _EpsStepper(s.grid, p, s.eps, scheme=scheme, chemical_mode=chemical_mode,
-                     solver_method=solver_method, solver_tol=solver_tol,
-                     etd_order=etd_order)
+    st = _Stepper(s.grid, p, eps=s.eps, scheme=scheme, chemical_mode=chemical_mode,
+                  solver_method=solver_method, solver_tol=solver_tol)
     u = (s.u1.values, s.u2.values, s.u3.values)
     v = (s.v1.values, s.v2.values, s.v3.values)
-    u, v, _, _ = st.step(s.t, u, v, dt)
-    g = s.grid
-    return EpsState(s.t + dt, s.eps, *(Field(x, g) for x in (*u[0], *v[0])))
+    u, v, _ = st.step(s.t, u, v, dt)
+    return _states(st, s.t + dt, u, v)[0]
 
 
 def _normalise_output_times(T: float, output_times) -> np.ndarray:
@@ -385,27 +366,20 @@ def _normalise_output_times(T: float, output_times) -> np.ndarray:
     return times
 
 
-def _integrate(stepper: _Stepper, make_state, u, v, T: float, output_times,
-               *, cfl: float, dt_fixed: float | None, record_steps: bool):
+def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
+               dt_fixed: float | None) -> list:
     """Step every member of the batch (u, v) from t = 0 to T.
 
-    ``make_state`` holds one snapshot constructor (t, u_b, v_b) -> state per
-    member and the result one Trajectory per member; a single constructor is
-    a batch of one and gets a single Trajectory.  All members share the step
-    schedule: the fixed dt, checked against every member's stability bound,
-    or the smallest member's stable step.
+    Returns one Trajectory per member.  All members share the step schedule:
+    the fixed dt, checked against every member's stability bound, or the
+    smallest member's stable step.
     """
-    single = callable(make_state)
-    make_states = [make_state] if single else list(make_state)
     u, v = _as_batch(u), _as_batch(v)
     times = _normalise_output_times(T, output_times)
     dx = stepper.grid.dx
     p = stepper.p
 
-    snapshots = [[make(0.0, u[b], v[b])] for b, make in enumerate(make_states)]
-    dts: list[float] = []
-    masses: list[np.ndarray] = []
-    residuals: list[np.ndarray] = []
+    snapshots = [_states(stepper, 0.0, u, v)]
     initial_mass = u.sum(-1) * dx
     n_steps = 0
     max_residual = np.zeros(u.shape[0])
@@ -427,27 +401,17 @@ def _integrate(stepper: _Stepper, make_state, u, v, T: float, output_times,
                 nominal = float(_stable_dt_values(u, v, p, dx, cfl).min())
             remaining = target - t
             dt = remaining if remaining <= nominal * (1.0 + 1e-9) else nominal
-            u, v, mass, residual = stepper.step(t, u, v, dt)
+            u, v, residual = stepper.step(t, u, v, dt)
             t += dt
             n_steps += 1
             np.maximum(max_residual, residual, out=max_residual)
-            if record_steps:
-                dts.append(dt)
-                masses.append(mass)
-                residuals.append(residual)
         t = target
-        for b, make in enumerate(make_states):
-            snapshots[b].append(make(t, u[b], v[b]))
+        snapshots.append(_states(stepper, t, u, v))
 
-    step_masses = np.array(masses) if masses else np.zeros((0, u.shape[0], 3))
-    step_residuals = np.array(residuals).reshape(-1, u.shape[0])
-    trajectories = [
+    return [
         Trajectory(
             times=times,
-            states=snapshots[b],
-            step_dts=np.array(dts),
-            step_masses=step_masses[:, b],
-            balance_residuals=step_residuals[:, b],
+            states=[states[b] for states in snapshots],
             clipped_mass=stepper.clipped[b].copy(),
             initial_mass=initial_mass[b],
             n_steps=n_steps,
@@ -455,12 +419,10 @@ def _integrate(stepper: _Stepper, make_state, u, v, T: float, output_times,
         )
         for b in range(u.shape[0])
     ]
-    return trajectories[0] if single else trajectories
 
 
 def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
-                 cfl: float = 0.9, dt: float | None = None,
-                 record_steps: bool = True) -> list:
+                 cfl: float = 0.9, dt: float | None = None) -> list:
     """Integrate every member of ``stepper``'s batch on one step schedule.
 
     All members start from the species data u0 = (u10, u20, u30), with the
@@ -468,32 +430,29 @@ def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
     datum of eps member b and None for a limit member, whose v3 starts from
     its elliptic solve too.  Returns one Trajectory per member.
     """
-    grid = stepper.grid
+    if T < 0:
+        raise ValueError("T must be non-negative")
     if len(v30s) != len(stepper.eps):
         raise ValueError("need one slow-chemical datum (or None) per member")
+    data = [*u0, *(f for f in v30s if f is not None)]
+    if any(f.grid != stepper.grid for f in data):
+        raise ValueError("initial fields live on different grids")
+    if min(f.values.min() for f in data) < 0:
+        raise ValueError("initial data must be non-negative")
     u = np.repeat(np.stack([f.values for f in u0])[None], len(stepper.eps), axis=0)
     v = np.empty_like(u)
     v[:, 0] = stepper.solve_elliptic(u[:, 0], 0)
     v[:, 1] = stepper.solve_elliptic(u[:, 1], 1)
     for b, v30 in enumerate(v30s):
         v[b, 2] = stepper.solve_elliptic(u[b, 2], 2) if v30 is None else v30.values
-
-    def make_state(eps):
-        def make(t, uu, vv):
-            fields = (Field(x, grid) for x in (*uu, *vv))
-            return LimitState(t, *fields) if eps is None else EpsState(t, eps, *fields)
-        return make
-
-    return _integrate(stepper, [make_state(e) for e in stepper.eps], u, v, T,
-                      output_times, cfl=cfl, dt_fixed=dt, record_steps=record_steps)
+    return _integrate(stepper, u, v, T, output_times, cfl=cfl, dt_fixed=dt)
 
 
 def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float,
             p: ModelParams, output_times=None, *, cfl: float = 0.9,
             dt: float | None = None, scheme: str = "upwind",
             chemical_mode: str = "mixed", solver_method: str = "tridiagonal",
-            solver_tol: float = 1e-10, etd_order: int = 2,
-            record_steps: bool = True) -> Trajectory:
+            solver_tol: float = 1e-10) -> Trajectory:
     """Integrate the relaxation-time system from t = 0 to T.
 
     The elliptic chemicals are initialised from the species data; v30 is the
@@ -501,19 +460,9 @@ def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float
     schedule (still shortened to land exactly on output times), which lets a
     paired limit run share the identical schedule.
     """
-    if T < 0:
-        raise ValueError("T must be non-negative")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    grid = u10.grid
-    for f in (u20, u30, v30):
-        if f.grid != grid:
-            raise ValueError("initial fields live on different grids")
-    if min(u10.values.min(), u20.values.min(), u30.values.min(), v30.values.min()) < 0:
-        raise ValueError("initial data must be non-negative")
-
-    st = _EpsStepper(grid, p, eps, scheme=scheme, chemical_mode=chemical_mode,
-                     solver_method=solver_method, solver_tol=solver_tol,
-                     etd_order=etd_order)
+    st = _EpsStepper(u10.grid, p, eps, scheme=scheme, chemical_mode=chemical_mode,
+                     solver_method=solver_method, solver_tol=solver_tol)
     return _run_members(st, (u10, u20, u30), [v30], T, output_times, cfl=cfl,
-                        dt=dt, record_steps=record_steps)[0]
+                        dt=dt)[0]

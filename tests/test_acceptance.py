@@ -27,7 +27,7 @@ from fastsignal.grid import Field, make_grid, mode_vector
 from fastsignal.linsolve import HelmholtzOperator, helmholtz_solve
 from fastsignal.model import default_params, kinetics, kinetics_jacobian
 from fastsignal.ode import bifurcation_sweep, integrate, ode_rhs_3pop
-from fastsignal.sim_eps import default_initial_fields, run_eps
+from fastsignal.sim_eps import default_initial_fields, initial_stable_dt, run_eps
 from fastsignal.sim_limit import run_limit
 
 P = default_params()
@@ -114,16 +114,9 @@ def test_criterion_3_order_of_magnitude_separation():
     eps = 1e-5
     T = 2.0
     times = np.linspace(0.0, T, 64)
-    from fastsignal.sim_eps import EpsState, stable_dt
-
-    v1p, _ = helmholtz_solve(HelmholtzOperator(pv.lambda1, pv.mu1, grid),
-                             Field(pv.zeta1 * u10.values, grid))
-    v2p, _ = helmholtz_solve(HelmholtzOperator(pv.lambda2, pv.mu2, grid),
-                             Field(pv.zeta2 * u20.values, grid))
-    probe = EpsState(0.0, eps, u10, u20, u30, v1p, v2p, v30)
-    dt = stable_dt(probe, pv, 0.6)
-    lim = run_limit(u10, u20, u30, T, pv, times, dt=dt, record_steps=False)
-    te = run_eps(u10, u20, u30, v30, eps, T, pv, times, dt=dt, record_steps=False)
+    dt = initial_stable_dt(u10, u20, u30, v30, pv, 0.6)
+    lim = run_limit(u10, u20, u30, T, pv, times, dt=dt)
+    te = run_eps(u10, u20, u30, v30, eps, T, pv, times, dt=dt)
     comp = compare_trajectories(te, lim)
     u_err = max(comp.err_u1, comp.err_u2, comp.err_u3)
     v3_err = comp.err_v3_h1
@@ -141,8 +134,7 @@ def test_criterion_4_manifold_distance():
     sup_late = []
     for eps in EPS_SWEEP:
         v30 = make_layer_data(u30, InitialLayerSpec("on_manifold", eps), P)
-        traj = run_eps(u10, u20, u30, v30, eps, T, P, times, cfl=0.6,
-                       record_steps=False)
+        traj = run_eps(u10, u20, u30, v30, eps, T, P, times, cfl=0.6)
         dist = np.array([manifold_distance(s, P) for s in traj.states])
         sup_late.append(dist[times >= 0.1 * T].max())
     slope, _, _ = fit_slope(np.array(EPS_SWEEP), np.array(sup_late))
@@ -150,8 +142,7 @@ def test_criterion_4_manifold_distance():
     eps0 = 1e-3
     v30 = make_layer_data(u30, InitialLayerSpec(0.0, eps0), P)
     eps_in = initial_layer_size(u30, v30, P)
-    traj = run_eps(u10, u20, u30, v30, eps0, T, P, times, cfl=0.6,
-                   record_steps=False)
+    traj = run_eps(u10, u20, u30, v30, eps0, T, P, times, cfl=0.6)
     dist0 = np.array([manifold_distance(s, P) for s in traj.states])
     ok = abs(slope - 1.0) <= 0.2 and dist0.max() <= 3.0 * eps_in
     report("criterion-4 manifold distance",
@@ -216,8 +207,8 @@ def test_criterion_7_homogeneous_consistency():
                     rtol=1e-12, atol=1e-14, t_eval=times, max_step=0.05)
     dev = 0.0
     for traj in (
-        run_eps(*u, v30, 1e-3, T, P, times, dt=1e-3, record_steps=False),
-        run_limit(*u, T, P, times, dt=1e-3, record_steps=False),
+        run_eps(*u, v30, 1e-3, T, P, times, dt=1e-3),
+        run_limit(*u, T, P, times, dt=1e-3),
     ):
         dev = max(dev, float(np.max(np.abs(traj.spatial_means() - ref.states))))
     report("criterion-7 PDE-ODE consistency", dev <= 1e-6, f"max deviation={dev:.2e}")

@@ -110,11 +110,11 @@ def test_make_layer_data_on_manifold_and_errors():
 
 
 def test_manifold_distance_at_t0_equals_layer_size():
-    from fastsignal.sim_eps import EpsState
+    from fastsignal.sim_eps import State
 
     u10, u20, u30 = default_initial_fields(GRID)
     v30 = make_layer_data(u30, InitialLayerSpec(0.5, 1e-2), P)
-    s = EpsState(0.0, 1e-2, u10, u20, u30, v30, v30, v30)
+    s = State(0.0, 1e-2, u10, u20, u30, v30, v30, v30)
     assert np.isclose(manifold_distance(s, P), initial_layer_size(u30, v30, P),
                       rtol=1e-12)
 
@@ -136,13 +136,13 @@ def test_compare_trajectories_identical_and_shifted():
 
     import copy
 
-    from fastsignal.sim_limit import LimitState
+    from fastsignal.sim_eps import State
 
     shifted = copy.deepcopy(traj)
     s = shifted.states[0]
     c = 0.37
-    shifted.states[0] = LimitState(
-        s.t, Field(s.u1.values + c, grid), s.u2, s.u3, s.v1, s.v2, s.v3
+    shifted.states[0] = State(
+        s.t, None, Field(s.u1.values + c, grid), s.u2, s.u3, s.v1, s.v2, s.v3
     )
     comp = compare_trajectories(traj, shifted)
     assert np.isclose(comp.err_u1, c, atol=1e-12)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_solve_banded
 
 from fastsignal.grid import Field, make_grid, mode_eigenvalues, mode_vector
@@ -10,9 +11,8 @@ from fastsignal.linsolve import (
     SolverConvergenceError,
     _banded_cholesky,
     _project_modes,
+    _exp_ramp_values,
     _solve_tridiagonal_values,
-    exp_propagate,
-    exp_propagate_ramp,
     from_modes,
     gmres,
     helmholtz_solve,
@@ -179,32 +179,33 @@ def test_gmres_validation():
 
 def test_exp_propagate_constant_fixed_point():
     c = 1.3
-    v = Field.constant(GRID, c)
-    src = Field.constant(GRID, 0.1 * c)
+    v = np.full(GRID.n, c)
+    src = np.full(GRID.n, 0.1 * c)
     for eps in (1.0, 1e-3, 1e-6):
-        out = exp_propagate(1.0, 0.1, eps, 0.37, v, src)
-        assert np.max(np.abs(out.values - c)) <= 1e-12
+        out = _exp_ramp_values(1.0, 0.1, eps, 0.37, v, src, src, GRID)
+        assert np.max(np.abs(out - c)) <= 1e-12
 
 
 def test_exp_propagate_tiny_step_is_identity():
     # at dt -> 0 the update tends to the identity; the residual change is
     # bounded by the fastest mode rate b_max * dt
     rng = np.random.default_rng(2)
-    v = Field(rng.standard_normal(GRID.n), GRID)
-    src = Field(rng.standard_normal(GRID.n), GRID)
+    v = rng.standard_normal(GRID.n)
+    src = rng.standard_normal(GRID.n)
     dt = 1e-14
     b_max = 0.1 + 2.0 / GRID.dx**2
-    out = exp_propagate(1.0, 0.1, 1.0, dt, v, src)
-    scale = np.max(np.abs(v.values)) + np.max(np.abs(src.values))
-    assert np.max(np.abs(out.values - v.values)) <= 2.0 * b_max * dt * scale + 1e-12
+    out = _exp_ramp_values(1.0, 0.1, 1.0, dt, v, src, src, GRID)
+    scale = np.max(np.abs(v)) + np.max(np.abs(src))
+    assert np.max(np.abs(out - v)) <= 2.0 * b_max * dt * scale + 1e-12
 
 
 def test_exp_propagate_mode_decay_closed_form():
     a1 = mode_eigenvalues(GRID)[1]
-    v = Field(mode_vector(GRID, 1), GRID)
-    out = exp_propagate(1.0, 0.1, 1e-3, 1e-2, v, Field.constant(GRID, 0.0))
+    v = mode_vector(GRID, 1)
+    zero = np.zeros(GRID.n)
+    out = _exp_ramp_values(1.0, 0.1, 1e-3, 1e-2, v, zero, zero, GRID)
     factor = np.exp((a1 - 0.1) * 10.0)
-    assert np.max(np.abs(out.values - factor * v.values)) <= 1e-12
+    assert np.max(np.abs(out - factor * v)) <= 1e-12
     # brute-force oracle: integrate the mode ODE eps c' = (a1 - mu) c
     c = 1.0
     m = 20000
@@ -220,22 +221,23 @@ def test_exp_propagate_mode_decay_closed_form():
 
 def test_exp_propagate_eps_rescaling_identity():
     rng = np.random.default_rng(8)
-    v = Field(rng.standard_normal(GRID.n), GRID)
-    s = Field(rng.standard_normal(GRID.n), GRID)
-    a = exp_propagate(1.0, 0.1, 1e-3, 1e-2, v, s)
-    b = exp_propagate(1.0, 0.1, 1.0, 1e-2 / 1e-3, v, s)
-    assert np.max(np.abs(a.values - b.values)) == 0.0
+    v = rng.standard_normal(GRID.n)
+    s = rng.standard_normal(GRID.n)
+    a = _exp_ramp_values(1.0, 0.1, 1e-3, 1e-2, v, s, s, GRID)
+    b = _exp_ramp_values(1.0, 0.1, 1.0, 1e-2 / 1e-3, v, s, s, GRID)
+    assert np.max(np.abs(a - b)) == 0.0
 
 
 def test_exp_propagate_contraction_toward_steady_state():
     rng = np.random.default_rng(4)
-    v = Field(rng.standard_normal(GRID.n) + 2.0, GRID)
+    v = rng.standard_normal(GRID.n) + 2.0
     src = smooth_random_field(rng, GRID)
     steady, _ = helmholtz_solve(OP, src, method="spectral")
+    s = src.values
     dists = []
     for dt in (0.0, 1e-3, 1e-2, 1e-1, 1.0):
-        out = v if dt == 0.0 else exp_propagate(1.0, 0.1, 1e-2, dt, v, src)
-        dists.append(np.linalg.norm(out.values - steady.values))
+        out = v if dt == 0.0 else _exp_ramp_values(1.0, 0.1, 1e-2, dt, v, s, s, GRID)
+        dists.append(np.linalg.norm(out - steady.values))
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
 
 
@@ -243,29 +245,39 @@ def test_exp_propagate_fixed_point_independent_of_eps():
     rng = np.random.default_rng(6)
     src = smooth_random_field(rng, GRID)
     steady, _ = helmholtz_solve(OP, src, method="spectral")
-    v0 = Field(rng.standard_normal(GRID.n), GRID)
+    v0 = rng.standard_normal(GRID.n)
+    s = src.values
     for eps in (1.0, 1e-3, 1e-6):
-        out = exp_propagate(1.0, 0.1, eps, 1e9 * eps, v0, src)
-        assert np.max(np.abs(out.values - steady.values)) <= 1e-8
+        out = _exp_ramp_values(1.0, 0.1, eps, 1e9 * eps, v0, s, s, GRID)
+        assert np.max(np.abs(out - steady.values)) <= 1e-8
 
 
 def test_exp_propagate_validation():
-    v = Field.constant(GRID, 1.0)
+    v = np.ones(GRID.n)
     with pytest.raises(ValueError):
-        exp_propagate(1.0, 0.1, 0.0, 0.1, v, v)
+        _exp_ramp_values(1.0, 0.1, 0.0, 0.1, v, v, v, GRID)
     with pytest.raises(ValueError):
-        exp_propagate(1.0, 0.1, 1.0, -0.1, v, v)
-    with pytest.raises(ValueError):
-        exp_propagate(1.0, 0.1, 1.0, 0.1, v, Field.constant(make_grid(1.0, 16), 1.0))
+        _exp_ramp_values(1.0, 0.1, 1.0, -0.1, v, v, v, GRID)
 
 
-def test_exp_propagate_ramp_constant_source_matches_frozen():
-    rng = np.random.default_rng(12)
-    v = Field(rng.standard_normal(GRID.n), GRID)
-    src = smooth_random_field(rng, GRID)
-    frozen = exp_propagate(1.0, 0.1, 1e-3, 0.05, v, src)
-    ramp = exp_propagate_ramp(1.0, 0.1, 1e-3, 0.05, v, src, src)
-    assert np.max(np.abs(frozen.values - ramp.values)) <= 1e-13
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 64), eps=st.floats(1e-7, 1.0), dt=st.floats(1e-7, 1.0),
+       lam=st.floats(0.01, 2.0), mu=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_exp_ramp_constant_source_is_exact_per_mode(n, eps, dt, lam, mu, seed):
+    """With s1 == s0 each cosine mode follows its closed form
+    e^-z c_k + (1 - e^-z)/b_k s_k, b_k = mu - lam a_k, z = b_k dt / eps."""
+    g = make_grid(1.0, n)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    s = rng.standard_normal(n)
+    out = _exp_ramp_values(lam, mu, eps, dt, v, s, s, g)
+    # modes by the O(n^2) projection, independent of the DCT path
+    b = mu - lam * mode_eigenvalues(g)
+    z = b * dt / eps
+    coeffs = np.exp(-z) * _project_modes(v, n) + (-np.expm1(-z)) / b * _project_modes(s, n)
+    expected = coeffs @ np.stack([mode_vector(g, k) for k in range(n)])
+    scale = np.max(np.abs(v)) + np.max(np.abs(s)) / mu
+    assert np.max(np.abs(out - expected)) <= 1e-12 * n * scale
 
 
 def test_exp_propagate_ramp_mode_oracle():
@@ -275,13 +287,9 @@ def test_exp_propagate_ramp_mode_oracle():
     k = 3
     a = mode_eigenvalues(g)[k]
     v0c, s0c, s1c = 0.7, 0.4, 0.9
-    out = exp_propagate_ramp(
-        lam, mu, eps, dt,
-        Field(v0c * mode_vector(g, k), g),
-        Field(s0c * mode_vector(g, k), g),
-        Field(s1c * mode_vector(g, k), g),
-    )
-    got = out.values @ mode_vector(g, k) * 2.0 / g.n
+    phi = mode_vector(g, k)
+    out = _exp_ramp_values(lam, mu, eps, dt, v0c * phi, s0c * phi, s1c * phi, g)
+    got = out @ phi * 2.0 / g.n
     c = v0c
     m = 100000
     h = dt / m
@@ -305,11 +313,11 @@ def test_exp_propagate_ramp_quasi_steady_lag():
     v = Field(rng.standard_normal(g.n), g)
     s0 = smooth_random_field(rng, g)
     s1 = smooth_random_field(rng, g)
-    out = exp_propagate_ramp(lam, mu, eps, dt, v, s0, s1)
+    out = _exp_ramp_values(lam, mu, eps, dt, v.values, s0.values, s1.values, g)
     op = HelmholtzOperator(lam, mu, g)
     lead, _ = helmholtz_solve(op, s1, method="spectral")
     sdot = Field((s1.values - s0.values) / dt, g)
     lag1, _ = helmholtz_solve(op, sdot, method="spectral")
     lag2, _ = helmholtz_solve(op, lag1, method="spectral")
     expected = lead.values - eps * lag2.values
-    assert np.max(np.abs(out.values - expected)) <= 1e-10
+    assert np.max(np.abs(out - expected)) <= 1e-10

@@ -1,5 +1,7 @@
 """Tests for the two time integrators and their shared stepping machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,8 @@ from fastsignal.model import default_params
 from fastsignal.ode import integrate, ode_rhs_3pop
 from fastsignal.sim_eps import (
     BlowUpError,
-    EpsState,
     StabilityError,
+    State,
     _run_members,
     _stable_dt_values,
     _Stepper,
@@ -26,9 +28,9 @@ from fastsignal.sim_eps import (
     initial_stable_dt,
     run_eps,
     stable_dt,
-    step_eps,
+    step,
 )
-from fastsignal.sim_limit import LimitState, run_limit, step_limit
+from fastsignal.sim_limit import run_limit
 
 P = default_params()
 
@@ -40,13 +42,13 @@ def make_homogeneous_state(grid, eps=1e-3, c=(1.0, 1.0, 0.5)):
         Field.constant(grid, P.zeta2 * c[1] / P.mu2),
         Field.constant(grid, P.zeta3 * c[2] / P.mu3),
     ]
-    return EpsState(0.0, eps, *u, *v)
+    return State(0.0, eps, *u, *v)
 
 
 def test_stable_dt_zero_state_formula():
     grid = make_grid(1.0, 256)
     z = Field.constant(grid, 0.0)
-    s = EpsState(0.0, 1e-3, z, z, z, z, z, z)
+    s = State(0.0, 1e-3, z, z, z, z, z, z)
     dt = stable_dt(s, P, 0.9)
     expected = 0.9 * grid.dx**2 / (2.0 * 0.1)
     assert abs(dt - expected) <= 0.01 * expected  # reaction term is small at zero
@@ -57,7 +59,7 @@ def test_stable_dt_scales_with_dx_squared():
     for n in (64, 128):
         grid = make_grid(1.0, n)
         z = Field.constant(grid, 0.0)
-        s = EpsState(0.0, 1e-3, z, z, z, z, z, z)
+        s = State(0.0, 1e-3, z, z, z, z, z, z)
         dts.append(stable_dt(s, P, 0.9))
     assert abs(dts[0] / dts[1] - 4.0) <= 0.1
 
@@ -75,12 +77,12 @@ def test_stable_dt_validation_and_cap():
 def test_step_preserves_zero_state():
     grid = make_grid(1.0, 16)
     z = Field.constant(grid, 0.0)
-    s = EpsState(0.0, 1e-3, z, z, z, z, z, z)
-    out = step_eps(s, P, 1e-3)
+    s = State(0.0, 1e-3, z, z, z, z, z, z)
+    out = step(s, P, 1e-3)
     for name in ("u1", "u2", "u3", "v1", "v2", "v3"):
         assert np.all(getattr(out, name).values == 0.0)
-    sl = LimitState(0.0, z, z, z, z, z, z)
-    outl = step_limit(sl, P, 1e-3)
+    sl = State(0.0, None, z, z, z, z, z, z)
+    outl = step(sl, P, 1e-3)
     for name in ("u1", "u2", "u3"):
         assert np.all(getattr(outl, name).values == 0.0)
 
@@ -88,7 +90,7 @@ def test_step_preserves_zero_state():
 def test_step_keeps_homogeneous_state_homogeneous():
     grid = make_grid(1.0, 32)
     s = make_homogeneous_state(grid)
-    out = step_eps(s, P, 1e-3)
+    out = step(s, P, 1e-3)
     for name in ("u1", "u2", "u3", "v1", "v2", "v3"):
         vals = getattr(out, name).values
         assert np.max(vals) - np.min(vals) <= 1e-13
@@ -100,7 +102,7 @@ def test_slow_chemical_fixed_point_without_reaction():
     grid = make_grid(1.0, 16)
     c = 0.7
     s = make_homogeneous_state(grid, c=(c, c, c))
-    out = step_eps(s, frozen, 1e-3)
+    out = step(s, frozen, 1e-3)
     assert np.max(np.abs(out.u3.values - c)) <= 1e-14
     assert np.max(np.abs(out.v3.values - c / frozen.mu3)) <= 1e-12
 
@@ -242,6 +244,28 @@ def test_fully_parabolic_mode_runs_and_matches_ode():
     assert np.max(np.abs(traj.spatial_means() - ref.states)) <= 1e-6
 
 
+def test_run_memory_does_not_grow_with_step_count():
+    """Nothing is kept per step: a run ten times longer, with the same
+    snapshot count, peaks at the same traced memory."""
+    grid = make_grid(1.0, 16)
+    u0 = default_initial_fields(grid)
+
+    def traced_peak(T):
+        tracemalloc.start()
+        try:
+            traj = run_limit(*u0, T, P, np.linspace(0.0, T, 5), dt=1e-3)
+            return tracemalloc.get_traced_memory()[1], traj.n_steps
+        finally:
+            tracemalloc.stop()
+
+    run_limit(*u0, 0.01, P, dt=1e-3)  # fill the solver caches outside the trace
+    short_peak, short_steps = traced_peak(0.5)
+    long_peak, long_steps = traced_peak(5.0)
+    assert long_steps >= 9 * short_steps
+    # per-step records of ~300 B/step would add ~1.3 MB here
+    assert long_peak - short_peak <= 32 * 1024
+
+
 def test_fixed_dt_above_stability_bound_raises():
     grid = make_grid(1.0, 64)
     u10, u20, u30 = default_initial_fields(grid)
@@ -255,7 +279,7 @@ def test_blow_up_detection():
     s = make_homogeneous_state(grid, c=(1e200, 1.0, 1.0))
     # overflow in the quadratic reaction terms must be reported, not returned
     with pytest.raises(BlowUpError):
-        step_eps(s, P, 1e-3)
+        step(s, P, 1e-3)
 
 
 def test_run_rejects_bad_inputs():
@@ -286,7 +310,7 @@ def test_oscillatory_regime_homogeneous_long_run():
     v30 = Field.constant(grid, c[2] * posc.zeta3 / posc.mu3)
     T = 500.0
     times = np.linspace(0.0, T, 1001)
-    traj = run_eps(*u, v30, 1e-3, T, posc, times, record_steps=False)
+    traj = run_eps(*u, v30, 1e-3, T, posc, times)
     means = traj.spatial_means()
     # the cycle period is ~55, so keep 70% of the horizon to collect 5 peaks
     rec = detect_oscillation(
@@ -325,7 +349,7 @@ def test_batch_matches_separate_runs(mode):
                 for e, v30 in zip(eps_list, v30s)]
     separate.append(run_limit(*u0, T, P, times, dt=dt))
     for got, ref in zip(batch, separate):
-        assert type(got.states[0]) is type(ref.states[0])
+        assert got.states[0].eps == ref.states[0].eps
         assert got.n_steps == ref.n_steps
         assert np.array_equal(got.clipped_mass, ref.clipped_mass)
         assert got.max_balance_residual == ref.max_balance_residual
@@ -372,7 +396,7 @@ def test_batched_step_under_stable_dt_keeps_species_non_negative(batch):
     v[:, 1] = st_batch.solve_elliptic(u[:, 1], 1)
     v[:, 2] = v3
     dt = float(_stable_dt_values(u, v, P, grid.dx, 0.9).min())
-    new_u, _, _, _ = st_batch.step(0.0, u, v, dt)
+    new_u, _, _ = st_batch.step(0.0, u, v, dt)
     # nothing was clipped, so positivity holds without the clip
     assert np.all(st_batch.clipped == 0.0)
     assert np.all(new_u >= 0.0)
