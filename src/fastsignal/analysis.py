@@ -8,7 +8,6 @@ which round-off dominates are excluded from the fits.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,6 +306,9 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
             for e in eps_list
         ]
         if workers > 1:
+            # imported here: it loads multiprocessing, which a sequential run never needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as ex:
                 results = list(ex.map(_layer_pair, tasks))
         else:

@@ -9,6 +9,7 @@ directory receives a config echo sufficient to re-run the experiment.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -180,6 +181,10 @@ def _read_config_file(path: str) -> dict:
 
 
 def _validate(values: dict) -> None:
+    for key, value in values.items():
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"key {key!r} must be finite, got {_fmt(value)}")
     try:
         ModelParams(**{k: values[k] for k in _PARAM_KEYS})
         make_grid(values["L"], values["n"])

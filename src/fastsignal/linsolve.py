@@ -11,12 +11,10 @@ varying linearly over the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.fft import dct, idct
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 
 from .grid import Field, Grid, _laplacian, mode_eigenvalues, mode_vector
 
@@ -68,9 +66,24 @@ class SolverConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+@cache
+def _scipy() -> SimpleNamespace:
+    """scipy's DCT and banded-Cholesky routines, imported on first use.
+
+    Importing them takes longer than a short ODE command, which needs none of
+    them; after the first call a lookup costs a cached call.
+    """
+    from scipy.fft import dct, idct
+    from scipy.linalg import cholesky_banded
+    from scipy.linalg.lapack import dpbtrs
+
+    return SimpleNamespace(dct=dct, idct=idct, cholesky_banded=cholesky_banded,
+                           dpbtrs=dpbtrs)
+
+
 def to_modes(values: np.ndarray) -> np.ndarray:
     """Coefficients c with values_j = sum_k c_k cos(k pi (j+1/2) / n), along the last axis."""
-    c = dct(values, type=2)
+    c = _scipy().dct(values, type=2)
     c /= values.shape[-1]
     c[..., 0] *= 0.5
     return c
@@ -79,7 +92,7 @@ def to_modes(values: np.ndarray) -> np.ndarray:
 def from_modes(coeffs: np.ndarray) -> np.ndarray:
     y = coeffs * coeffs.shape[-1]
     y[..., 0] *= 2.0
-    return idct(y, type=2)
+    return _scipy().idct(y, type=2)
 
 
 def _project_modes(values: np.ndarray, n: int) -> np.ndarray:
@@ -100,7 +113,7 @@ def _banded_cholesky(lam: float, mu: float, L: float, n: int):
     ab[1, :] = 2.0 * w + mu
     ab[1, 0] = ab[1, -1] = w + mu
     ab[0, 1:] = -w
-    return cholesky_banded(ab)
+    return _scipy().cholesky_banded(ab)
 
 
 def _solve_tridiagonal_values(lam: float, mu: float, grid: Grid,
@@ -113,7 +126,7 @@ def _solve_tridiagonal_values(lam: float, mu: float, grid: Grid,
     """
     if not np.all(np.isfinite(rhs)):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dpbtrs(_banded_cholesky(lam, mu, grid.L, grid.n), rhs, lower=False)
+    x, info = _scipy().dpbtrs(_banded_cholesky(lam, mu, grid.L, grid.n), rhs, lower=False)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpbtrs failed with info={info}")
     return x

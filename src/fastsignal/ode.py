@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,59 +111,89 @@ _B4 = np.array(
 _ERR = _B5 - _B4
 
 
+def _rms(num, den) -> float:
+    """sqrt(mean((num / den) ** 2)), summed left to right like numpy's sum."""
+    acc = 0.0
+    for a, b in zip(num, den):
+        q = a / b
+        acc += q * q
+    return math.sqrt(acc / len(num))
+
+
 def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
               t_eval=None, max_step: float = np.inf) -> OdeTrajectory:
     """Adaptive Dormand-Prince 5(4) with cubic Hermite dense output.
 
     Steps are accepted when the embedded error estimate stays below
     rtol * |state| + atol componentwise (RMS-scaled); requested output times
-    are filled by Hermite interpolation on the accepted steps.
+    (finite, non-decreasing, inside [0, T]) are filled by Hermite
+    interpolation on the accepted steps.
+
+    The states are short, so the step arithmetic runs on Python floats, in
+    the order a numpy version of it would take.  numpy is kept where the
+    bits depend on it: ``rhs`` takes and returns an ndarray, and the two
+    weighted stage sums are BLAS matvecs on a (7, dim) stage array, which
+    sum in their own order.
     """
-    if rtol <= 0 or atol <= 0:
+    if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
-    if T < 0:
-        raise ValueError("T must be non-negative")
-    y = np.array(y0, dtype=float)
-    dim = y.size
+    if not 0 <= T < math.inf:
+        raise ValueError("T must be finite and non-negative")
+    if not max_step > 0:
+        raise ValueError("max_step must be positive")
+    y0 = np.array(y0, dtype=float)
+    if y0.ndim != 1 or y0.size == 0 or not np.all(np.isfinite(y0)):
+        raise ValueError("y0 must be a non-empty 1-D array of finite values")
+    y = y0.tolist()
+    dim = len(y)
 
     if t_eval is None:
         eval_times = None
         out_t = [0.0]
-        out_y = [y.copy()]
+        out_y = [y]
     else:
         eval_times = np.asarray(t_eval, dtype=float)
+        if eval_times.ndim != 1 or not np.all(np.isfinite(eval_times)):
+            raise ValueError("t_eval must be a 1-D array of finite times")
+        if np.any(np.diff(eval_times) < 0):
+            raise ValueError("t_eval must be sorted")
         if eval_times.size and (eval_times[0] < 0 or eval_times[-1] > T * (1 + 1e-12) + 1e-300):
             raise ValueError("t_eval must lie inside [0, T]")
+        eval_times = eval_times.tolist()
         out_t = []
         out_y = []
         next_eval = 0
 
-    f = rhs(y)
+    k = np.zeros((7, dim))  # stage derivatives, the matvec operand
+
+    def stage(i, state):
+        k[i] = rhs(np.array(state))
+        return k[i].tolist()
+
+    f = stage(0, y)
     t = 0.0
     n_steps = 0
     n_rejected = 0
 
     if eval_times is not None:
-        while next_eval < eval_times.size and eval_times[next_eval] <= 0.0:
+        while next_eval < len(eval_times) and eval_times[next_eval] <= 0.0:
             out_t.append(eval_times[next_eval])
-            out_y.append(y.copy())
+            out_y.append(y)
             next_eval += 1
 
     if T == 0.0:
         return OdeTrajectory(np.array(out_t), np.array(out_y), 0, 0)
 
     # initial step from the scale of the data
-    scale = atol + rtol * np.abs(y)
-    # RMS norms written as sum / dim: the same value without np.mean's overhead
-    d0 = np.sqrt(((y / scale) ** 2).sum() / dim)
-    d1 = np.sqrt(((f / scale) ** 2).sum() / dim)
+    scale = [atol + rtol * abs(a) for a in y]
+    d0 = _rms(y, scale)
+    d1 = _rms(f, scale)
     h0 = 0.01 * d0 / d1 if (d0 > 1e-12 and d1 > 1e-12) else 1e-3
     h = min(T, h0, max_step)
 
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A[1:]
-    k = np.zeros((7, dim))
-    k0, k1, k2, k3, k4 = k[:5]  # row views; each step overwrites the rows
+    b5, k_b5 = _B5[:6], k[:6]
     while t < T:
         if T - t <= 1e-12 * max(1.0, T):
             t = T
@@ -170,48 +201,48 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         h = min(h, T - t, max_step)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t:.6g}")
-        # stage sums unrolled, each in the tableau's left-to-right order
-        k[0] = f
-        k[1] = rhs(y + h * (a21 * k0))
-        k[2] = rhs(y + h * (a31 * k0 + a32 * k1))
-        k[3] = rhs(y + h * (a41 * k0 + a42 * k1 + a43 * k2))
-        k[4] = rhs(y + h * (a51 * k0 + a52 * k1 + a53 * k2 + a54 * k3))
-        k[5] = rhs(y + h * (a61 * k0 + a62 * k1 + a63 * k2 + a64 * k3 + a65 * k4))
-        y5 = y + h * (_B5[:6] @ k[:6])
-        k[6] = rhs(y5)
-        err_vec = h * (_ERR @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(((err_vec / scale) ** 2).sum() / dim)
+        # k[0] holds f; stage sums unrolled in the tableau's left-to-right order
+        k1 = stage(1, [a + h * (a21 * c0) for a, c0 in zip(y, f)])
+        k2 = stage(2, [a + h * (a31 * c0 + a32 * c1) for a, c0, c1 in zip(y, f, k1)])
+        k3 = stage(3, [a + h * (a41 * c0 + a42 * c1 + a43 * c2)
+                       for a, c0, c1, c2 in zip(y, f, k1, k2)])
+        k4 = stage(4, [a + h * (a51 * c0 + a52 * c1 + a53 * c2 + a54 * c3)
+                       for a, c0, c1, c2, c3 in zip(y, f, k1, k2, k3)])
+        stage(5, [a + h * (a61 * c0 + a62 * c1 + a63 * c2 + a64 * c3 + a65 * c4)
+                  for a, c0, c1, c2, c3, c4 in zip(y, f, k1, k2, k3, k4)])
+        y5 = [a + h * c for a, c in zip(y, (b5 @ k_b5).tolist())]
+        f_new = stage(6, y5)
+        err = _rms([h * e for e in (_ERR @ k).tolist()],
+                   [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y5)])
         if err <= 1.0:
             t_new = t + h
-            f_new = k[6].copy()  # k[6] is a row view; the next step overwrites it
             if eval_times is not None:
-                while next_eval < eval_times.size and eval_times[next_eval] <= t_new + 1e-14:
+                while next_eval < len(eval_times) and eval_times[next_eval] <= t_new + 1e-14:
                     s = (eval_times[next_eval] - t) / h
                     # cubic Hermite on (y, f) at both step ends
                     h00 = (1 + 2 * s) * (1 - s) ** 2
                     h10 = s * (1 - s) ** 2
                     h01 = s * s * (3 - 2 * s)
                     h11 = s * s * (s - 1)
-                    out_y.append(h00 * y + h10 * h * f + h01 * y5 + h11 * h * f_new)
+                    out_y.append([h00 * a + h10 * h * fa + h01 * b + h11 * h * fb
+                                  for a, fa, b, fb in zip(y, f, y5, f_new)])
                     out_t.append(eval_times[next_eval])
                     next_eval += 1
             else:
                 out_t.append(t_new)
-                out_y.append(y5.copy())
+                out_y.append(y5)
             t, y, f = t_new, y5, f_new
+            k[0] = k[6]
             n_steps += 1
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 1e-12 else 5.0))
         else:
             n_rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
 
-    if eval_times is not None and next_eval < eval_times.size:
+    if eval_times is not None:
         # times equal to T within round-off
-        while next_eval < eval_times.size:
-            out_t.append(eval_times[next_eval])
-            out_y.append(y.copy())
-            next_eval += 1
+        out_t.extend(eval_times[next_eval:])
+        out_y.extend([y] * (len(eval_times) - next_eval))
     return OdeTrajectory(np.array(out_t), np.array(out_y), n_steps, n_rejected)
 
 

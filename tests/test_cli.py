@@ -1,8 +1,14 @@
 """Tests for config parsing, the CLI subcommands, and output determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fastsignal
 from fastsignal.cli import ConfigError, _write_snapshots, main, parse_config
 from fastsignal.grid import make_grid
 from fastsignal.model import default_params
@@ -189,6 +195,56 @@ def test_unknown_flag_prints_validation_line(capsys):
     assert len(err) == 1
     assert err[0].startswith('fastsignal: status=error kind=validation msg="')
     assert "--etd_order" in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # unchecked, these print status=ok without an oscillation check, print
+        # status=ok after zero steps, and (T = inf) never return
+        ["ode-bifurcation", "--ode_model", "pp", "--sweep_count", "2", "--t_osc", "nan"],
+        ["simulate-eps", "--T", "nan", "--n", "16"],
+        ["simulate-limit", "--T", "inf", "--n", "16"],
+        ["rate-study", "--n", "16", "--eps_list", "1e-2,nan"],
+    ],
+    ids=["t_osc-nan", "T-nan", "T-inf", "eps_list-nan"],
+)
+def test_non_finite_float_is_a_validation_error(tmp_path, capsys, argv):
+    rc = main([*argv, "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="key ')
+    assert "must be finite" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+_IMPORT_GUARD = """
+import sys
+from fastsignal.cli import main
+
+out = sys.argv[1]
+assert main(["ode-bifurcation", "--ode_model", "pp", "--eta1", "0.2", "--eta2", "0.2",
+             "--sweep_min", "0.6", "--sweep_max", "0.7", "--sweep_count", "2",
+             "--t_osc", "100", "--outdir", out + "/bif"]) == 0
+assert main(["ode-simulate", "--ode_model", "3pop", "--T", "20",
+             "--outdir", out + "/sim"]) == 0
+loaded = [m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing")]
+assert not loaded, loaded
+assert main(["simulate-eps", "--T", "0.001", "--n", "16", "--output_count", "2",
+             "--outdir", out + "/pde"]) == 0
+assert "scipy.fft" in sys.modules
+"""
+
+
+def test_ode_commands_import_neither_scipy_nor_multiprocessing(tmp_path):
+    src = str(Path(fastsignal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("status=ok") == 3
 
 
 def test_write_snapshots_matches_per_value_formatting(tmp_path):

@@ -108,6 +108,21 @@ def test_integrate_validation():
         integrate(lambda y: -y, np.array([1.0]), 1.0, rtol=0.0)
     with pytest.raises(ValueError):
         integrate(lambda y: -y, np.array([1.0]), -1.0)
+    rhs = lambda y: ode_rhs_pp(y, P)
+    # unchecked, an unsorted t_eval is filled by extrapolating a later step
+    with pytest.raises(ValueError, match="sorted"):
+        integrate(rhs, [1.0, 0.5], 10.0, t_eval=[5.0, 1.0, 10.0])
+    with pytest.raises(ValueError, match="t_eval"):
+        integrate(rhs, [1.0, 0.5], 10.0, t_eval=[0.0, np.nan, 10.0])
+    for max_step in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="max_step"):
+            integrate(rhs, [1.0, 0.5], 10.0, max_step=max_step)
+    for T in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="T must be finite"):
+            integrate(rhs, [1.0, 0.5], T)
+    for y0 in ([np.nan, 0.5], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="y0"):
+            integrate(rhs, y0, 10.0)
 
 
 def test_find_equilibria_3pop_contains_origin():
@@ -361,3 +376,116 @@ def test_branch_csv_matches_golden(tmp_path, model, flags):
     assert code == 0
     golden = Path(__file__).parent / "data" / f"branch_{model}.csv"
     assert (tmp_path / "branch.csv").read_bytes() == golden.read_bytes()
+
+
+# the Dormand-Prince 5(4) tableau, kept here so that a change to ode.py shows
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+
+
+def dp54_numpy_reference(rhs, y0, T, rtol, atol, t_eval=None):
+    """The Dormand-Prince 5(4) loop on numpy arrays that ``integrate`` replaces."""
+    y = np.array(y0, dtype=float)
+    dim = y.size
+    if t_eval is None:
+        eval_times, out_t, out_y = None, [0.0], [y.copy()]
+    else:
+        eval_times, out_t, out_y, next_eval = np.asarray(t_eval, dtype=float), [], [], 0
+    f = rhs(y)
+    t, n_steps, n_rejected = 0.0, 0, 0
+    if eval_times is not None:
+        while next_eval < eval_times.size and eval_times[next_eval] <= 0.0:
+            out_t.append(eval_times[next_eval])
+            out_y.append(y.copy())
+            next_eval += 1
+    if T == 0.0:
+        return OdeTrajectory(np.array(out_t), np.array(out_y), 0, 0)
+    scale = atol + rtol * np.abs(y)
+    d0 = np.sqrt(((y / scale) ** 2).sum() / dim)
+    d1 = np.sqrt(((f / scale) ** 2).sum() / dim)
+    h0 = 0.01 * d0 / d1 if (d0 > 1e-12 and d1 > 1e-12) else 1e-3
+    h = min(T, h0)
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A[1:]
+    k = np.zeros((7, dim))
+    k0, k1, k2, k3, k4 = k[:5]
+    while t < T:
+        if T - t <= 1e-12 * max(1.0, T):
+            t = T
+            break
+        h = min(h, T - t)
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise StiffnessError(f"step size underflow at t={t:.6g}")
+        k[0] = f
+        k[1] = rhs(y + h * (a21 * k0))
+        k[2] = rhs(y + h * (a31 * k0 + a32 * k1))
+        k[3] = rhs(y + h * (a41 * k0 + a42 * k1 + a43 * k2))
+        k[4] = rhs(y + h * (a51 * k0 + a52 * k1 + a53 * k2 + a54 * k3))
+        k[5] = rhs(y + h * (a61 * k0 + a62 * k1 + a63 * k2 + a64 * k3 + a65 * k4))
+        y5 = y + h * (_B5[:6] @ k[:6])
+        k[6] = rhs(y5)
+        err_vec = h * ((_B5 - _B4) @ k)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        err = np.sqrt(((err_vec / scale) ** 2).sum() / dim)
+        if err <= 1.0:
+            t_new = t + h
+            f_new = k[6].copy()
+            if eval_times is not None:
+                while next_eval < eval_times.size and eval_times[next_eval] <= t_new + 1e-14:
+                    s = (eval_times[next_eval] - t) / h
+                    h00 = (1 + 2 * s) * (1 - s) ** 2
+                    h10 = s * (1 - s) ** 2
+                    h01 = s * s * (3 - 2 * s)
+                    h11 = s * s * (s - 1)
+                    out_y.append(h00 * y + h10 * h * f + h01 * y5 + h11 * h * f_new)
+                    out_t.append(eval_times[next_eval])
+                    next_eval += 1
+            else:
+                out_t.append(t_new)
+                out_y.append(y5.copy())
+            t, y, f = t_new, y5, f_new
+            n_steps += 1
+            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 1e-12 else 5.0))
+        else:
+            n_rejected += 1
+            h *= max(0.2, 0.9 * err ** -0.2)
+    if eval_times is not None:
+        while next_eval < eval_times.size:
+            out_t.append(eval_times[next_eval])
+            out_y.append(y.copy())
+            next_eval += 1
+    return OdeTrajectory(np.array(out_t), np.array(out_y), n_steps, n_rejected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(sorted(MODELS)), data=st.data(),
+       m1=st.floats(0.05, 1.5), m2=st.floats(0.05, 1.0), eta1=st.floats(0.1, 1.0),
+       eta2=st.floats(0.05, 1.0), k=st.floats(0.01, 0.3), l=st.floats(0.01, 0.3),
+       T=st.floats(0.0, 60.0), rtol=st.floats(1e-10, 1e-5), atol=st.floats(1e-13, 1e-8))
+def test_dp54_float_loop_equals_numpy_loop(model, data, m1, m2, eta1, eta2, k, l,
+                                           T, rtol, atol):
+    rhs_of, _, dim = MODELS[model]
+    p = P.with_updates(m1=m1, m2=m2, eta1=eta1, eta2=eta2, k=k, l=l)
+    rhs = lambda y: rhs_of(y, p)
+    y0 = data.draw(arrays(float, dim, elements=st.floats(0.01, 2.0)))
+    t_eval = data.draw(st.one_of(
+        st.none(),
+        st.integers(1, 60).map(lambda n: np.linspace(0.0, T, n)),
+        st.lists(st.floats(0.0, T), max_size=30).map(sorted),
+    ))
+    got = integrate(rhs, y0, T, rtol=rtol, atol=atol, t_eval=t_eval)
+    ref = dp54_numpy_reference(rhs, y0, T, rtol, atol, t_eval)
+    assert (got.n_steps, got.n_rejected) == (ref.n_steps, ref.n_rejected)
+    for a, b in ((got.times, ref.times), (got.states, ref.states)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
