@@ -244,22 +244,12 @@ class RateReport:
         return "\n".join(lines) + "\n"
 
 
-def _layer_pair(args):
-    """One eps run of a layer study and its own limit run, as one batch."""
-    u_values, grid, gamma, eps, T, p, times, dt, stepper_kw = args
-    u0 = tuple(Field(v, grid) for v in u_values)
-    v30 = make_layer_data(u0[2], InitialLayerSpec(gamma, eps), p)
-    st = _Stepper(grid, p, eps=[eps, None], **stepper_kw)
-    traj, limit = _run_members(st, u0, [v30, None], T, times, dt=dt)
-    return initial_layer_size(u0[2], v30, p), traj, limit
-
-
 def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
                eps_list, T: float, p: ModelParams, *, n_outputs: int = 64,
                cfl: float = 0.45, scheme: str = "upwind",
                solver_method: str = "tridiagonal", solver_tol: float = 1e-10,
                chemical_mode: str = "mixed",
-               floor: float = ERROR_FLOOR, workers: int = 1) -> RateReport:
+               floor: float = ERROR_FLOOR) -> RateReport:
     """Sweep the relaxation parameter and fit per-component convergence rates.
 
     Each relaxation-time run and its paired limit run share one grid and one
@@ -267,58 +257,41 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     difference and only the relaxation effect remains.
 
     On-manifold studies use a single schedule (the measured differences are
-    schedule-independent there) and one shared limit run; all eps runs and
-    the limit run advance together as one batch.  Layer studies use the
-    per-eps schedule dt_eps = dt0 * sqrt(eps / eps_list[0]): the species
-    stages feel the decaying layer for one step, so a schedule shrinking like
-    sqrt(eps) realises the sqrt(eps) * eps_in layer contribution of the rate
-    bounds; a fixed schedule would inflate it to O(dt * eps_in) and a
-    layer-resolving schedule would suppress it to O(eps * eps_in).  Each eps
-    run of a layer study is batched with its own limit run, and ``workers``
-    processes share these pairs; an on-manifold study runs in this process.
+    schedule-independent there) and one shared limit run.  Layer studies use
+    the per-eps schedule dt_eps = dt0 * sqrt(eps / eps_list[0]) and give each
+    eps run its own limit run: the species stages feel the decaying layer for
+    one step, so a schedule shrinking like sqrt(eps) realises the
+    sqrt(eps) * eps_in layer contribution of the rate bounds; a fixed schedule
+    would inflate it to O(dt * eps_in) and a layer-resolving schedule would
+    suppress it to O(eps * eps_in).  Either way all runs advance together as
+    one batch, each member with its own step size.
     """
     eps_list = np.asarray(list(eps_list), dtype=float)
     if eps_list.size < 3 or np.any(np.diff(eps_list) >= 0) or np.any(eps_list <= 0):
         raise ValueError("eps_list must be strictly decreasing with at least 3 entries")
     if T <= 0:
         raise ValueError("rate study needs T > 0")
-    grid = u10.grid
-    times = np.linspace(0.0, T, n_outputs)
-    u0 = (u10, u20, u30)
-    stepper_kw = dict(scheme=scheme, solver_method=solver_method, solver_tol=solver_tol,
-                      chemical_mode=chemical_mode)
-
+    eps = [float(e) for e in eps_list]
+    v30s = [make_layer_data(u30, InitialLayerSpec(gamma, e), p) for e in eps]
     # base fixed step, sized once from the initial state with a safety margin
-    v30_probe = make_layer_data(u30, InitialLayerSpec(gamma, float(eps_list[0])), p)
-    dt0 = initial_stable_dt(u10, u20, u30, v30_probe, p, cfl)
+    dt0 = initial_stable_dt(u10, u20, u30, v30s[0], p, cfl)
 
+    k = len(eps)
     if gamma == "on_manifold":
-        v30s = [make_layer_data(u30, InitialLayerSpec(gamma, float(e)), p)
-                for e in eps_list]
-        st = _Stepper(grid, p, eps=[*map(float, eps_list), None], **stepper_kw)
-        *trajs, limit = _run_members(st, u0, [*v30s, None], T, times, dt=dt0)
-        results = [(initial_layer_size(u30, v30, p), traj, limit)
-                   for v30, traj in zip(v30s, trajs)]
+        limits, dts = [None], dt0
     else:
-        tasks = [
-            ((u10.values, u20.values, u30.values), grid, gamma, float(e), T, p, times,
-             dt0 * float(np.sqrt(e / eps_list[0])), stepper_kw)
-            for e in eps_list
-        ]
-        if workers > 1:
-            # imported here: it loads multiprocessing, which a sequential run never needs
-            from concurrent.futures import ProcessPoolExecutor
+        # each eps run gets its own limit run, both at dt_eps
+        limits, dts = [None] * k, [dt0 * float(np.sqrt(e / eps[0])) for e in eps] * 2
+    st = _Stepper(u10.grid, p, eps=[*eps, *limits], scheme=scheme,
+                  solver_method=solver_method, solver_tol=solver_tol,
+                  chemical_mode=chemical_mode)
+    trajs = _run_members(st, (u10, u20, u30), [*v30s, *limits], T,
+                         np.linspace(0.0, T, n_outputs), dt=dts)
 
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(_layer_pair, tasks))
-        else:
-            results = [_layer_pair(t) for t in tasks]
-
-    eps_in = np.array([r[0] for r in results])
-    errors = {c: np.zeros(eps_list.size) for c in RateReport.COLUMNS}
-    for i, (_, traj, limit) in enumerate(results):
-        for c, val in compare_trajectories(traj, limit).as_dict().items():
-            errors[c][i] = val
+    eps_in = np.array([initial_layer_size(u30, v30, p) for v30 in v30s])
+    limit_runs = trajs[k:] * k if gamma == "on_manifold" else trajs[k:]
+    comps = [compare_trajectories(a, b).as_dict() for a, b in zip(trajs[:k], limit_runs)]
+    errors = {c: np.array([d[c] for d in comps]) for c in RateReport.COLUMNS}
 
     slopes = {}
     for c in RateReport.COLUMNS:

@@ -79,7 +79,6 @@ _REGISTRY: dict[str, tuple[str, object]] = {
     "solver_tol": ("float", 1e-10),
     "seed": ("int", 0),
     "outdir": ("str", "out"),
-    "workers": ("int", 1),
     "ode_model": ("choice:3pop,pp", "3pop"),
     "ode_rtol": ("float", 1e-8),
     "ode_atol": ("float", 1e-11),
@@ -208,8 +207,6 @@ def _validate(values: dict) -> None:
         raise ConfigError("key 'gamma' must be non-negative or 'on_manifold'")
     if values["solver_tol"] <= 0:
         raise ConfigError("key 'solver_tol' must be positive")
-    if values["workers"] < 1:
-        raise ConfigError("key 'workers' must be >= 1")
     if values["sweep_count"] < 1 or values["sweep_max"] <= values["sweep_min"]:
         raise ConfigError("sweep range must be non-empty with sweep_count >= 1")
     if values["ode_rtol"] <= 0 or values["ode_atol"] <= 0:
@@ -331,7 +328,7 @@ def _cmd_rate_study(cfg: RunConfig) -> int:
         u10, u20, u30, cfg.gamma, cfg.eps_list, T, p,
         n_outputs=cfg.output_count, cfl=min(0.45, cfg.cfl),
         scheme=cfg.flux_scheme, solver_method=cfg.solver_method,
-        solver_tol=cfg.solver_tol, workers=cfg.workers,
+        solver_tol=cfg.solver_tol, chemical_mode=cfg.chemical_mode,
     )
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "rate-study", T)
@@ -358,8 +355,8 @@ def _cmd_manifold_distance(cfg: RunConfig) -> int:
         eps_in = initial_layer_size(u30, v30, p)
         traj = run_eps(
             u10, u20, u30, v30, eps, T, p, times, cfl=min(0.45, cfg.cfl),
-            scheme=cfg.flux_scheme, solver_method=cfg.solver_method,
-            solver_tol=cfg.solver_tol,
+            scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
+            solver_method=cfg.solver_method, solver_tol=cfg.solver_tol,
         )
         dist = np.array([manifold_distance(s, p) for s in traj.states])
         for t, d in zip(traj.times, dist):

@@ -9,8 +9,8 @@ per mode for a source varying linearly over the step.  Species stay
 non-negative under the stable_dt bound; negative round-off is clipped and
 accounted.
 
-The stepping kernel is batch-native: one step advances B members that share
-dt, held as (B, 3, n) species and chemical arrays.  A member is either a
+The stepping kernel is batch-native: one step advances B members, each by its
+own dt, held as (B, 3, n) species and chemical arrays.  A member is either a
 relaxation-time run with its own eps or a run of the limiting system (eps is
 None), whose slow chemical is elliptic as well; a per-member mask says which
 chemicals are elliptic.  Single runs are batches of one.
@@ -194,12 +194,13 @@ def _species_rhs(u, v, p: ModelParams, dx: float, scheme: str):
     return r, f
 
 
-def _heun_species(u, v, p: ModelParams, dx: float, dt: float, scheme: str):
+def _heun_species(u, v, p: ModelParams, dx: float, dt, scheme: str):
     """One SSP-RK2 step of the species subsystem with frozen chemicals.
 
-    u and v are (..., 3, n).  Returns the pre-clip update and the time-centred
-    reaction mass rate per species (transport contributes exactly zero total
-    mass).
+    u and v are (..., 3, n); dt is a float or an array that broadcasts
+    against them, such as a (B, 1, 1) column of per-member steps.  Returns the
+    pre-clip update and the time-centred reaction mass rate per species
+    (transport contributes exactly zero total mass).
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -213,11 +214,11 @@ def _heun_species(u, v, p: ModelParams, dx: float, dt: float, scheme: str):
 class _Stepper:
     """Array-level stepping kernel shared by both simulators.
 
-    One step advances a batch of members that share dt.  ``eps`` holds each
-    member's relaxation parameter, None marking a member of the limiting
-    system; a single value is a batch of one.  Chemical i of member b is
-    elliptic where ``elliptic[b, i]`` holds and follows the exponential update
-    otherwise.
+    One step advances some or all members of a batch, each by its own dt.
+    ``eps`` holds each member's relaxation parameter, None marking a member of
+    the limiting system; a single value is a batch of one.  Chemical i of
+    member b is elliptic where ``elliptic[b, i]`` holds and follows the
+    exponential update otherwise.
     """
 
     def __init__(self, grid: Grid, p: ModelParams, *, scheme: str = "upwind",
@@ -241,15 +242,26 @@ class _Stepper:
         self._lam = (p.lambda1, p.lambda2, p.lambda3)
         self._mu = (p.mu1, p.mu2, p.mu3)
         self._zeta = (p.zeta1, p.zeta2, p.zeta3)
-        self._elliptic_rows = [np.flatnonzero(self.elliptic[:, i]) for i in range(3)]
-        self._exp_rows = [np.flatnonzero(~self.elliptic[:, i]) for i in range(3)]
-        self._exp_eps = [np.array([eps[b] for b in rows], dtype=float)[:, None]
-                         for rows in self._exp_rows]
-        # per chemical: the dt of the last exponential update and its factors
-        self._factors = [(None, None)] * 3
+        self._layouts = {}
 
     def member_label(self, b: int) -> str:
         return "limit run" if self.eps[b] is None else f"eps={self.eps[b]:g} run"
+
+    def _layout(self, members) -> list:
+        """Per chemical, for ``members`` (slice(None) for the whole batch, or
+        an index array): the rows whose chemical is elliptic, the rows whose
+        chemical updates exponentially, and the latter's factor cache."""
+        key = None if isinstance(members, slice) else members.tobytes()
+        if key not in self._layouts:
+            ids = np.arange(len(self.eps))[members]
+            self._layouts[key] = []
+            for elliptic in self.elliptic[ids].T:
+                rows = np.flatnonzero(~elliptic)
+                eps = np.array([self.eps[b] for b in ids[rows]], dtype=float)[:, None]
+                # the rows' eps, then the dts and (decay, gain, ramp) factors in use
+                cache = [eps, None, None]
+                self._layouts[key].append((np.flatnonzero(elliptic), rows, cache))
+        return self._layouts[key]
 
     def solve_elliptic(self, u: np.ndarray, which: int) -> np.ndarray:
         """Resolvent of chemical ``which`` for (n,) or (B, n) densities."""
@@ -266,60 +278,68 @@ class _Stepper:
         ]
         return np.reshape(rows, rhs.shape)
 
-    def _exp_chem(self, v: np.ndarray, u_old: np.ndarray, u_new: np.ndarray,
-                  which: int, dt: float) -> np.ndarray:
-        # v, u_old, u_new hold the rows of the members that update chemical
-        # ``which`` exponentially
+    def _exp_chem(self, u_old, u_new, v, rows: np.ndarray, which: int, cache, dt):
+        # chemical ``which`` of batch rows ``rows``, updated exponentially by
+        # dt (one value, or one per batch row); the factors are recomputed
+        # only when some row's dt changed
         lam, mu, zeta = self._lam[which], self._mu[which], self._zeta[which]
-        last_dt, factors = self._factors[which]
-        if dt != last_dt:
-            factors = _exp_factors(lam, mu, self._exp_eps[which], dt, self.grid)
-            self._factors[which] = (dt, factors)
-        return _exp_step(factors, v, zeta * u_old, zeta * u_new)
+        eps, last, factors = cache
+        dts = dt[rows].tolist() if isinstance(dt, np.ndarray) else [dt] * rows.size
+        if dts != last:
+            factors = _exp_factors(lam, mu, eps, np.array(dts)[:, None], self.grid)
+            cache[1:] = dts, factors
+        return _exp_step(factors, v[rows, which], zeta * u_old[rows, which],
+                         zeta * u_new[rows, which])
 
-    def advance_chemicals(self, u_old, u_new, v, dt: float) -> np.ndarray:
-        """Chemicals of a batch after its species moved from u_old to u_new."""
-        u_old, u_new, v = _as_batch(u_old), _as_batch(u_new), _as_batch(v)
+    def advance_chemicals(self, u_old, u_new, v, dt, members=slice(None)) -> np.ndarray:
+        """Chemicals (B, 3, n) of ``members`` after their species moved from
+        u_old to u_new by dt (one value, or an array of one per member)."""
         new_v = np.empty_like(v)
-        for i in range(3):
-            rows = self._elliptic_rows[i]
+        for i, (rows, exp_rows, cache) in enumerate(self._layout(members)):
             if rows.size:
                 new_v[rows, i] = self.solve_elliptic(u_new[rows, i], i)
-            rows = self._exp_rows[i]
-            if rows.size:
-                new_v[rows, i] = self._exp_chem(v[rows, i], u_old[rows, i],
-                                                u_new[rows, i], i, dt)
+            if exp_rows.size:
+                new_v[exp_rows, i] = self._exp_chem(u_old, u_new, v, exp_rows, i, cache, dt)
         return new_v
 
-    def _check_finite(self, arrays: np.ndarray, prefix: str, t: float) -> None:
+    def _check_finite(self, arrays: np.ndarray, prefix: str, t, dt, members) -> None:
         bad = ~np.isfinite(arrays).all(-1)
         if bad.any():
             b, i = np.argwhere(bad)[0]
-            raise BlowUpError(f"{prefix}{i + 1} ({self.member_label(b)})", t)
+            t_new = float(np.broadcast_to(np.add(t, dt), bad.shape[:1])[b])
+            label = self.member_label(np.arange(len(self.eps))[members][b])
+            raise BlowUpError(f"{prefix}{i + 1} ({label})", t_new)
 
-    def step(self, t: float, u, v, dt: float):
-        """Advance every member of (u, v) by dt.
+    def step(self, t, u, v, dt, members=slice(None)):
+        """Advance ``members`` of the batch (slice(None) for all, or an index
+        array), whose species and chemicals are (u, v), from their times t by
+        their steps dt.
 
+        t and dt are each one value or an array of one value per member.
         Returns the new (B, 3, n) species and chemicals and the (B,)
-        mass-balance residuals.
+        mass-balance residuals of the stepped members.
         """
         u, v = _as_batch(u), _as_batch(v)
+        per_member = isinstance(dt, np.ndarray)
+        dt_col = dt[:, None] if per_member else dt
         dx = self.grid.dx
         mass_old = u.sum(-1) * dx
         with np.errstate(over="ignore", invalid="ignore"):
-            new_u, reaction_rate = _heun_species(u, v, self.p, dx, dt, self.scheme)
-        self._check_finite(new_u, "u", t + dt)
+            new_u, reaction_rate = _heun_species(
+                u, v, self.p, dx, dt_col[..., None] if per_member else dt, self.scheme)
+        self._check_finite(new_u, "u", t, dt, members)
         mass_pre = new_u.sum(-1) * dx
         scale = np.maximum(np.abs(mass_old), 1.0)
-        residual = np.max(np.abs((mass_pre - mass_old) / dt - reaction_rate) / scale,
+        residual = np.max(np.abs((mass_pre - mass_old) / dt_col - reaction_rate) / scale,
                           axis=-1)
         neg = new_u < 0.0
         if neg.any():
+            ids = np.arange(len(self.eps))[members]
             for b, i in zip(*np.nonzero(neg.any(-1))):
-                self.clipped[b, i] += -dx * new_u[b, i][neg[b, i]].sum()
+                self.clipped[ids[b], i] += -dx * new_u[b, i][neg[b, i]].sum()
             new_u = np.where(neg, 0.0, new_u)
-        new_v = self.advance_chemicals(u, new_u, v, dt)
-        self._check_finite(new_v, "v", t + dt)
+        new_v = self.advance_chemicals(u, new_u, v, dt, members)
+        self._check_finite(new_v, "v", t, dt, members)
         return new_u, new_v, residual
 
 
@@ -334,9 +354,10 @@ class _LimitStepper(_Stepper):
 
 
 def _states(stepper: _Stepper, t: float, u: np.ndarray, v: np.ndarray) -> list:
-    """One State per member of the (B, 3, n) batch (u, v) at time t."""
+    """One State per member of the (B, 3, n) batch (u, v) at time t, holding
+    copies: a step of part of the batch writes into u and v."""
     g = stepper.grid
-    return [State(t, eps, *(Field(x, g) for x in (*u[b], *v[b])))
+    return [State(t, eps, *(Field(x, g) for x in (*u[b].copy(), *v[b].copy())))
             for b, eps in enumerate(stepper.eps)]
 
 
@@ -367,46 +388,67 @@ def _normalise_output_times(T: float, output_times) -> np.ndarray:
 
 
 def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
-               dt_fixed: float | None) -> list:
+               dt_fixed=None) -> list:
     """Step every member of the batch (u, v) from t = 0 to T.
 
-    Returns one Trajectory per member.  All members share the step schedule:
-    the fixed dt, checked against every member's stability bound, or the
-    smallest member's stable step.
+    Returns one Trajectory per member.  Each member keeps its own clock and
+    steps with its own dt: its entry of dt_fixed (one value, or one per
+    member), checked against its own stability bound, or its own stable step.
+    Each member shortens its last step to land on each output time and then
+    waits until every member has landed there.
     """
     u, v = _as_batch(u), _as_batch(v)
     times = _normalise_output_times(T, output_times)
     dx = stepper.grid.dx
     p = stepper.p
+    n_members = u.shape[0]
+    if dt_fixed is not None:
+        dt_fixed = np.broadcast_to(np.asarray(dt_fixed, dtype=float), (n_members,)).tolist()
 
     snapshots = [_states(stepper, 0.0, u, v)]
     initial_mass = u.sum(-1) * dx
-    n_steps = 0
-    max_residual = np.zeros(u.shape[0])
+    # per-member clocks and aggregates as Python floats: a batch is a handful
+    # of members, and per-element float arithmetic is what numpy's is
+    t = [0.0] * n_members
+    n_steps = [0] * n_members
+    max_residual = [0.0] * n_members
 
-    t = 0.0
-    for target in times[1:]:
-        while t < target:
-            if dt_fixed is not None:
-                cap = _stable_dt_values(u, v, p, dx, 1.0)
-                over = np.flatnonzero(dt_fixed > cap * (1.0 + 1e-9))
-                if over.size:
-                    b = over[0]
-                    raise StabilityError(
-                        f"fixed dt {dt_fixed:.3e} exceeds the stability bound "
-                        f"{cap[b]:.3e} of the {stepper.member_label(b)} at t={t:.6g}"
-                    )
-                nominal = dt_fixed
+    for target in times[1:].tolist():
+        while True:
+            rows = [b for b in range(n_members) if t[b] < target]
+            if not rows:
+                break
+            # a slice takes views: a step of the whole batch copies nothing
+            members = slice(None) if len(rows) == n_members else np.array(rows)
+            ua, va = u[members], v[members]
+            if dt_fixed is None:
+                nominal = _stable_dt_values(ua, va, p, dx, cfl).tolist()
             else:
-                nominal = float(_stable_dt_values(u, v, p, dx, cfl).min())
-            remaining = target - t
-            dt = remaining if remaining <= nominal * (1.0 + 1e-9) else nominal
-            u, v, residual = stepper.step(t, u, v, dt)
-            t += dt
-            n_steps += 1
-            np.maximum(max_residual, residual, out=max_residual)
-        t = target
-        snapshots.append(_states(stepper, t, u, v))
+                nominal = [dt_fixed[b] for b in rows]
+                cap = _stable_dt_values(ua, va, p, dx, 1.0).tolist()
+                for b, h, c in zip(rows, nominal, cap):
+                    if h > c * (1.0 + 1e-9):
+                        raise StabilityError(
+                            f"fixed dt {h:.3e} exceeds the stability bound {c:.3e} "
+                            f"of the {stepper.member_label(b)} at t={t[b]:.6g}")
+            dts = [target - t[b] if target - t[b] <= h * (1.0 + 1e-9) else h
+                   for b, h in zip(rows, nominal)]
+            # the benchmark's tracer (perfbench/child.py) sums step's dt
+            # argument into a JSON float, so a dt that every stepping member
+            # shares goes in as a plain float
+            step_dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts)
+            new_u, new_v, residual = stepper.step([t[b] for b in rows], ua, va, step_dt,
+                                                  members)
+            if isinstance(members, slice):
+                u, v = new_u, new_v
+            else:
+                u[members], v[members] = new_u, new_v
+            for b, h, r in zip(rows, dts, residual.tolist()):
+                t[b] += h
+                n_steps[b] += 1
+                max_residual[b] = max(max_residual[b], r)
+        t = [target] * n_members
+        snapshots.append(_states(stepper, target, u, v))
 
     return [
         Trajectory(
@@ -414,16 +456,18 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
             states=[states[b] for states in snapshots],
             clipped_mass=stepper.clipped[b].copy(),
             initial_mass=initial_mass[b],
-            n_steps=n_steps,
-            max_balance_residual=float(max_residual[b]),
+            n_steps=n_steps[b],
+            max_balance_residual=max_residual[b],
         )
-        for b in range(u.shape[0])
+        for b in range(n_members)
     ]
 
 
 def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
-                 cfl: float = 0.9, dt: float | None = None) -> list:
-    """Integrate every member of ``stepper``'s batch on one step schedule.
+                 cfl: float = 0.9, dt=None) -> list:
+    """Integrate every member of ``stepper``'s batch, each on its own step
+    schedule: the fixed dt (one value, or one per member) or, when dt is
+    None, the member's own stable step.
 
     All members start from the species data u0 = (u10, u20, u30), with the
     fast chemicals at their elliptic solves.  v30s[b] is the slow-chemical

@@ -225,6 +225,48 @@ def test_rate_study_small_on_manifold():
         assert np.all(errs <= bound)
 
 
+def test_layer_study_is_one_batch_equal_to_per_pair_runs(monkeypatch):
+    """A numeric-gamma study steps every eps run and its own limit run as one
+    batch, each pair at its own dt_eps, and each member is bitwise the run of
+    its pair alone."""
+    from fastsignal import analysis
+    from fastsignal.sim_eps import _run_members, _Stepper, initial_stable_dt
+
+    grid = make_grid(1.0, 16)
+    u0 = default_initial_fields(grid)
+    gamma, eps_list, T, n_outputs = 0.5, (1e-2, 1e-3, 1e-4), 0.2, 5
+    calls = []
+
+    def spy(stepper, *args, **kwargs):
+        calls.append((stepper.eps, _run_members(stepper, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(analysis, "_run_members", spy)
+    report = rate_study(*u0, gamma, eps_list, T, P, n_outputs=n_outputs)
+    assert len(calls) == 1
+    members, batch = calls[0]
+    assert members == [*eps_list, None, None, None]
+
+    times = np.linspace(0.0, T, n_outputs)
+    v30s = [make_layer_data(u0[2], InitialLayerSpec(gamma, e), P) for e in eps_list]
+    dt0 = initial_stable_dt(*u0, v30s[0], P, 0.45)
+    for i, (eps, v30) in enumerate(zip(eps_list, v30s)):
+        dt = dt0 * float(np.sqrt(eps / eps_list[0]))
+        pair = _run_members(_Stepper(grid, P, eps=[eps, None]), u0, [v30, None], T, times,
+                            dt=dt)
+        for got, ref in zip((batch[i], batch[len(eps_list) + i]), pair):
+            assert got.n_steps == ref.n_steps
+            assert np.array_equal(got.clipped_mass, ref.clipped_mass)
+            assert got.max_balance_residual == ref.max_balance_residual
+            for sg, sr in zip(got.states, ref.states):
+                for name in ("u1", "u2", "u3", "v1", "v2", "v3"):
+                    assert np.array_equal(getattr(sg, name).values, getattr(sr, name).values)
+        for c, val in compare_trajectories(*pair).as_dict().items():
+            assert report.errors[c][i] == val
+    # each pair kept its own schedule
+    assert len({traj.n_steps for traj in batch}) == len(eps_list)
+
+
 def test_rate_study_csv_and_summary_shapes():
     grid = make_grid(1.0, 16)
     u10, u20, u30 = default_initial_fields(grid)

@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 
 import fastsignal
+from fastsignal.analysis import (
+    InitialLayerSpec,
+    make_layer_data,
+    manifold_distance,
+    rate_study,
+)
 from fastsignal.cli import ConfigError, _write_snapshots, main, parse_config
 from fastsignal.grid import make_grid
 from fastsignal.model import default_params
-from fastsignal.sim_eps import default_initial_fields
+from fastsignal.sim_eps import default_initial_fields, run_eps
 from fastsignal.sim_limit import run_limit
 
 FAST_RATE_FLAGS = [
@@ -129,13 +135,43 @@ def test_rate_study_deterministic_output(tmp_path):
     assert csv_a == csv_b
 
 
-def test_rate_study_workers_match_sequential(tmp_path):
-    outa, outb = tmp_path / "w1", tmp_path / "w2"
-    rc = main(["rate-study", *FAST_RATE_FLAGS, "--outdir", str(outa)])
+def test_workers_is_an_unknown_key(tmp_path, capsys):
+    # every rate study is one batch in one process; the knob is gone
+    rc = main(["rate-study", *FAST_RATE_FLAGS, "--gamma", "0.5", "--workers", "2",
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="')
+    assert "--workers" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["mixed", "fully_parabolic"])
+def test_chemical_mode_reaches_rate_study_and_manifold_distance(tmp_path, mode):
+    p = default_params()
+    grid = make_grid(1.0, 16)
+    u0 = default_initial_fields(grid)
+    eps_list = (1e-2, 1e-3, 1e-4)
+    rc = main(["rate-study", *FAST_RATE_FLAGS, "--gamma", "0.5", "--chemical_mode", mode,
+               "--outdir", str(tmp_path / "rate")])
     assert rc == 0
-    rc = main(["rate-study", *FAST_RATE_FLAGS, "--workers", "2", "--outdir", str(outb)])
+    ref = rate_study(*u0, 0.5, eps_list, 0.1, p, n_outputs=3, cfl=0.45,
+                     chemical_mode=mode)
+    assert (tmp_path / "rate" / "rate_report.csv").read_text() == ref.to_csv()
+
+    rc = main(["manifold-distance", *FAST_RATE_FLAGS, "--chemical_mode", mode,
+               "--outdir", str(tmp_path / "dist")])
     assert rc == 0
-    assert (outa / "rate_report.csv").read_bytes() == (outb / "rate_report.csv").read_bytes()
+    rows = ["eps,t,eps_t"]
+    for eps in eps_list:
+        v30 = make_layer_data(u0[2], InitialLayerSpec("on_manifold", eps), p)
+        traj = run_eps(*u0, v30, eps, 0.1, p, np.linspace(0.0, 0.1, 3), cfl=0.45,
+                       chemical_mode=mode)
+        rows += [f"{eps:.17g},{t:.17g},{manifold_distance(s, p):.17g}"
+                 for t, s in zip(traj.times, traj.states)]
+    written = (tmp_path / "dist" / "manifold_distance.csv").read_text()
+    assert written == "\n".join(rows) + "\n"
 
 
 def test_manifold_distance_smoke(tmp_path):
@@ -234,6 +270,12 @@ assert not loaded, loaded
 assert main(["simulate-eps", "--T", "0.001", "--n", "16", "--output_count", "2",
              "--outdir", out + "/pde"]) == 0
 assert "scipy.fft" in sys.modules
+# a layer study is one batch in this process: no process pool is loaded
+assert main(["rate-study", "--gamma", "0.5", "--n", "16", "--T", "0.05",
+             "--output_count", "2", "--eps_list", "1e-2,1e-3,1e-4",
+             "--outdir", out + "/layer"]) == 0
+loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+assert not loaded, loaded
 """
 
 
@@ -244,7 +286,7 @@ def test_ode_commands_import_neither_scipy_nor_multiprocessing(tmp_path):
                             env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.count("status=ok") == 3
+    assert result.stdout.count("status=ok") == 4
 
 
 def test_write_snapshots_matches_per_value_formatting(tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fastsignal.grid import (
@@ -200,12 +200,27 @@ def test_batched_chemotaxis_div_conserves_mass(batch):
         assert abs(out[b].sum()) <= bound
 
 
+def _subnormal_flux_batch(v):
+    # both forms' face fluxes are subnormal here (u chi g ~ 1e-321)
+    return (np.full((1, 4), 2.5e-298), np.array([v], dtype=float),
+            np.array([[-2.1e-24]]), 0.25)
+
+
 @settings(max_examples=60, deadline=None)
 @given(flux_batches())
+@example(_subnormal_flux_batch([0.0, 1.0, 0.0, 1.0]))
+@example(_subnormal_flux_batch([0.0, 3.0, 0.0, 7.0]))
 def test_batched_chemotaxis_div_matches_where_form(batch):
     u, v, chi, dx = batch
     out = _chemotaxis_div(u, v, chi, dx)
+    tiny = np.finfo(float).smallest_subnormal
     for b in range(u.shape[0]):
         ref, flux = where_form_div(u[b], v[b], chi[b, 0], dx)
         scale = np.abs(flux).max() / dx
-        assert np.max(np.abs(out[b] - ref)) <= 1e-14 * scale
+        # A subnormal product is rounded to an absolute half spacing, not a
+        # relative one: the batched form's (chi g) u by tiny / 2, the where
+        # form's chi u by tiny / 2 before it is scaled by g.  Each cell takes
+        # two face fluxes and a division by dx, so the relative term alone
+        # underflows to 0 there and needs this absolute one.
+        g = np.abs(np.diff(v[b])).max() / dx
+        assert np.max(np.abs(out[b] - ref)) <= 1e-14 * scale + 2 * tiny * (1.0 + g) / dx

@@ -280,6 +280,30 @@ def test_exp_ramp_constant_source_is_exact_per_mode(n, eps, dt, lam, mu, seed):
     assert np.max(np.abs(out - expected)) <= 1e-12 * n * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 64), eps=st.floats(1e-7, 1.0), dt=st.floats(1e-7, 1.0),
+       lam=st.floats(0.01, 2.0), mu=st.floats(0.01, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_exp_ramp_linear_source_is_exact_per_mode(n, eps, dt, lam, mu, seed):
+    """With a source moving linearly from s0 to s1 over the step each cosine
+    mode follows e^-z c_k + (1 - e^-z)/b_k s0_k + psi(z)/b_k (s1_k - s0_k),
+    psi(z) = 1 - (1 - e^-z)/z, b_k = mu - lam a_k, z = b_k dt / eps."""
+    g = make_grid(1.0, n)
+    rng = np.random.default_rng(seed)
+    v, s0, s1 = rng.standard_normal((3, n))
+    out = _exp_ramp_values(lam, mu, eps, dt, v, s0, s1, g)
+    # modes by the O(n^2) projection, independent of the DCT path; z >= 1e-9
+    # here, so the direct psi loses at most ~1e-16 absolute to cancellation
+    b = mu - lam * mode_eigenvalues(g)
+    z = b * dt / eps
+    psi = 1.0 + np.expm1(-z) / z
+    c0, c1 = _project_modes(s0, n), _project_modes(s1, n)
+    coeffs = (np.exp(-z) * _project_modes(v, n) + (-np.expm1(-z)) / b * c0
+              + psi / b * (c1 - c0))
+    expected = coeffs @ np.stack([mode_vector(g, k) for k in range(n)])
+    scale = np.max(np.abs(v)) + (np.max(np.abs(s0)) + np.max(np.abs(s1))) / mu
+    assert np.max(np.abs(out - expected)) <= 1e-12 * n * scale
+
+
 def test_exp_propagate_ramp_mode_oracle():
     """Brute-force RK4 on the scalar mode ODE with a linearly ramped source."""
     g = make_grid(1.0, 32)

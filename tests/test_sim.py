@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fastsignal.analysis import (
@@ -367,10 +367,19 @@ def test_batch_member_over_its_cap_raises():
     cap_calm = initial_stable_dt(*u0, calm, P, 1.0)
     cap_steep = initial_stable_dt(*u0, steep, P, 1.0)
     assert cap_steep < 0.5 * cap_calm
-    st_batch = _Stepper(grid, P, eps=[1e-2, 1e-3, None])
+    members, data, times = [1e-2, 1e-3, None], [calm, steep, None], [0.0, 0.1]
+    shared = np.sqrt(cap_calm * cap_steep)
     with pytest.raises(StabilityError, match="eps=0.001 run"):
-        _run_members(st_batch, u0, [calm, steep, None], 0.1, [0.0, 0.1],
-                     dt=np.sqrt(cap_calm * cap_steep))
+        _run_members(_Stepper(grid, P, eps=members), u0, data, 0.1, times, dt=shared)
+    # per-member steps: only the member over its own cap is named
+    dts = [1.5 * cap_calm, 0.5 * cap_steep, 0.5 * cap_calm]
+    with pytest.raises(StabilityError, match=r"of the eps=0\.01 run"):
+        _run_members(_Stepper(grid, P, eps=members), u0, data, 0.1, times, dt=dts)
+    dts = [0.5 * cap_calm, 0.5 * cap_steep, 0.5 * cap_calm]
+    trajs = _run_members(_Stepper(grid, P, eps=members), u0, data, 1e-3, [0.0, 1e-3],
+                         dt=dts)
+    assert [t.n_steps for t in trajs] == [
+        int(np.ceil(1e-3 / (0.5 * c) - 1e-9)) for c in (cap_calm, cap_steep, cap_calm)]
 
 
 @st.composite
@@ -400,3 +409,30 @@ def test_batched_step_under_stable_dt_keeps_species_non_negative(batch):
     # nothing was clipped, so positivity holds without the clip
     assert np.all(st_batch.clipped == 0.0)
     assert np.all(new_u >= 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(species_batches(), st.sampled_from(["mixed", "fully_parabolic"]), st.data())
+def test_per_member_dt_column_equals_one_member_steps(batch, mode, data):
+    """One step with a dt column is bitwise the B steps of its members alone."""
+    u, v3, eps = batch
+    assume(mode == "mixed" or any(e is not None for e in eps))
+    grid = make_grid(1.0, u.shape[-1])
+    st_batch = _Stepper(grid, P, eps=eps, chemical_mode=mode)
+    v = np.empty_like(u)
+    v[:, 0] = st_batch.solve_elliptic(u[:, 0], 0)
+    v[:, 1] = st_batch.solve_elliptic(u[:, 1], 1)
+    v[:, 2] = v3
+    fractions = data.draw(arrays(float, u.shape[0], elements=st.floats(0.05, 1.0),
+                                 unique=True))
+    dt = _stable_dt_values(u, v, P, grid.dx, 0.9) * fractions
+    t = data.draw(arrays(float, u.shape[0], elements=st.floats(0.0, 10.0)))
+    new_u, new_v, residual = st_batch.step(t, u, v, dt)
+    for b, e in enumerate(eps):
+        # a lone limit member has no relaxation parameter to be parabolic in
+        one = _Stepper(grid, P, eps=e, chemical_mode=mode if e is not None else "mixed")
+        ref_u, ref_v, ref_res = one.step(t[b], u[b], v[b], float(dt[b]))
+        assert np.array_equal(new_u[b], ref_u[0])
+        assert np.array_equal(new_v[b], ref_v[0])
+        assert residual[b] == ref_res[0]
+        assert np.array_equal(st_batch.clipped[b], one.clipped[0])
