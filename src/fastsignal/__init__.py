@@ -10,6 +10,7 @@ from .analysis import (
     initial_layer_size,
     make_layer_data,
     manifold_distance,
+    manifold_distance_study,
     manifold_projection,
     norm_h1,
     norm_h2_proxy,
@@ -36,6 +37,7 @@ from .ode import (
     detect_oscillation,
     find_equilibria,
     integrate,
+    model_rhs,
     ode_rhs_3pop,
     ode_rhs_pp,
 )

@@ -28,6 +28,7 @@ __all__ = [
     "initial_layer_size",
     "make_layer_data",
     "manifold_distance",
+    "manifold_distance_study",
     "compare_trajectories",
     "rate_study",
     "semigroup_identity_residual",
@@ -134,6 +135,30 @@ def make_layer_data(u30: Field, spec: InitialLayerSpec, p: ModelParams) -> Field
 def manifold_distance(s, p: ModelParams) -> float:
     """Instantaneous distance of a state from the critical manifold."""
     return initial_layer_size(s.u3, s.v3, p)
+
+
+def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
+                            eps_list, T: float, p: ModelParams, output_times, *,
+                            cfl: float = 0.45, scheme: str = "upwind",
+                            solver_method: str = "tridiagonal", solver_tol: float = 1e-10,
+                            chemical_mode: str = "mixed"):
+    """Distance from the critical manifold at each output time, per eps.
+
+    Each eps run starts from slow-chemical data at layer size eps**gamma.
+    The runs advance as one batch, each member at its own stable step, so
+    each is bitwise its own ``run_eps``.  Returns the snapshot times, the
+    (len(eps_list), len(times)) distances and each run's initial layer size.
+    """
+    eps = [float(e) for e in eps_list]
+    if not eps:
+        raise ValueError("eps_list must not be empty")
+    v30s = [make_layer_data(u30, InitialLayerSpec(gamma, e), p) for e in eps]
+    st = _Stepper(u10.grid, p, eps=eps, scheme=scheme, solver_method=solver_method,
+                  solver_tol=solver_tol, chemical_mode=chemical_mode)
+    trajs = _run_members(st, (u10, u20, u30), v30s, T, output_times, cfl=cfl)
+    dist = np.array([[manifold_distance(s, p) for s in tr.states] for tr in trajs])
+    eps_in = np.array([initial_layer_size(u30, v30, p) for v30 in v30s])
+    return trajs[0].times, dist, eps_in
 
 
 @dataclass

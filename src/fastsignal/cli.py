@@ -19,9 +19,8 @@ import numpy as np
 from .analysis import (
     InitialLayerSpec,
     fit_slope,
-    initial_layer_size,
     make_layer_data,
-    manifold_distance,
+    manifold_distance_study,
     norm_l2,
     rate_study,
     semigroup_identity_residual,
@@ -38,8 +37,7 @@ from .ode import (
     bifurcation_sweep,
     detect_oscillation,
     integrate,
-    ode_rhs_3pop,
-    ode_rhs_pp,
+    model_rhs,
 )
 from .sim_eps import (
     BlowUpError,
@@ -209,6 +207,10 @@ def _validate(values: dict) -> None:
         raise ConfigError("key 'solver_tol' must be positive")
     if values["sweep_count"] < 1 or values["sweep_max"] <= values["sweep_min"]:
         raise ConfigError("sweep range must be non-empty with sweep_count >= 1")
+    if values["sweep_param"] not in _PARAM_KEYS:
+        raise ConfigError(
+            f"key 'sweep_param' must name a model parameter, got {values['sweep_param']!r}"
+        )
     if values["ode_rtol"] <= 0 or values["ode_atol"] <= 0:
         raise ConfigError("ODE tolerances must be positive")
 
@@ -346,24 +348,17 @@ def _cmd_manifold_distance(cfg: RunConfig) -> int:
     T = cfg.resolve_T("manifold-distance")
     grid = cfg.make_grid()
     u10, u20, u30 = default_initial_fields(grid)
-    times = np.linspace(0.0, T, cfg.output_count)
+    times, dist, eps_in = manifold_distance_study(
+        u10, u20, u30, cfg.gamma, cfg.eps_list, T, p,
+        np.linspace(0.0, T, cfg.output_count), cfl=min(0.45, cfg.cfl),
+        scheme=cfg.flux_scheme, solver_method=cfg.solver_method,
+        solver_tol=cfg.solver_tol, chemical_mode=cfg.chemical_mode,
+    )
     rows = ["eps,t,eps_t"]
-    sup_late = []
-    ratios = []
-    for eps in cfg.eps_list:
-        v30 = make_layer_data(u30, InitialLayerSpec(cfg.gamma, eps), p)
-        eps_in = initial_layer_size(u30, v30, p)
-        traj = run_eps(
-            u10, u20, u30, v30, eps, T, p, times, cfl=min(0.45, cfg.cfl),
-            scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
-            solver_method=cfg.solver_method, solver_tol=cfg.solver_tol,
-        )
-        dist = np.array([manifold_distance(s, p) for s in traj.states])
-        for t, d in zip(traj.times, dist):
-            rows.append(f"{eps:.17g},{t:.17g},{d:.17g}")
-        late = dist[traj.times >= 0.1 * T]
-        sup_late.append(float(late.max()))
-        ratios.append(float(dist.max() / max(eps_in, 1e-300)))
+    for eps, d in zip(cfg.eps_list, dist):
+        rows += [f"{eps:.17g},{t:.17g},{x:.17g}" for t, x in zip(times, d)]
+    sup_late = dist[:, times >= 0.1 * T].max(axis=1)
+    ratios = dist.max(axis=1) / np.maximum(eps_in, 1e-300)
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "manifold-distance", T)
     (out / "manifold_distance.csv").write_text("\n".join(rows) + "\n")
@@ -374,7 +369,7 @@ def _cmd_manifold_distance(cfg: RunConfig) -> int:
     ]
     slope_msg = ""
     try:
-        slope, res, npts = fit_slope(np.array(cfg.eps_list), np.array(sup_late))
+        slope, res, npts = fit_slope(np.array(cfg.eps_list), sup_late)
         lines.append(f"late_distance_slope = {slope:.4f} (residual {res:.3e}, {npts} points)")
         slope_msg = f" slope={slope:.3f}"
     except ValueError as exc:
@@ -388,16 +383,14 @@ def _cmd_ode_simulate(cfg: RunConfig) -> int:
     p = cfg.model_params()
     T = cfg.resolve_T("ode-simulate")
     if cfg.ode_model == "3pop":
-        rhs = lambda y: ode_rhs_3pop(y, p)
         y0 = np.array([1.0, 1.0, 0.5])
         columns = ("u1", "u2", "u3")
     else:
-        rhs = lambda y: ode_rhs_pp(y, p)
         y0 = np.array([1.0, 0.5])
         columns = ("u1", "u3")
     n_eval = max(cfg.output_count, 2001)
-    traj = integrate(rhs, y0, T, rtol=cfg.ode_rtol, atol=cfg.ode_atol,
-                     t_eval=np.linspace(0.0, T, n_eval))
+    traj = integrate(model_rhs(cfg.ode_model, p), y0, T, rtol=cfg.ode_rtol,
+                     atol=cfg.ode_atol, t_eval=np.linspace(0.0, T, n_eval))
     osc = detect_oscillation(traj)
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "ode-simulate", T)
@@ -520,7 +513,7 @@ def _verify_homogeneous(cfg: RunConfig) -> list[str]:
     u30 = Field.constant(grid, 0.5)
     v30 = Field.constant(grid, 0.5 * p.zeta3 / p.mu3)
     ref = integrate(
-        lambda y: ode_rhs_3pop(y, p), np.array([1.0, 1.0, 0.5]), T,
+        model_rhs("3pop", p), np.array([1.0, 1.0, 0.5]), T,
         rtol=1e-10, atol=1e-12, t_eval=times,
     )
     eps_traj = run_eps(u10, u20, u30, v30, 1e-3, T, p, times)

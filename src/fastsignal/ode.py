@@ -28,6 +28,7 @@ __all__ = [
     "ode_rhs_pp",
     "ode_jacobian_3pop",
     "ode_jacobian_pp",
+    "model_rhs",
     "integrate",
     "find_equilibria",
     "classify_stability",
@@ -50,8 +51,8 @@ class OdeTrajectory:
 
 # The right-hand sides take one (dim,) state or an (..., dim) stack.  ``y.T``
 # reverses the axes, so its rows are the components and a second ``.T`` puts
-# the stack back; a 1-D state yields numpy scalars, which keeps the per-step
-# cost of ``integrate`` low.
+# the stack back.  ``integrate`` evaluates the same formulas on Python floats
+# through ``model_rhs``.
 
 
 def ode_rhs_3pop(y, p: ModelParams) -> np.ndarray:
@@ -66,17 +67,19 @@ def ode_jacobian_3pop(y, p: ModelParams) -> np.ndarray:
     return kinetics_jacobian(y[..., 0], y[..., 1], y[..., 2], p)
 
 
+def _pp_kinetics(u1, u3, p: ModelParams):
+    """Reaction terms (f1, f3) of the one-prey/one-predator system; accepts
+    scalars or same-shape arrays, like ``kinetics``."""
+    h1 = p.m1 * u1 / (p.eta1 + u1)
+    f1 = p.alpha1 * u1 * (1.0 - u1) - h1 * u3
+    f3 = (p.gamma1 * h1 - p.k) * u3 - p.l * u3 * u3
+    return f1, f3
+
+
 def ode_rhs_pp(y, p: ModelParams) -> np.ndarray:
     """Reduced one-prey/one-predator system in (u1, u3)."""
     yt = np.asarray(y).T
-    u1, u3 = yt[0], yt[1]
-    h1 = p.m1 * u1 / (p.eta1 + u1)
-    return np.array(
-        [
-            p.alpha1 * u1 * (1.0 - u1) - h1 * u3,
-            (p.gamma1 * h1 - p.k) * u3 - p.l * u3 * u3,
-        ]
-    ).T
+    return np.array(_pp_kinetics(yt[0], yt[1], p)).T
 
 
 def ode_jacobian_pp(y, p: ModelParams) -> np.ndarray:
@@ -93,6 +96,36 @@ def ode_jacobian_pp(y, p: ModelParams) -> np.ndarray:
         ]
     )
     return np.moveaxis(J, (0, 1), (-2, -1))
+
+
+class _FloatRhs:
+    """``fn(*components, p)`` as an ``integrate`` right-hand side.
+
+    ``integrate`` runs its stages through ``floats`` on lists of Python
+    floats.  Called with one (dim,) state or an (..., dim) stack it returns
+    what ``ode_rhs_*`` would, from numpy values: at a pole that gives inf or
+    nan where Python floats raise ZeroDivisionError.
+    """
+
+    def __init__(self, fn, p: ModelParams):
+        self.floats = lambda state: fn(*state, p)
+
+    def __call__(self, y) -> np.ndarray:
+        return np.array(self.floats(np.asarray(y, dtype=float).T)).T
+
+
+def model_rhs(model: str, p: ModelParams) -> _FloatRhs:
+    """Right-hand side of ``model`` ("3pop" or "pp") at ``p`` for ``integrate``.
+
+    It is the formula of ``ode_rhs_3pop``/``ode_rhs_pp``, and ``integrate``
+    evaluates it on Python floats, to the same bits at a fraction of the
+    cost of a numpy call per stage.
+    """
+    if model == "3pop":
+        return _FloatRhs(kinetics, p)
+    if model == "pp":
+        return _FloatRhs(_pp_kinetics, p)
+    raise ValueError(f"unknown model {model!r}")
 
 
 # Dormand-Prince 5(4) coefficients
@@ -129,11 +162,14 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     (finite, non-decreasing, inside [0, T]) are filled by Hermite
     interpolation on the accepted steps.
 
-    The states are short, so the step arithmetic runs on Python floats, in
-    the order a numpy version of it would take.  numpy is kept where the
-    bits depend on it: ``rhs`` takes and returns an ndarray, and the two
-    weighted stage sums are BLAS matvecs on a (7, dim) stage array, which
-    sum in their own order.
+    ``rhs`` maps a (dim,) ndarray state to its (dim,) derivative.  The
+    states are short, so the step arithmetic runs on Python floats, in the
+    order a numpy version of it would take.  A right-hand side from
+    ``model_rhs`` is evaluated on those float lists directly; any other is
+    called with an ndarray.  numpy is kept where the bits depend on it: the
+    two weighted stage sums are BLAS matvecs on a (7, dim) stage array,
+    which sum in their own order, and each stage's derivative is stored
+    there.
     """
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
@@ -166,9 +202,20 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
 
     k = np.zeros((7, dim))  # stage derivatives, the matvec operand
 
-    def stage(i, state):
-        k[i] = rhs(np.array(state))
-        return k[i].tolist()
+    if isinstance(rhs, _FloatRhs):
+        floats = rhs.floats
+
+        def stage(i, state):
+            try:
+                vals = floats(state)
+            except ZeroDivisionError:  # at a pole, the ndarray route's inf or nan
+                vals = rhs(np.array(state)).tolist()
+            k[i] = vals
+            return vals
+    else:
+        def stage(i, state):
+            k[i] = rhs(np.array(state))
+            return k[i].tolist()
 
     f = stage(0, y)
     t = 0.0
@@ -474,7 +521,6 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
                             dim=dim, args=values)
     points: list[BranchPoint] = []
     for val, pv, eqs in zip(values, params, roots):
-        rhs = lambda y, _pv=pv: rhs_of(y, _pv)
         jac = lambda y, _pv=pv: jac_of(y, _pv)
         branch = []
         any_stable = False
@@ -484,7 +530,7 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
             branch.append(BranchPoint(float(val), eq, lams, stable, res))
         record = None
         if not any_stable:
-            traj = integrate(rhs, start, T_osc, rtol=rtol, atol=atol,
+            traj = integrate(model_rhs(model, pv), start, T_osc, rtol=rtol, atol=atol,
                              t_eval=np.linspace(0.0, T_osc, n_eval))
             record = detect_oscillation(traj)
         for bp in branch:

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import fastsignal
+import fastsignal.analysis as analysis
 from fastsignal.analysis import (
     InitialLayerSpec,
+    fit_slope,
+    initial_layer_size,
     make_layer_data,
     manifold_distance,
     rate_study,
@@ -172,6 +175,59 @@ def test_chemical_mode_reaches_rate_study_and_manifold_distance(tmp_path, mode):
                  for t, s in zip(traj.times, traj.states)]
     written = (tmp_path / "dist" / "manifold_distance.csv").read_text()
     assert written == "\n".join(rows) + "\n"
+
+
+def manifold_distance_per_eps_files(eps_list, gamma, T, n, count):
+    """manifold_distance.csv and summary.txt as one run_eps per eps writes them."""
+    p = default_params()
+    u0 = default_initial_fields(make_grid(1.0, n))
+    times = np.linspace(0.0, T, count)
+    rows, sup_late, ratios = ["eps,t,eps_t"], [], []
+    for eps in eps_list:
+        v30 = make_layer_data(u0[2], InitialLayerSpec(gamma, eps), p)
+        eps_in = initial_layer_size(u0[2], v30, p)
+        traj = run_eps(*u0, v30, eps, T, p, times, cfl=0.45)
+        dist = np.array([manifold_distance(s, p) for s in traj.states])
+        rows += [f"{eps:.17g},{t:.17g},{d:.17g}" for t, d in zip(traj.times, dist)]
+        sup_late.append(float(dist[traj.times >= 0.1 * T].max()))
+        ratios.append(float(dist.max() / max(eps_in, 1e-300)))
+    slope, res, npts = fit_slope(np.array(eps_list), np.array(sup_late))
+    summary = [
+        f"eps = {','.join(repr(float(e)) for e in eps_list)}",
+        f"sup_eps_t_late = {','.join(f'{v:.6e}' for v in sup_late)}",
+        f"max_over_initial = {','.join(f'{v:.6e}' for v in ratios)}",
+        f"late_distance_slope = {slope:.4f} (residual {res:.3e}, {npts} points)",
+    ]
+    return "\n".join(rows) + "\n", "\n".join(summary) + "\n"
+
+
+@pytest.mark.parametrize("gamma", ["on_manifold", "0.5"])
+def test_manifold_distance_is_one_batch_equal_to_per_eps_runs(tmp_path, monkeypatch, gamma):
+    calls = []
+    run_members = analysis._run_members
+    monkeypatch.setattr(analysis, "_run_members",
+                        lambda *a, **kw: calls.append(a) or run_members(*a, **kw))
+    eps_list = (1e-2, 1e-3, 1e-4)
+    rc = main(["manifold-distance", "--n", "32", "--T", "0.3", "--output_count", "7",
+               "--gamma", gamma, "--eps_list", "1e-2,1e-3,1e-4",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    assert len(calls) == 1
+    g = gamma if gamma == "on_manifold" else float(gamma)
+    csv, summary = manifold_distance_per_eps_files(eps_list, g, 0.3, 32, 7)
+    assert (tmp_path / "manifold_distance.csv").read_text() == csv
+    assert (tmp_path / "summary.txt").read_text() == summary
+
+
+def test_unknown_sweep_param_is_a_validation_error(tmp_path, capsys):
+    rc = main(["ode-bifurcation", "--sweep_param", "foo", "--sweep_count", "2",
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="')
+    assert "sweep_param" in err[0] and "'foo'" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifold_distance_smoke(tmp_path):

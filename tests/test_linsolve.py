@@ -345,3 +345,43 @@ def test_exp_propagate_ramp_quasi_steady_lag():
     lag2, _ = helmholtz_solve(op, lag1, method="spectral")
     expected = lead.values - eps * lag2.values
     assert np.max(np.abs(out - expected)) <= 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(4, 200), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-250, 1e250))
+def test_mode_transform_round_trips_batched_rows(n, rows, seed, scale):
+    """from_modes(to_modes(x)) == x to round-off, row by row in a batch, and
+    each batched row gets the coefficients of the O(n^2) projection."""
+    x = np.random.default_rng(seed).standard_normal((rows, n)) * scale
+    c = to_modes(x)
+    bound = 1e-14 * np.log2(n) * np.max(np.abs(x))  # ~15x the worst of 400 random cases
+    assert np.max(np.abs(from_modes(c) - x)) <= bound
+    for b in range(rows):
+        assert np.max(np.abs(c[b] - _project_modes(x[b], n))) <= bound
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(4, 64), lam=st.floats(0.01, 1.0), mu=st.floats(0.1, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_helmholtz_paths_agree(n, lam, mu, seed):
+    """Banded Cholesky, DCT and GMRES solve the same system: each residual is
+    small and the solutions agree to within the condition number."""
+    g = make_grid(1.0, n)
+    op = HelmholtzOperator(lam, mu, g)
+    rhs = Field(np.random.default_rng(seed).standard_normal(n), g)
+    bnorm = np.linalg.norm(rhs.values)
+    cond = 1.0 + 4.0 * lam * n * n / mu  # largest over smallest eigenvalue
+    # direct paths: ~10x the worst residual and gap of 400 random cases
+    direct = 2e-15 * cond
+    tol = 1e-10
+    sols = {}
+    for method in ("tridiagonal", "spectral", "gmres"):
+        v, stats = helmholtz_solve(op, rhs, method=method, tol=tol)
+        assert stats.residual_norm <= (tol if method == "gmres" else direct) * bnorm
+        sols[method] = v.values
+    ref = sols["tridiagonal"]
+    scale = np.linalg.norm(ref)
+    assert np.linalg.norm(sols["spectral"] - ref) <= direct * scale
+    # ||A^-1|| tol ||b|| over ||x|| >= ||b|| / ||A||
+    assert np.linalg.norm(sols["gmres"] - ref) <= (tol * cond + direct) * scale

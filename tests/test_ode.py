@@ -20,6 +20,7 @@ from fastsignal.ode import (
     detect_oscillation,
     find_equilibria,
     integrate,
+    model_rhs,
     ode_jacobian_3pop,
     ode_jacobian_pp,
     ode_rhs_3pop,
@@ -108,21 +109,22 @@ def test_integrate_validation():
         integrate(lambda y: -y, np.array([1.0]), 1.0, rtol=0.0)
     with pytest.raises(ValueError):
         integrate(lambda y: -y, np.array([1.0]), -1.0)
-    rhs = lambda y: ode_rhs_pp(y, P)
-    # unchecked, an unsorted t_eval is filled by extrapolating a later step
-    with pytest.raises(ValueError, match="sorted"):
-        integrate(rhs, [1.0, 0.5], 10.0, t_eval=[5.0, 1.0, 10.0])
-    with pytest.raises(ValueError, match="t_eval"):
-        integrate(rhs, [1.0, 0.5], 10.0, t_eval=[0.0, np.nan, 10.0])
-    for max_step in (0.0, -1.0, np.nan):
-        with pytest.raises(ValueError, match="max_step"):
-            integrate(rhs, [1.0, 0.5], 10.0, max_step=max_step)
-    for T in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="T must be finite"):
-            integrate(rhs, [1.0, 0.5], T)
-    for y0 in ([np.nan, 0.5], [1.0, np.inf]):
-        with pytest.raises(ValueError, match="y0"):
-            integrate(rhs, y0, 10.0)
+    # the same checks on the ndarray route and on the float route
+    for rhs in (lambda y: ode_rhs_pp(y, P), model_rhs("pp", P)):
+        # unchecked, an unsorted t_eval is filled by extrapolating a later step
+        with pytest.raises(ValueError, match="sorted"):
+            integrate(rhs, [1.0, 0.5], 10.0, t_eval=[5.0, 1.0, 10.0])
+        with pytest.raises(ValueError, match="t_eval"):
+            integrate(rhs, [1.0, 0.5], 10.0, t_eval=[0.0, np.nan, 10.0])
+        for max_step in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="max_step"):
+                integrate(rhs, [1.0, 0.5], 10.0, max_step=max_step)
+        for T in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="T must be finite"):
+                integrate(rhs, [1.0, 0.5], T)
+        for y0 in ([np.nan, 0.5], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="y0"):
+                integrate(rhs, y0, 10.0)
 
 
 def test_find_equilibria_3pop_contains_origin():
@@ -483,9 +485,53 @@ def test_dp54_float_loop_equals_numpy_loop(model, data, m1, m2, eta1, eta2, k, l
         st.integers(1, 60).map(lambda n: np.linspace(0.0, T, n)),
         st.lists(st.floats(0.0, T), max_size=30).map(sorted),
     ))
-    got = integrate(rhs, y0, T, rtol=rtol, atol=atol, t_eval=t_eval)
     ref = dp54_numpy_reference(rhs, y0, T, rtol, atol, t_eval)
-    assert (got.n_steps, got.n_rejected) == (ref.n_steps, ref.n_rejected)
-    for a, b in ((got.times, ref.times), (got.states, ref.states)):
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert np.array_equal(a, b)
+    # the ndarray route and the float route of model_rhs
+    for route in (rhs, model_rhs(model, p)):
+        got = integrate(route, y0, T, rtol=rtol, atol=atol, t_eval=t_eval)
+        assert (got.n_steps, got.n_rejected) == (ref.n_steps, ref.n_rejected)
+        for a, b in ((got.times, ref.times), (got.states, ref.states)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(sorted(MODELS)), data=st.data(),
+       params=st.fixed_dictionaries({
+           name: st.floats(0.0, 2.0) for name in
+           ("alpha1", "alpha2", "beta1", "beta2", "m1", "m2", "gamma1", "gamma2", "k", "l")
+       }),
+       eta1=st.floats(0.05, 1.0), eta2=st.floats(0.05, 1.0))
+def test_float_rhs_equals_stacked_rhs(model, data, params, eta1, eta2):
+    """model_rhs on Python floats gives the bits of ode_rhs_* on a stack."""
+    rhs_of, _, dim = MODELS[model]
+    p = P.with_updates(eta1=eta1, eta2=eta2, **params)
+    # DP54 stage states may dip below zero; the poles sit at -eta <= -0.05
+    states = data.draw(arrays(float, (data.draw(st.integers(1, 6)), dim),
+                              elements=st.floats(-0.04, 3.0)))
+    floats = model_rhs(model, p).floats
+    got = np.array([floats(row) for row in states.tolist()])
+    assert all(type(v) is float for v in floats(states[0].tolist()))
+    assert np.array_equal(got, rhs_of(states, p))
+    assert np.array_equal(got[0], rhs_of(states[0], p))
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_float_route_rejects_at_a_pole_like_the_ndarray_route(model):
+    """A stage exactly at u = -eta divides by zero: the float route falls back
+    to numpy's inf, so both routes fail the same way."""
+    rhs_of, _, dim = MODELS[model]
+    y0 = [-P.eta1, 0.5] if model == "pp" else [-P.eta1, 1.0, 0.5]
+    for route in (lambda y: rhs_of(y, P), model_rhs(model, P)):
+        with pytest.raises(StiffnessError, match="t=0"):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                integrate(route, y0, 1.0)
+
+
+def test_model_rhs_is_an_ndarray_rhs():
+    y = np.random.default_rng(4).random((2, 5, 3))
+    for model, rhs_of, dim in (("3pop", ode_rhs_3pop, 3), ("pp", ode_rhs_pp, 2)):
+        for state in (y[0, 0, :dim], y[..., :dim]):
+            assert np.array_equal(model_rhs(model, P)(state), rhs_of(state, P))
+    with pytest.raises(ValueError):
+        model_rhs("2pop", P)
