@@ -191,8 +191,9 @@ def _validate(values: dict) -> None:
         raise ConfigError("key 'T' must be non-negative")
     if not 0.0 < values["cfl"] <= 1.0:
         raise ConfigError("key 'cfl' must lie in (0, 1]")
-    if values["output_count"] < 1:
-        raise ConfigError("key 'output_count' must be >= 1")
+    if values["output_count"] < 2:
+        # linspace(0, T, 1) is [0]: one output time would integrate nothing
+        raise ConfigError("key 'output_count' must be >= 2")
     if values["eps"] <= 0:
         raise ConfigError("key 'eps' must be positive")
     el = values["eps_list"]

@@ -250,13 +250,23 @@ def gmres(
         x = x + V[:j_used].T @ y
 
 
-def _ramp_weight(z: np.ndarray) -> np.ndarray:
-    """psi(z) = 1 - (1 - e^-z)/z, series-evaluated for small z."""
+def _ramp_weight(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
+    """psi(z) = 1 - (1 - e^-z)/z, series-evaluated for small z; em1 is
+    expm1(-z)."""
     small = z < 1e-3
+    if not small.any():
+        return 1.0 + em1 / z
     zs = np.where(small, 1.0, z)
-    direct = 1.0 + np.expm1(-zs) / zs
     series = z / 2.0 - z * z / 6.0 + z**3 / 24.0 - z**4 / 120.0
-    return np.where(small, series, direct)
+    return np.where(small, series, 1.0 + em1 / zs)
+
+
+@lru_cache(maxsize=64)
+def _mode_rates(lam: float, mu: float, L: float, n: int) -> np.ndarray:
+    # b_k = mu - lam a_k, the per-mode rates of the exponential update
+    b = mu - lam * mode_eigenvalues(Grid(L, n))
+    b.flags.writeable = False
+    return b
 
 
 def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):
@@ -267,12 +277,10 @@ def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):
     eps may be an array of shape (B, 1), which gives (B, n) factors, one row
     per relaxation parameter.
     """
-    b = mu - lam * mode_eigenvalues(grid)
+    b = _mode_rates(lam, mu, grid.L, grid.n)
     z = b * (dt / eps)
-    decay = np.exp(-z)
-    gain = -np.expm1(-z) / b
-    ramp = _ramp_weight(z) / b
-    return decay, gain, ramp
+    em1 = np.expm1(-z)
+    return np.exp(-z), -em1 / b, _ramp_weight(z, em1) / b
 
 
 def _exp_step(factors, v: np.ndarray, source_start: np.ndarray,

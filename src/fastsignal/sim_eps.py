@@ -134,22 +134,25 @@ def _reaction_rate_bounds(p: ModelParams, m1, m2, m3):
 def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float,
                       max_dt: float = np.inf):
     """Stable step of each member of a (B, 3, n) batch, shape (B,); a scalar
-    for one (3, n) state."""
+    for one (3, n) state.  Each member's bound is evaluated on Python floats,
+    whose arithmetic is numpy's elementwise arithmetic."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
-    g = _grad_max(np.asarray(v, dtype=float), dx)
-    g1, g2, g3 = g[..., 0], g[..., 1], g[..., 2]
-    m = np.asarray(u, dtype=float).max(-1)
-    r1, r2, r3 = _reaction_rate_bounds(p, m[..., 0], m[..., 1], m[..., 2])
-    den1 = 2.0 * p.d1 + 2.0 * p.chi1 * g3 * dx + dx * dx * r1
-    den2 = 2.0 * p.d2 + 2.0 * p.chi2 * g3 * dx + dx * dx * r2
-    den3 = (
-        2.0 * p.d3
-        + 2.0 * (p.chi31 * g1 + p.chi32 * g2) * dx
-        + dx * dx * r3
-    )
-    dt = cfl * dx * dx / np.maximum(np.maximum(den1, den2), den3)
-    return np.minimum(dt, max_dt)
+    u = np.asarray(u, dtype=float)
+    m = u.max(-1).reshape(-1, 3).tolist()
+    g = _grad_max(np.asarray(v, dtype=float), dx).reshape(-1, 3).tolist()
+    dts = []
+    for (m1, m2, m3), (g1, g2, g3) in zip(m, g):
+        r1, r2, r3 = _reaction_rate_bounds(p, m1, m2, m3)
+        den1 = 2.0 * p.d1 + 2.0 * p.chi1 * g3 * dx + dx * dx * r1
+        den2 = 2.0 * p.d2 + 2.0 * p.chi2 * g3 * dx + dx * dx * r2
+        den3 = (
+            2.0 * p.d3
+            + 2.0 * (p.chi31 * g1 + p.chi32 * g2) * dx
+            + dx * dx * r3
+        )
+        dts.append(min(cfl * dx * dx / max(den1, den2, den3), max_dt))
+    return np.array(dts) if u.ndim == 3 else np.float64(dts[0])
 
 
 def stable_dt(s, p: ModelParams, cfl: float, max_dt: float = np.inf) -> float:
@@ -211,6 +214,13 @@ def _heun_species(u, v, p: ModelParams, dx: float, dt, scheme: str):
     return new, reaction_rate
 
 
+def _as_slice(rows: np.ndarray):
+    """A slice for sorted contiguous indices, else the index array itself."""
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 class _Stepper:
     """Array-level stepping kernel shared by both simulators.
 
@@ -247,26 +257,35 @@ class _Stepper:
     def member_label(self, b: int) -> str:
         return "limit run" if self.eps[b] is None else f"eps={self.eps[b]:g} run"
 
-    def _layout(self, members) -> list:
-        """Per chemical, for ``members`` (slice(None) for the whole batch, or
-        an index array): the rows whose chemical is elliptic, the rows whose
-        chemical updates exponentially, and the latter's factor cache."""
+    def _layout(self, members) -> tuple:
+        """For ``members`` (slice(None) for the whole batch, or an index
+        array): the elliptic solves as (chemical, rows) pairs grouped by
+        operator (lam, mu), and the exponential updates as (chemical, rows,
+        factor cache).  Contiguous rows are slices, which index by view."""
         key = None if isinstance(members, slice) else members.tobytes()
         if key not in self._layouts:
             ids = np.arange(len(self.eps))[members]
-            self._layouts[key] = []
-            for elliptic in self.elliptic[ids].T:
+            solves, exps = {}, []
+            for i, elliptic in enumerate(self.elliptic[ids].T):
+                rows = np.flatnonzero(elliptic)
+                if rows.size:
+                    op = self._lam[i], self._mu[i]
+                    solves.setdefault(op, []).append((i, _as_slice(rows)))
                 rows = np.flatnonzero(~elliptic)
-                eps = np.array([self.eps[b] for b in ids[rows]], dtype=float)[:, None]
-                # the rows' eps, then the dts and (decay, gain, ramp) factors in use
-                cache = [eps, None, None]
-                self._layouts[key].append((np.flatnonzero(elliptic), rows, cache))
+                if rows.size:
+                    eps = np.array([self.eps[b] for b in ids[rows]], dtype=float)[:, None]
+                    # the rows' eps, then the dts and (decay, gain, ramp) factors in use
+                    exps.append((i, _as_slice(rows), [eps, None, None]))
+            self._layouts[key] = list(solves.items()), exps
         return self._layouts[key]
 
     def solve_elliptic(self, u: np.ndarray, which: int) -> np.ndarray:
         """Resolvent of chemical ``which`` for (n,) or (B, n) densities."""
-        lam, mu, zeta = self._lam[which], self._mu[which], self._zeta[which]
-        rhs = zeta * u
+        return self._resolvent(self._lam[which], self._mu[which], self._zeta[which] * u)
+
+    def _resolvent(self, lam: float, mu: float, rhs: np.ndarray) -> np.ndarray:
+        # A^-1 rhs for an (n,) or (B, n) rhs; the iterative and spectral
+        # paths solve one right-hand side at a time
         if self.solver_method == "tridiagonal":
             # one multi-right-hand-side solve, right-hand sides as columns
             return _solve_tridiagonal_values(lam, mu, self.grid, rhs.T).T
@@ -278,13 +297,13 @@ class _Stepper:
         ]
         return np.reshape(rows, rhs.shape)
 
-    def _exp_chem(self, u_old, u_new, v, rows: np.ndarray, which: int, cache, dt):
+    def _exp_chem(self, u_old, u_new, v, rows, which: int, cache, dt):
         # chemical ``which`` of batch rows ``rows``, updated exponentially by
         # dt (one value, or one per batch row); the factors are recomputed
         # only when some row's dt changed
         lam, mu, zeta = self._lam[which], self._mu[which], self._zeta[which]
         eps, last, factors = cache
-        dts = dt[rows].tolist() if isinstance(dt, np.ndarray) else [dt] * rows.size
+        dts = dt[rows].tolist() if isinstance(dt, np.ndarray) else [dt] * len(eps)
         if dts != last:
             factors = _exp_factors(lam, mu, eps, np.array(dts)[:, None], self.grid)
             cache[1:] = dts, factors
@@ -295,18 +314,23 @@ class _Stepper:
         """Chemicals (B, 3, n) of ``members`` after their species moved from
         u_old to u_new by dt (one value, or an array of one per member)."""
         new_v = np.empty_like(v)
-        for i, (rows, exp_rows, cache) in enumerate(self._layout(members)):
-            if rows.size:
-                new_v[rows, i] = self.solve_elliptic(u_new[rows, i], i)
-            if exp_rows.size:
-                new_v[exp_rows, i] = self._exp_chem(u_old, u_new, v, exp_rows, i, cache, dt)
+        solves, exps = self._layout(members)
+        for (lam, mu), pairs in solves:
+            # one solve for every chemical of this operator
+            parts = [self._zeta[i] * u_new[rows, i] for i, rows in pairs]
+            x = self._resolvent(lam, mu, np.concatenate(parts))
+            start = 0
+            for (i, rows), part in zip(pairs, parts):
+                new_v[rows, i] = x[start:start + len(part)]
+                start += len(part)
+        for i, rows, cache in exps:
+            new_v[rows, i] = self._exp_chem(u_old, u_new, v, rows, i, cache, dt)
         return new_v
 
     def _check_finite(self, arrays: np.ndarray, prefix: str, t, dt, members) -> None:
-        bad = ~np.isfinite(arrays).all(-1)
-        if bad.any():
-            b, i = np.argwhere(bad)[0]
-            t_new = float(np.broadcast_to(np.add(t, dt), bad.shape[:1])[b])
+        if not np.isfinite(arrays).all():
+            b, i = np.argwhere(~np.isfinite(arrays).all(-1))[0]
+            t_new = float(np.broadcast_to(np.add(t, dt), arrays.shape[:1])[b])
             label = self.member_label(np.arange(len(self.eps))[members][b])
             raise BlowUpError(f"{prefix}{i + 1} ({label})", t_new)
 

@@ -359,3 +359,54 @@ def test_write_snapshots_matches_per_value_formatting(tmp_path):
             rows.append(",".join([f"{x[j]:.17g}"] + [f"{d[j]:.17g}" for d in data]))
         written = (tmp_path / f"t{i}_{t:.6g}.csv").read_text()
         assert written == "\n".join(rows) + "\n"
+
+
+# CLI runs whose CSVs and summaries are pinned byte for byte in tests/data/golden/<case>/.
+# The PDE path goes through array np.exp/np.expm1 and LAPACK, whose SIMD kernels
+# numpy and scipy pick per CPU: the files were recorded with numpy 2.4.6 and
+# scipy 1.17.1 on an x86-64 Xeon, and a mismatch under another build or CPU is
+# not by itself a regression; re-record from the parent commit to tell.
+_GOLDEN_CASES = {
+    "simulate_eps_mixed": ["simulate-eps", "--n", "48", "--T", "0.1", "--eps", "1e-3"],
+    "simulate_eps_fully_parabolic": ["simulate-eps", "--n", "48", "--T", "0.1",
+                                     "--eps", "1e-3", "--chemical_mode", "fully_parabolic"],
+    "simulate_limit": ["simulate-limit", "--n", "48", "--T", "0.1"],
+    "rate_study_on_manifold": ["rate-study", "--n", "16", "--T", "0.1",
+                               "--eps_list", "1e-2,1e-3,1e-4"],
+    # per-member dt: each step advances only the members short of the output time
+    "rate_study_gamma": ["rate-study", "--gamma", "0.5", "--n", "16", "--T", "0.1",
+                         "--eps_list", "1e-2,1e-3,1e-4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+def test_pde_outputs_match_golden(tmp_path, case):
+    assert main([*_GOLDEN_CASES[case], "--output_count", "3",
+                 "--outdir", str(tmp_path)]) == 0
+    golden = Path(__file__).parent / "data" / "golden" / case
+    written = {f.name for f in tmp_path.iterdir()} - {"config_echo.txt"}
+    assert written == {f.name for f in golden.iterdir()}
+    for name in sorted(written):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-eps", "--n", "16", "--T", "0.5"],
+        ["rate-study", "--n", "16", "--T", "0.1", "--eps_list", "1e-2,1e-3"],
+        ["ode-simulate", "--T", "1"],
+        ["ode-bifurcation", "--sweep_count", "2"],
+    ],
+    ids=["simulate-eps", "rate-study", "ode-simulate", "ode-bifurcation"],
+)
+def test_output_count_below_two_is_a_validation_error(tmp_path, capsys, argv):
+    # linspace(0, T, 1) is [0]: a PDE run would integrate nothing and report ok.
+    # The check is shared by every command, so the ODE commands reject 1 too.
+    rc = main([*argv, "--output_count", "1", "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="key ')
+    assert "'output_count'" in err[0]
+    assert not (tmp_path / "out").exists()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_solve_banded
 
 from fastsignal.grid import Field, make_grid, mode_eigenvalues, mode_vector
@@ -10,8 +10,10 @@ from fastsignal.linsolve import (
     HelmholtzOperator,
     SolverConvergenceError,
     _banded_cholesky,
+    _exp_factors,
     _project_modes,
     _exp_ramp_values,
+    _ramp_weight,
     _solve_tridiagonal_values,
     from_modes,
     gmres,
@@ -385,3 +387,43 @@ def test_helmholtz_paths_agree(n, lam, mu, seed):
     assert np.linalg.norm(sols["spectral"] - ref) <= direct * scale
     # ||A^-1|| tol ||b|| over ||x|| >= ||b|| / ||A||
     assert np.linalg.norm(sols["gmres"] - ref) <= (tol * cond + direct) * scale
+
+
+def _ramp_weight_reference(z):
+    small = z < 1e-3
+    zs = np.where(small, 1.0, z)
+    direct = 1.0 + np.expm1(-zs) / zs
+    series = z / 2.0 - z * z / 6.0 + z**3 / 24.0 - z**4 / 120.0
+    return np.where(small, series, direct)
+
+
+def _exp_factors_reference(lam, mu, eps, dt, grid):
+    """(decay, gain, ramp) as _exp_factors computed them before it cached the
+    mode rates and shared expm1(-z) with the ramp weight."""
+    b = mu - lam * mode_eigenvalues(grid)
+    z = b * (dt / eps)
+    return np.exp(-z), -np.expm1(-z) / b, _ramp_weight_reference(z) / b
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(4, 64), lam=st.floats(1e-3, 2.0), mu=st.floats(1e-3, 2.0),
+       eps=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4),
+       log_ratio=st.floats(-10.0, 1.0), column=st.booleans())
+# the rates at n = 64 span (0.1, 1.6e4): these steps put z on both sides of 1e-3
+@example(n=64, lam=1.0, mu=0.1, eps=[1e-3], log_ratio=-6.0, column=True)
+@example(n=64, lam=1.0, mu=0.1, eps=[1.0, 1e-3], log_ratio=-6.5, column=False)
+def test_exp_factors_equal_reference_formula(n, lam, mu, eps, log_ratio, column):
+    """The cached rates and shared expm1 leave every factor's bits unchanged,
+    with z below, above and on both sides of the series cut-off."""
+    grid = make_grid(1.0, n)
+    dt = np.array(eps) * 10.0 ** log_ratio
+    if column:
+        eps_arg, dt_arg = np.array(eps)[:, None], dt[:, None]
+    else:
+        eps_arg, dt_arg = eps[0], float(dt[0])
+    got = _exp_factors(lam, mu, eps_arg, dt_arg, grid)
+    want = _exp_factors_reference(lam, mu, eps_arg, dt_arg, grid)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    z = (mu - lam * mode_eigenvalues(grid)) * (dt_arg / eps_arg)
+    assert _ramp_weight(z, np.expm1(-z)).tobytes() == _ramp_weight_reference(z).tobytes()

@@ -15,12 +15,14 @@ from fastsignal.analysis import (
 )
 from fastsignal.grid import Field, make_grid
 from fastsignal.linsolve import HelmholtzOperator
-from fastsignal.model import default_params
+from fastsignal.model import _POSITIVE, ModelParams, default_params
 from fastsignal.ode import integrate, ode_rhs_3pop
 from fastsignal.sim_eps import (
     BlowUpError,
     StabilityError,
     State,
+    _grad_max,
+    _reaction_rate_bounds,
     _run_members,
     _stable_dt_values,
     _Stepper,
@@ -436,3 +438,86 @@ def test_per_member_dt_column_equals_one_member_steps(batch, mode, data):
         assert np.array_equal(new_v[b], ref_v[0])
         assert residual[b] == ref_res[0]
         assert np.array_equal(st_batch.clipped[b], one.clipped[0])
+
+
+def _stable_dt_array_formula(u, v, p, dx, cfl, max_dt=np.inf):
+    """The bound on (B,) arrays, as the stepper evaluated it before it moved
+    to Python floats."""
+    g = _grad_max(np.asarray(v, dtype=float), dx)
+    g1, g2, g3 = g[..., 0], g[..., 1], g[..., 2]
+    m = np.asarray(u, dtype=float).max(-1)
+    r1, r2, r3 = _reaction_rate_bounds(p, m[..., 0], m[..., 1], m[..., 2])
+    den1 = 2.0 * p.d1 + 2.0 * p.chi1 * g3 * dx + dx * dx * r1
+    den2 = 2.0 * p.d2 + 2.0 * p.chi2 * g3 * dx + dx * dx * r2
+    den3 = 2.0 * p.d3 + 2.0 * (p.chi31 * g1 + p.chi32 * g2) * dx + dx * dx * r3
+    dt = cfl * dx * dx / np.maximum(np.maximum(den1, den2), den3)
+    return np.minimum(dt, max_dt)
+
+
+@st.composite
+def model_params(draw):
+    """ModelParams with every coefficient drawn; the positive ones stay positive."""
+    return ModelParams(**{
+        name: draw(st.floats(1e-3 if name in _POSITIVE else 0.0, 5.0))
+        for name in ModelParams.__dataclass_fields__
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=model_params(), b=st.integers(1, 8), n=st.integers(4, 64), single=st.booleans(),
+       cfl=st.floats(1e-3, 1.0), max_dt=st.one_of(st.just(np.inf), st.floats(1e-8, 1.0)),
+       data=st.data())
+def test_stable_dt_values_equals_array_formula(p, b, n, single, cfl, max_dt, data):
+    """The per-member float bound is bitwise the (B,) array formula."""
+    shape = (3, n) if single else (b, 3, n)
+    u = data.draw(arrays(float, shape, elements=st.floats(0.0, 10.0)))
+    v = data.draw(arrays(float, shape, elements=st.floats(0.0, 100.0)))
+    dx = 1.0 / n
+    got = _stable_dt_values(u, v, p, dx, cfl, max_dt)
+    want = _stable_dt_array_formula(u, v, p, dx, cfl, max_dt)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 32), eps=st.lists(st.one_of(st.none(), st.floats(1e-5, 1.0)),
+                                           min_size=1, max_size=5),
+       lam=st.lists(st.sampled_from([0.5, 1.0]), min_size=3, max_size=3),
+       mu=st.lists(st.sampled_from([0.1, 0.4]), min_size=3, max_size=3),
+       zeta=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
+       mode=st.sampled_from(["mixed", "fully_parabolic"]),
+       method=st.sampled_from(["tridiagonal", "spectral", "gmres"]), data=st.data())
+def test_grouped_chemical_update_equals_per_chemical_update(n, eps, lam, mu, zeta, mode,
+                                                           method, data):
+    """advance_chemicals, with one solve per shared operator, is bitwise the
+    per-chemical solve_elliptic and _exp_chem updates of any member set."""
+    assume(mode == "mixed" or any(e is not None for e in eps))
+    p = P.with_updates(lambda1=lam[0], lambda2=lam[1], lambda3=lam[2],
+                       mu1=mu[0], mu2=mu[1], mu3=mu[2],
+                       zeta1=zeta[0], zeta2=zeta[1], zeta3=zeta[2])
+    grid = make_grid(1.0, n)
+    kw = dict(eps=eps, chemical_mode=mode, solver_method=method)
+    subset = data.draw(st.lists(st.integers(0, len(eps) - 1), min_size=1, unique=True))
+    members = slice(None) if data.draw(st.booleans()) else np.array(sorted(subset))
+    ids = np.arange(len(eps))[members]
+    u_old, u_new, v = (data.draw(arrays(float, (ids.size, 3, n), elements=st.floats(0.0, 3.0)))
+                       for _ in range(3))
+    dt = data.draw(st.one_of(st.floats(1e-6, 1e-2),
+                             arrays(float, ids.size, elements=st.floats(1e-6, 1e-2))))
+
+    ref = _Stepper(grid, p, **kw)
+    want = np.empty_like(v)
+    for i in range(3):
+        elliptic = ref.elliptic[ids, i]
+        rows = np.flatnonzero(elliptic)
+        if rows.size:
+            want[rows, i] = ref.solve_elliptic(u_new[rows, i], i)
+        rows = np.flatnonzero(~elliptic)
+        if rows.size:
+            eps_col = np.array([eps[b] for b in ids[rows]], dtype=float)[:, None]
+            want[rows, i] = ref._exp_chem(u_old, u_new, v, rows, i, [eps_col, None, None], dt)
+    stepper = _Stepper(grid, p, **kw)
+    for _ in range(2):  # the second call reuses the cached layout and factors
+        got = stepper.advance_chemicals(u_old, u_new, v, dt, members)
+        assert got.tobytes() == want.tobytes()
