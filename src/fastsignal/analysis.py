@@ -40,29 +40,29 @@ ERROR_FLOOR = 1e-9
 
 def norm_l2(f: Field) -> float:
     """sqrt(dx * sum f_j^2), the cell-centered L2 norm."""
-    return float(np.sqrt(f.grid.dx * np.sum(f.values * f.values)))
-
-
-def _grad_sq(f: Field) -> float:
-    d = np.diff(f.values) / f.grid.dx
-    return float(f.grid.dx * np.sum(d * d))
+    return float(_row_norms(f.values, f.grid.dx, 0))
 
 
 def norm_h1(f: Field) -> float:
     """L2 norm of the value plus the face-centered first difference."""
-    return float(np.sqrt(f.grid.dx * np.sum(f.values**2) + _grad_sq(f)))
+    return float(_row_norms(f.values, f.grid.dx, 1))
 
 
 def norm_h2_proxy(f: Field) -> float:
     """H1 plus the L2 norm of the discrete Laplacian."""
-    lap = _laplacian(f.values, f.grid.dx)
-    return float(
-        np.sqrt(
-            f.grid.dx * np.sum(f.values**2)
-            + _grad_sq(f)
-            + f.grid.dx * np.sum(lap * lap)
-        )
-    )
+    return float(_row_norms(f.values, f.grid.dx, 2))
+
+
+def _row_norms(x: np.ndarray, dx: float, order: int) -> np.ndarray:
+    # the L2 (order 0), H1 (1) or H2-proxy (2) norm of each row along the last axis
+    if order == 0:
+        return np.sqrt(dx * np.sum(x * x, axis=-1))
+    d = np.diff(x) / dx
+    sq = dx * np.sum(x**2, axis=-1) + dx * np.sum(d * d, axis=-1)
+    if order == 2:
+        lap = _laplacian(x, dx)
+        sq = sq + dx * np.sum(lap * lap, axis=-1)
+    return np.sqrt(sq)
 
 
 @dataclass(frozen=True)
@@ -198,24 +198,17 @@ def compare_trajectories(A: Trajectory, B: Trajectory) -> TrajectoryComparison:
     if ga != gb:
         raise ValueError("trajectories live on different grids")
 
-    sup = {k: 0.0 for k in ("u1", "u2", "u3", "v1", "v2", "v3_h1")}
-    v3_h2_sq = []
-    for sa, sb in zip(A.states, B.states):
-        for name in ("u1", "u2", "u3"):
-            d = Field(getattr(sa, name).values - getattr(sb, name).values, ga)
-            sup[name] = max(sup[name], norm_l2(d))
-        for name in ("v1", "v2"):
-            d = Field(getattr(sa, name).values - getattr(sb, name).values, ga)
-            sup[name] = max(sup[name], norm_h2_proxy(d))
-        d3 = Field(sa.v3.values - sb.v3.values, ga)
-        sup["v3_h1"] = max(sup["v3_h1"], norm_h1(d3))
-        v3_h2_sq.append(norm_h2_proxy(d3) ** 2)
-    l2h2 = float(np.sqrt(np.trapezoid(v3_h2_sq, A.times))) if len(A.times) > 1 else float(
-        np.sqrt(v3_h2_sq[0])
-    )
-    return TrajectoryComparison(
-        sup["u1"], sup["u2"], sup["u3"], sup["v1"], sup["v2"], sup["v3_h1"], l2h2
-    )
+    def norms(name, order):
+        # the norm of each snapshot's difference in one component, from (T, n) stacks
+        d = (np.array([getattr(s, name).values for s in A.states])
+             - np.array([getattr(s, name).values for s in B.states]))
+        return _row_norms(d, ga.dx, order)
+
+    sup = [float(norms(name, order).max()) for name, order in
+           (("u1", 0), ("u2", 0), ("u3", 0), ("v1", 2), ("v2", 2), ("v3", 1))]
+    v3_h2_sq = [h ** 2 for h in norms("v3", 2).tolist()]
+    l2h2 = float(np.sqrt(np.trapezoid(v3_h2_sq, A.times) if len(A.times) > 1 else v3_h2_sq[0]))
+    return TrajectoryComparison(*sup, l2h2)
 
 
 def fit_slope(eps: np.ndarray, err: np.ndarray, floor: float = ERROR_FLOOR):

@@ -98,15 +98,29 @@ def _chemotaxis_div(
     # broadcasts against the faces, one coefficient per leading row.  The sign
     # of chi selects the upwind side, so a negative chi evaluates
     # -|chi| div(u grad v) with donor cells chosen for the reversed drift.
+    return _face_div(u, _face_factors(v, chi, dx, scheme), dx, scheme)
+
+
+def _face_factors(v: np.ndarray, chi, dx: float, scheme: str) -> tuple:
+    # the v-only factors of the face flux, reusable while v is frozen: the
+    # parts of chi * grad(v) of either sign (upwind), or chi and grad(v) (central)
     g = (v[..., 1:] - v[..., :-1]) / dx
     if scheme == "upwind":
-        # donor cell of the drift -chi*grad(v): cell j+1 when chi*g > 0
         cg = chi * g
-        flux = np.maximum(cg, 0.0) * u[..., 1:] + np.minimum(cg, 0.0) * u[..., :-1]
-    elif scheme == "central":
-        flux = chi * (0.5 * (u[..., 1:] + u[..., :-1])) * g
+        return np.maximum(cg, 0.0), np.minimum(cg, 0.0)
+    if scheme == "central":
+        return chi, g
+    raise ValueError(f"unknown face scheme {scheme!r}")
+
+
+def _face_div(u: np.ndarray, faces: tuple, dx: float, scheme: str) -> np.ndarray:
+    # divergence of the face flux of u with the factors from _face_factors
+    a, b = faces
+    if scheme == "upwind":
+        # donor cell of the drift -chi*grad(v): cell j+1 when chi*g > 0
+        flux = a * u[..., 1:] + b * u[..., :-1]
     else:
-        raise ValueError(f"unknown face scheme {scheme!r}")
+        flux = a * (0.5 * (u[..., 1:] + u[..., :-1])) * b
     out = np.zeros(flux.shape[:-1] + u.shape[-1:])
     out[..., :-1] += flux
     out[..., 1:] -= flux

@@ -102,6 +102,9 @@ def kinetics(u1, u2, u3, p: ModelParams):
     f1 = alpha1 u1 (1 - u1 - beta1 u2) - m1 u1 / (eta1 + u1) * u3
     f2 = alpha2 u2 (1 - u2 - beta2 u1) - m2 u2 / (eta2 + u2) * u3
     f3 = (gamma1 m1 u1/(eta1+u1) + gamma2 m2 u2/(eta2+u2) - k) u3 - l u3^2
+
+    The PDE stepper evaluates this formula on coefficient planes
+    (sim_eps._species_rates), bitwise equal to it.
     """
     h1 = p.m1 * u1 / (p.eta1 + u1)
     h2 = p.m2 * u2 / (p.eta2 + u2)

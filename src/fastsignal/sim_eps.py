@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _chemotaxis_div, _laplacian
+from .grid import Field, Grid, _face_div, _face_factors, _laplacian
 from .linsolve import (
     _exp_factors,
     _exp_step,
@@ -30,7 +30,7 @@ from .linsolve import (
     HelmholtzOperator,
     helmholtz_solve,
 )
-from .model import ModelParams, kinetics
+from .model import ModelParams
 
 __all__ = [
     "State",
@@ -185,33 +185,54 @@ _DRIFT_U = np.array([0, 1, 2, 2])
 _DRIFT_V = np.array([2, 2, 0, 1])
 
 
-def _species_rhs(u, v, p: ModelParams, dx: float, scheme: str):
-    """Species right-hand sides and reaction terms, both shaped like u (..., 3, n)."""
-    f = np.stack(kinetics(u[..., 0, :], u[..., 1, :], u[..., 2, :], p), axis=-2)
-    chi = np.array([[p.chi1], [p.chi2], [-p.chi31], [-p.chi32]])
-    drift = _chemotaxis_div(u[..., _DRIFT_U, :], v[..., _DRIFT_V, :], chi, dx, scheme)
-    d = np.array([[p.d1], [p.d2], [p.d3]])
-    r = d * _laplacian(u, dx) + drift[..., :3, :]
-    r[..., 2, :] += drift[..., 3, :]
-    r += f
-    return r, f
+def _species_planes(p: ModelParams, b: int, n: int) -> dict:
+    """Full-shape (rows, b, n) coefficient planes of a species-major batch: d,
+    the prey pair's m, eta, alpha, beta and gamma, and chi on the drift faces."""
+    rows = {k: [getattr(p, k + "1"), getattr(p, k + "2")]
+            for k in ("m", "eta", "alpha", "beta", "gamma")}
+    rows.update(d=[p.d1, p.d2, p.d3], chi=[p.chi1, p.chi2, -p.chi31, -p.chi32])
+    return {k: np.full((len(r), b, n - (k == "chi")), np.reshape(r, (-1, 1, 1)))
+            for k, r in rows.items()}
 
 
-def _heun_species(u, v, p: ModelParams, dx: float, dt, scheme: str):
+def _species_rates(u, c: dict, p: ModelParams) -> np.ndarray:
+    """kinetics of species-major (3, ...) densities in its operation order,
+    both prey rates as one plane with the coefficient planes c."""
+    x, u3 = u[:2], u[2]
+    h = c["m"] * x / (c["eta"] + x)
+    f = np.empty_like(u)
+    np.subtract(c["alpha"] * x * (1.0 - x - c["beta"] * x[::-1]), h * u3, out=f[:2])
+    gh = c["gamma"] * h
+    np.subtract((gh[0] + gh[1] - p.k) * u3, p.l * u3 * u3, out=f[2])
+    return f
+
+
+def _heun_species(u, v, p: ModelParams, dx: float, dt, scheme: str, c: dict):
     """One SSP-RK2 step of the species subsystem with frozen chemicals.
 
-    u and v are (..., 3, n); dt is a float or an array that broadcasts
-    against them, such as a (B, 1, 1) column of per-member steps.  Returns the
-    pre-clip update and the time-centred reaction mass rate per species
-    (transport contributes exactly zero total mass).
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r, fa = _species_rhs(u, v, p, dx, scheme)
-    q, fb = _species_rhs(u + dt * r, v, p, dx, scheme)
-    new = u + 0.5 * dt * (r + q)
+    u and v are (B, 3, n); dt is a float or a (B, 1, 1) column of per-member
+    steps; c holds _species_planes(p, B, n).  Returns the pre-clip update and
+    the time-centred (B, 3) reaction mass rate per species (transport
+    contributes exactly zero total mass).  Works on species-major (3, B, n)
+    copies; the v-only face factors serve both stages."""
+    us = np.ascontiguousarray(np.transpose(u, (1, 0, 2)), dtype=float)
+    if np.ndim(dt):
+        dt = np.reshape(dt, (1, -1, 1))
+    faces = _face_factors(np.transpose(v, (1, 0, 2))[_DRIFT_V], c["chi"], dx, scheme)
+
+    def rhs(x):
+        f = _species_rates(x, c, p)
+        drift = _face_div(x[_DRIFT_U], faces, dx, scheme)
+        r = c["d"] * _laplacian(x, dx) + drift[:3]
+        r[2] += drift[3]
+        r += f
+        return r, f
+
+    r, fa = rhs(us)
+    q, fb = rhs(us + dt * r)
+    new = us + 0.5 * dt * (r + q)
     reaction_rate = dx * 0.5 * (fa.sum(-1) + fb.sum(-1))
-    return new, reaction_rate
+    return np.ascontiguousarray(new.transpose(1, 0, 2)), reaction_rate.T
 
 
 def _as_slice(rows: np.ndarray):
@@ -253,6 +274,7 @@ class _Stepper:
         self._mu = (p.mu1, p.mu2, p.mu3)
         self._zeta = (p.zeta1, p.zeta2, p.zeta3)
         self._layouts = {}
+        self._planes = {}  # batch size -> _species_planes
 
     def member_label(self, b: int) -> str:
         return "limit run" if self.eps[b] is None else f"eps={self.eps[b]:g} run"
@@ -348,9 +370,12 @@ class _Stepper:
         dt_col = dt[:, None] if per_member else dt
         dx = self.grid.dx
         mass_old = u.sum(-1) * dx
+        if len(u) not in self._planes:
+            self._planes[len(u)] = _species_planes(self.p, len(u), self.grid.n)
         with np.errstate(over="ignore", invalid="ignore"):
             new_u, reaction_rate = _heun_species(
-                u, v, self.p, dx, dt_col[..., None] if per_member else dt, self.scheme)
+                u, v, self.p, dx, dt_col[..., None] if per_member else dt, self.scheme,
+                self._planes[len(u)])
         self._check_finite(new_u, "u", t, dt, members)
         mass_pre = new_u.sum(-1) * dx
         scale = np.maximum(np.abs(mass_old), 1.0)
@@ -502,6 +527,9 @@ def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
         raise ValueError("T must be non-negative")
     if len(v30s) != len(stepper.eps):
         raise ValueError("need one slow-chemical datum (or None) per member")
+    if dt is not None and not (np.isfinite(dt) & np.greater(dt, 0.0)).all():
+        # a step of 0 never reaches T and a negative one runs backwards
+        raise ValueError("a fixed dt must be finite and positive")
     data = [*u0, *(f for f in v30s if f is not None)]
     if any(f.grid != stepper.grid for f in data):
         raise ValueError("initial fields live on different grids")

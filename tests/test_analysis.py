@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fastsignal.analysis import (
     InitialLayerSpec,
@@ -19,7 +21,7 @@ from fastsignal.analysis import (
 )
 from fastsignal.grid import Field, make_grid, mode_eigenvalues, mode_vector
 from fastsignal.model import default_params
-from fastsignal.sim_eps import default_initial_fields
+from fastsignal.sim_eps import State, Trajectory, default_initial_fields
 from fastsignal.sim_limit import run_limit
 
 P = default_params()
@@ -147,6 +149,46 @@ def test_compare_trajectories_identical_and_shifted():
     comp = compare_trajectories(traj, shifted)
     assert np.isclose(comp.err_u1, c, atol=1e-12)
     assert comp.err_u2 == 0.0 and comp.err_u3 == 0.0
+
+
+def _compare_per_snapshot(A, B):
+    """compare_trajectories as a loop of the Field norms over the snapshots."""
+    grid = A.states[0].grid
+    sup = {k: 0.0 for k in ("u1", "u2", "u3", "v1", "v2", "v3_h1")}
+    v3_h2_sq = []
+    for sa, sb in zip(A.states, B.states):
+        for name in ("u1", "u2", "u3"):
+            d = Field(getattr(sa, name).values - getattr(sb, name).values, grid)
+            sup[name] = max(sup[name], norm_l2(d))
+        for name in ("v1", "v2"):
+            d = Field(getattr(sa, name).values - getattr(sb, name).values, grid)
+            sup[name] = max(sup[name], norm_h2_proxy(d))
+        d3 = Field(sa.v3.values - sb.v3.values, grid)
+        sup["v3_h1"] = max(sup["v3_h1"], norm_h1(d3))
+        v3_h2_sq.append(norm_h2_proxy(d3) ** 2)
+    l2h2 = (float(np.sqrt(np.trapezoid(v3_h2_sq, A.times))) if len(A.times) > 1
+            else float(np.sqrt(v3_h2_sq[0])))
+    return [sup[k] for k in ("u1", "u2", "u3", "v1", "v2", "v3_h1")] + [l2h2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(1, 20), n=st.integers(4, 64), data=st.data())
+def test_compare_trajectories_equals_per_snapshot_norms(t, n, data):
+    """Row-wise norms of stacked snapshots are bitwise the per-snapshot Field norms."""
+    grid = make_grid(1.0, n)
+    times = np.linspace(0.0, 1.0, t)
+
+    def trajectory():
+        values = data.draw(arrays(float, (t, 6, n), elements=st.floats(-100.0, 100.0)))
+        states = [State(float(s), None, *(Field(x, grid) for x in v))
+                  for s, v in zip(times, values)]
+        return Trajectory(times, states, np.zeros(3), np.zeros(3), 0, 0.0)
+
+    a, b = trajectory(), trajectory()
+    got = list(compare_trajectories(a, b).as_dict().values())
+    want = _compare_per_snapshot(a, b)
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_compare_trajectories_rejects_mismatches():

@@ -370,6 +370,8 @@ _GOLDEN_CASES = {
     "simulate_eps_mixed": ["simulate-eps", "--n", "48", "--T", "0.1", "--eps", "1e-3"],
     "simulate_eps_fully_parabolic": ["simulate-eps", "--n", "48", "--T", "0.1",
                                      "--eps", "1e-3", "--chemical_mode", "fully_parabolic"],
+    "simulate_eps_central": ["simulate-eps", "--flux_scheme", "central", "--n", "48",
+                             "--T", "0.1", "--eps", "1e-3"],
     "simulate_limit": ["simulate-limit", "--n", "48", "--T", "0.1"],
     "rate_study_on_manifold": ["rate-study", "--n", "16", "--T", "0.1",
                                "--eps_list", "1e-2,1e-3,1e-4"],

@@ -13,17 +13,20 @@ from fastsignal.analysis import (
     make_layer_data,
     norm_l2,
 )
-from fastsignal.grid import Field, make_grid
+from fastsignal.grid import Field, _laplacian, make_grid
 from fastsignal.linsolve import HelmholtzOperator
-from fastsignal.model import _POSITIVE, ModelParams, default_params
+from fastsignal.model import _POSITIVE, ModelParams, default_params, kinetics
 from fastsignal.ode import integrate, ode_rhs_3pop
 from fastsignal.sim_eps import (
     BlowUpError,
     StabilityError,
     State,
     _grad_max,
+    _heun_species,
     _reaction_rate_bounds,
     _run_members,
+    _species_planes,
+    _species_rates,
     _stable_dt_values,
     _Stepper,
     default_initial_fields,
@@ -300,6 +303,22 @@ def test_run_rejects_bad_inputs():
         run_eps(u10, u20, u30, other, 1e-3, 1.0, P)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
+def test_fixed_dt_must_be_finite_and_positive(dt):
+    # a zero step never reaches T; a negative one steps backwards until it blows up
+    grid = make_grid(1.0, 8)
+    u10, u20, u30 = default_initial_fields(grid)
+    v30 = Field.constant(grid, 1.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_eps(u10, u20, u30, v30, 1e-3, 0.1, P, dt=dt)
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_limit(u10, u20, u30, 0.1, P, dt=dt)
+    # per member: one bad step among good ones is enough
+    with pytest.raises(ValueError, match="finite and positive"):
+        _run_members(_Stepper(grid, P, eps=[1e-3, None]), (u10, u20, u30), [v30, None],
+                     0.1, None, dt=[1e-4, dt])
+
+
 def test_oscillatory_regime_homogeneous_long_run():
     """Homogeneous predator-prey cycling on the coarse grid: spatial means
     must oscillate as detected on the corresponding ODE trajectory."""
@@ -521,3 +540,84 @@ def test_grouped_chemical_update_equals_per_chemical_update(n, eps, lam, mu, zet
     for _ in range(2):  # the second call reuses the cached layout and factors
         got = stepper.advance_chemicals(u_old, u_new, v, dt, members)
         assert got.tobytes() == want.tobytes()
+
+
+def _chemotaxis_div_reference(u, v, chi, dx, scheme):
+    """grid._chemotaxis_div as one function, before it was split into the
+    v-only face factors and the face divergence."""
+    g = (v[..., 1:] - v[..., :-1]) / dx
+    if scheme == "upwind":
+        cg = chi * g
+        flux = np.maximum(cg, 0.0) * u[..., 1:] + np.minimum(cg, 0.0) * u[..., :-1]
+    else:
+        flux = chi * (0.5 * (u[..., 1:] + u[..., :-1])) * g
+    out = np.zeros(flux.shape[:-1] + u.shape[-1:])
+    out[..., :-1] += flux
+    out[..., 1:] -= flux
+    out /= dx
+    return out
+
+
+def _heun_species_reference(u, v, p, dx, dt, scheme):
+    """The batch-major Heun step with kinetics and the chemotaxis divergence
+    called per stage, as the stepper evaluated it before the species-major
+    kernel."""
+    def rhs(u):
+        f = np.stack(kinetics(u[..., 0, :], u[..., 1, :], u[..., 2, :], p), axis=-2)
+        chi = np.array([[p.chi1], [p.chi2], [-p.chi31], [-p.chi32]])
+        drift = _chemotaxis_div_reference(u[..., [0, 1, 2, 2], :], v[..., [2, 2, 0, 1], :],
+                                          chi, dx, scheme)
+        d = np.array([[p.d1], [p.d2], [p.d3]])
+        r = d * _laplacian(u, dx) + drift[..., :3, :]
+        r[..., 2, :] += drift[..., 3, :]
+        r += f
+        return r, f
+
+    r, fa = rhs(u)
+    q, fb = rhs(u + dt * r)
+    return u + 0.5 * dt * (r + q), dx * 0.5 * (fa.sum(-1) + fb.sum(-1))
+
+
+@st.composite
+def params_with_zero_chi(draw):
+    """model_params with each drift coefficient zeroed at random."""
+    p = draw(model_params())
+    zero = {k: 0.0 for k in ("chi1", "chi2", "chi31", "chi32") if draw(st.booleans())}
+    return p.with_updates(**zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=params_with_zero_chi(), b=st.integers(1, 6), n=st.integers(4, 64),
+       scheme=st.sampled_from(["upwind", "central"]), per_member=st.booleans(),
+       data=st.data())
+def test_heun_species_equals_batch_major_reference(p, b, n, scheme, per_member, data):
+    """The species-major kernel is bitwise the per-stage reference, also for
+    zero densities and for steps far above the stable one, whose second
+    stage sees negative densities."""
+    u = data.draw(arrays(float, (b, 3, n), elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))))
+    v = data.draw(arrays(float, (b, 3, n), elements=st.floats(0.0, 30.0)))
+    step = st.floats(1e-6, 1.0, allow_subnormal=False)
+    dt = (data.draw(arrays(float, (b, 1, 1), elements=step)) if per_member
+          else data.draw(step))
+    dx = 1.0 / n
+    with np.errstate(all="ignore"):
+        want_u, want_rate = _heun_species_reference(u, v, p, dx, dt, scheme)
+        assume(np.isfinite(want_u).all() and np.isfinite(want_rate).all())
+        got_u, got_rate = _heun_species(u, v, p, dx, dt, scheme, _species_planes(p, b, n))
+    assert got_u.shape == want_u.shape and got_rate.shape == want_rate.shape
+    assert got_u.tobytes() == want_u.tobytes()
+    assert np.ascontiguousarray(got_rate).tobytes() == want_rate.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=model_params(), b=st.integers(1, 6), n=st.integers(1, 64), data=st.data())
+def test_species_rates_equal_kinetics(p, b, n, data):
+    """Both prey rates as one plane are bitwise kinetics, negative densities included."""
+    u = data.draw(arrays(float, (3, b, n), elements=st.one_of(
+        st.just(0.0), st.floats(-10.0, 10.0, allow_subnormal=False))))
+    with np.errstate(all="ignore"):
+        want = np.stack(kinetics(u[0], u[1], u[2], p))
+        assume(np.isfinite(want).all())
+        got = _species_rates(u, _species_planes(p, b, n), p)
+    assert got.tobytes() == want.tobytes()
