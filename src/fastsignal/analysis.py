@@ -140,7 +140,6 @@ def manifold_distance(s, p: ModelParams) -> float:
 def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
                             eps_list, T: float, p: ModelParams, output_times, *,
                             cfl: float = 0.45, scheme: str = "upwind",
-                            solver_method: str = "tridiagonal", solver_tol: float = 1e-10,
                             chemical_mode: str = "mixed"):
     """Distance from the critical manifold at each output time, per eps.
 
@@ -153,8 +152,7 @@ def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | s
     if not eps:
         raise ValueError("eps_list must not be empty")
     v30s = [make_layer_data(u30, InitialLayerSpec(gamma, e), p) for e in eps]
-    st = _Stepper(u10.grid, p, eps=eps, scheme=scheme, solver_method=solver_method,
-                  solver_tol=solver_tol, chemical_mode=chemical_mode)
+    st = _Stepper(u10.grid, p, eps=eps, scheme=scheme, chemical_mode=chemical_mode)
     trajs = _run_members(st, (u10, u20, u30), v30s, T, output_times, cfl=cfl)
     dist = np.array([[manifold_distance(s, p) for s in tr.states] for tr in trajs])
     eps_in = np.array([initial_layer_size(u30, v30, p) for v30 in v30s])
@@ -264,9 +262,7 @@ class RateReport:
 
 def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
                eps_list, T: float, p: ModelParams, *, n_outputs: int = 64,
-               cfl: float = 0.45, scheme: str = "upwind",
-               solver_method: str = "tridiagonal", solver_tol: float = 1e-10,
-               chemical_mode: str = "mixed",
+               cfl: float = 0.45, scheme: str = "upwind", chemical_mode: str = "mixed",
                floor: float = ERROR_FLOOR) -> RateReport:
     """Sweep the relaxation parameter and fit per-component convergence rates.
 
@@ -301,7 +297,6 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
         # each eps run gets its own limit run, both at dt_eps
         limits, dts = [None] * k, [dt0 * float(np.sqrt(e / eps[0])) for e in eps] * 2
     st = _Stepper(u10.grid, p, eps=[*eps, *limits], scheme=scheme,
-                  solver_method=solver_method, solver_tol=solver_tol,
                   chemical_mode=chemical_mode)
     trajs = _run_members(st, (u10, u20, u30), [*v30s, *limits], T,
                          np.linspace(0.0, T, n_outputs), dt=dts)

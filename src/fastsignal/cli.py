@@ -73,8 +73,6 @@ _REGISTRY: dict[str, tuple[str, object]] = {
     "gamma": ("gamma", "on_manifold"),
     "chemical_mode": ("choice:mixed,fully_parabolic", "mixed"),
     "flux_scheme": ("choice:upwind,central", "upwind"),
-    "solver_method": ("choice:tridiagonal,gmres,spectral", "tridiagonal"),
-    "solver_tol": ("float", 1e-10),
     "seed": ("int", 0),
     "outdir": ("str", "out"),
     "ode_model": ("choice:3pop,pp", "3pop"),
@@ -204,8 +202,6 @@ def _validate(values: dict) -> None:
     g = values["gamma"]
     if g != "on_manifold" and g < 0:
         raise ConfigError("key 'gamma' must be non-negative or 'on_manifold'")
-    if values["solver_tol"] <= 0:
-        raise ConfigError("key 'solver_tol' must be positive")
     if values["sweep_count"] < 1 or values["sweep_max"] <= values["sweep_min"]:
         raise ConfigError("sweep range must be non-empty with sweep_count >= 1")
     if values["sweep_param"] not in _PARAM_KEYS:
@@ -294,7 +290,6 @@ def _cmd_simulate_eps(cfg: RunConfig) -> int:
     traj = run_eps(
         u10, u20, u30, v30, cfg.eps, T, p, times, cfl=cfg.cfl,
         scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
-        solver_method=cfg.solver_method, solver_tol=cfg.solver_tol,
     )
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "simulate-eps", T)
@@ -310,10 +305,7 @@ def _cmd_simulate_limit(cfg: RunConfig) -> int:
     grid = cfg.make_grid()
     u10, u20, u30 = default_initial_fields(grid)
     times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
-    traj = run_limit(
-        u10, u20, u30, T, p, times, cfl=cfg.cfl, scheme=cfg.flux_scheme,
-        solver_method=cfg.solver_method, solver_tol=cfg.solver_tol,
-    )
+    traj = run_limit(u10, u20, u30, T, p, times, cfl=cfg.cfl, scheme=cfg.flux_scheme)
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "simulate-limit", T)
     _write_snapshots(out, traj, ("u1", "u2", "u3", "v1", "v2", "v3"))
@@ -330,8 +322,7 @@ def _cmd_rate_study(cfg: RunConfig) -> int:
     report = rate_study(
         u10, u20, u30, cfg.gamma, cfg.eps_list, T, p,
         n_outputs=cfg.output_count, cfl=min(0.45, cfg.cfl),
-        scheme=cfg.flux_scheme, solver_method=cfg.solver_method,
-        solver_tol=cfg.solver_tol, chemical_mode=cfg.chemical_mode,
+        scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
     )
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "rate-study", T)
@@ -352,8 +343,7 @@ def _cmd_manifold_distance(cfg: RunConfig) -> int:
     times, dist, eps_in = manifold_distance_study(
         u10, u20, u30, cfg.gamma, cfg.eps_list, T, p,
         np.linspace(0.0, T, cfg.output_count), cfl=min(0.45, cfg.cfl),
-        scheme=cfg.flux_scheme, solver_method=cfg.solver_method,
-        solver_tol=cfg.solver_tol, chemical_mode=cfg.chemical_mode,
+        scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
     )
     rows = ["eps,t,eps_t"]
     for eps, d in zip(cfg.eps_list, dist):

@@ -34,6 +34,10 @@ class Grid:
             raise ValueError(f"cell count must be an integer >= 4, got n={self.n}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "L", float(self.L))
+        if not 0.0 < self.dx * self.dx < np.inf:
+            # every operator divides by dx * dx
+            raise ValueError(
+                f"cell width squared must be positive and finite, got L={self.L}, n={self.n}")
 
     @property
     def dx(self) -> float:

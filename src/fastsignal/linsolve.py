@@ -3,7 +3,8 @@
 The operator A = -lam * Lap + mu * I on the Neumann grid is symmetric positive
 definite with smallest eigenvalue mu, so it admits three interchangeable solve
 paths: banded Cholesky elimination, restarted GMRES, and expansion in the
-discrete cosine modes.  The exponential update advances
+discrete cosine modes.  Time stepping uses the banded Cholesky alone; the
+other two paths cross-check it.  The exponential update advances
 eps * dv/dt = lam * Lap v - mu * v + source exactly per mode for a source
 varying linearly over the step.
 """

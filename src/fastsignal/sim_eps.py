@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, _face_div, _face_factors, _laplacian
-from .linsolve import (
-    _exp_factors,
-    _exp_step,
-    _solve_tridiagonal_values,
-    HelmholtzOperator,
-    helmholtz_solve,
-)
+from .linsolve import _exp_factors, _exp_step, _solve_tridiagonal_values
 from .model import ModelParams
 
 __all__ = [
@@ -55,7 +49,9 @@ class BlowUpError(RuntimeError):
 
 
 class StabilityError(RuntimeError):
-    """A prescribed fixed step exceeds the current stability bound."""
+    """A step cannot advance a run: a prescribed fixed step exceeds the
+    current stability bound, or a member's step is too small to move its
+    clock to the next output time."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +249,6 @@ class _Stepper:
     """
 
     def __init__(self, grid: Grid, p: ModelParams, *, scheme: str = "upwind",
-                 solver_method: str = "tridiagonal", solver_tol: float = 1e-10,
                  eps=None, chemical_mode: str = "mixed"):
         if chemical_mode not in ("mixed", "fully_parabolic"):
             raise ValueError(f"unknown chemical_mode {chemical_mode!r}")
@@ -264,8 +259,6 @@ class _Stepper:
         self.grid = grid
         self.p = p
         self.scheme = scheme
-        self.solver_method = solver_method
-        self.solver_tol = solver_tol
         self.eps = eps
         self.elliptic = np.column_stack(
             [limit | (chemical_mode == "mixed")] * 2 + [limit])
@@ -303,21 +296,9 @@ class _Stepper:
 
     def solve_elliptic(self, u: np.ndarray, which: int) -> np.ndarray:
         """Resolvent of chemical ``which`` for (n,) or (B, n) densities."""
-        return self._resolvent(self._lam[which], self._mu[which], self._zeta[which] * u)
-
-    def _resolvent(self, lam: float, mu: float, rhs: np.ndarray) -> np.ndarray:
-        # A^-1 rhs for an (n,) or (B, n) rhs; the iterative and spectral
-        # paths solve one right-hand side at a time
-        if self.solver_method == "tridiagonal":
-            # one multi-right-hand-side solve, right-hand sides as columns
-            return _solve_tridiagonal_values(lam, mu, self.grid, rhs.T).T
-        op = HelmholtzOperator(lam, mu, self.grid)
-        rows = [
-            helmholtz_solve(op, Field(r, self.grid), method=self.solver_method,
-                            tol=self.solver_tol)[0].values
-            for r in np.atleast_2d(rhs)
-        ]
-        return np.reshape(rows, rhs.shape)
+        lam, mu, zeta = self._lam[which], self._mu[which], self._zeta[which]
+        # one multi-right-hand-side banded Cholesky solve, right-hand sides as columns
+        return _solve_tridiagonal_values(lam, mu, self.grid, (zeta * u).T).T
 
     def _exp_chem(self, u_old, u_new, v, rows, which: int, cache, dt):
         # chemical ``which`` of batch rows ``rows``, updated exponentially by
@@ -340,7 +321,7 @@ class _Stepper:
         for (lam, mu), pairs in solves:
             # one solve for every chemical of this operator
             parts = [self._zeta[i] * u_new[rows, i] for i, rows in pairs]
-            x = self._resolvent(lam, mu, np.concatenate(parts))
+            x = _solve_tridiagonal_values(lam, mu, self.grid, np.concatenate(parts).T).T
             start = 0
             for (i, rows), part in zip(pairs, parts):
                 new_v[rows, i] = x[start:start + len(part)]
@@ -411,14 +392,12 @@ def _states(stepper: _Stepper, t: float, u: np.ndarray, v: np.ndarray) -> list:
 
 
 def step(s: State, p: ModelParams, dt: float, *, scheme: str = "upwind",
-         chemical_mode: str = "mixed", solver_method: str = "tridiagonal",
-         solver_tol: float = 1e-10) -> State:
+         chemical_mode: str = "mixed") -> State:
     """One split step of the relaxation-time system, or of the limiting
     system when s.eps is None."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    st = _Stepper(s.grid, p, eps=s.eps, scheme=scheme, chemical_mode=chemical_mode,
-                  solver_method=solver_method, solver_tol=solver_tol)
+    st = _Stepper(s.grid, p, eps=s.eps, scheme=scheme, chemical_mode=chemical_mode)
     u = (s.u1.values, s.u2.values, s.u3.values)
     v = (s.v1.values, s.v2.values, s.v3.values)
     u, v, _ = st.step(s.t, u, v, dt)
@@ -444,7 +423,8 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
     steps with its own dt: its entry of dt_fixed (one value, or one per
     member), checked against its own stability bound, or its own stable step.
     Each member shortens its last step to land on each output time and then
-    waits until every member has landed there.
+    waits until every member has landed there.  A step too small to move the
+    output time it heads for raises StabilityError instead of stepping forever.
     """
     u, v = _as_batch(u), _as_batch(v)
     times = _normalise_output_times(T, output_times)
@@ -480,6 +460,13 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
                         raise StabilityError(
                             f"fixed dt {h:.3e} exceeds the stability bound {c:.3e} "
                             f"of the {stepper.member_label(b)} at t={t[b]:.6g}")
+            for b, h in zip(rows, nominal):
+                # h is below half an ulp of the target, so reaching it would
+                # take more than ~2**52 steps
+                if target + h == target:
+                    raise StabilityError(
+                        f"step {h:.3e} of the {stepper.member_label(b)} at t={t[b]:.6g} "
+                        f"is too small to reach the output time {target:.6g}")
             dts = [target - t[b] if target - t[b] <= h * (1.0 + 1e-9) else h
                    for b, h in zip(rows, nominal)]
             # the benchmark's tracer (perfbench/child.py) sums step's dt
@@ -547,8 +534,7 @@ def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
 def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float,
             p: ModelParams, output_times=None, *, cfl: float = 0.9,
             dt: float | None = None, scheme: str = "upwind",
-            chemical_mode: str = "mixed", solver_method: str = "tridiagonal",
-            solver_tol: float = 1e-10) -> Trajectory:
+            chemical_mode: str = "mixed") -> Trajectory:
     """Integrate the relaxation-time system from t = 0 to T.
 
     The elliptic chemicals are initialised from the species data; v30 is the
@@ -558,7 +544,6 @@ def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    st = _EpsStepper(u10.grid, p, eps, scheme=scheme, chemical_mode=chemical_mode,
-                     solver_method=solver_method, solver_tol=solver_tol)
+    st = _EpsStepper(u10.grid, p, eps, scheme=scheme, chemical_mode=chemical_mode)
     return _run_members(st, (u10, u20, u30), [v30], T, output_times, cfl=cfl,
                         dt=dt)[0]

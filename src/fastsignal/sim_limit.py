@@ -18,14 +18,12 @@ __all__ = ["run_limit"]
 
 def run_limit(u10: Field, u20: Field, u30: Field, T: float, p: ModelParams,
               output_times=None, *, cfl: float = 0.9, dt: float | None = None,
-              scheme: str = "upwind", solver_method: str = "tridiagonal",
-              solver_tol: float = 1e-10) -> Trajectory:
+              scheme: str = "upwind") -> Trajectory:
     """Integrate the limiting system from t = 0 to T.
 
     All chemicals, including v3, start from elliptic solves at the species
     data, so the trajectory begins on the critical manifold.
     """
-    st = _LimitStepper(u10.grid, p, scheme=scheme, solver_method=solver_method,
-                       solver_tol=solver_tol)
+    st = _LimitStepper(u10.grid, p, scheme=scheme)
     return _run_members(st, (u10, u20, u30), [None], T, output_times, cfl=cfl,
                         dt=dt)[0]

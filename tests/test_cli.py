@@ -96,9 +96,21 @@ def test_missing_config_file():
         parse_config("/nonexistent/path.cfg")
 
 
-def test_main_validation_exit_code(tmp_path):
+def test_main_validation_exit_code(tmp_path, capsys):
     rc = main(["simulate-eps", "--n", "3", "--outdir", str(tmp_path / "o")])
     assert rc == 1
+    # a cell width whose square is 0 or inf is rejected before any operator
+    # divides by it
+    for L in ("1e-200", "1e160"):
+        capsys.readouterr()
+        rc = main(["simulate-eps", "--n", "16", "--T", "0.01", "--L", L,
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith('fastsignal: status=error kind=validation msg="')
+        assert f"L={float(L)}" in err[0] and "n=16" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_simulate_eps_zero_horizon(tmp_path):
@@ -272,21 +284,40 @@ def test_usage_error_maps_to_validation():
     assert main(["no-such-command"]) == 1
 
 
-def test_main_numerical_failure_exit_code(tmp_path):
-    # an unattainable GMRES tolerance must surface as a numerical failure
-    rc = main(["simulate-limit", "--T", "0.001", "--n", "256", "--output_count", "2",
-               "--solver_method", "gmres", "--solver_tol", "1e-15",
-               "--outdir", str(tmp_path / "fail")])
+def test_main_numerical_failure_exit_code(tmp_path, capsys):
+    # the stable step, 8.9e-306, cannot move the clock to T = 0.01: this must
+    # surface as a numerical failure, not as a run of ~1e303 steps
+    rc = main(["simulate-eps", "--n", "16", "--T", "0.01", "--output_count", "2",
+               "--chi1", "1e305", "--outdir", str(tmp_path / "fail")])
     assert rc == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith('fastsignal: status=error kind=numerical msg="step ')
+    assert "too small" in lines[0]
 
 
-def test_unknown_flag_prints_validation_line(capsys):
-    rc = main(["simulate-eps", "--etd_order", "2"])
+def test_unknown_flag_prints_validation_line(tmp_path, capsys):
+    # removed options: the exponential-update order, and the stepper's
+    # elliptic solver choice (stepping always uses the banded Cholesky)
+    for flag, value in (("--etd_order", "2"), ("--solver_method", "gmres"),
+                        ("--solver_tol", "1e-10")):
+        rc = main(["simulate-eps", flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith('fastsignal: status=error kind=validation msg="')
+        assert flag in err[0]
+    # so is an old config echo that still holds a removed key
+    cfg = tmp_path / "config_echo.txt"
+    cfg.write_text("n = 16\nsolver_method = tridiagonal\n")
+    rc = main(["simulate-eps", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith('fastsignal: status=error kind=validation msg="')
-    assert "--etd_order" in err[0]
+    assert "unknown key 'solver_method'" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,11 @@ def test_make_grid_rejects_bad_input():
         make_grid(0.0, 16)
     with pytest.raises(ValueError):
         make_grid(-1.0, 16)
+    # dx * dx underflows to 0 or overflows to inf
+    with pytest.raises(ValueError, match=r"L=1e-200, n=16"):
+        make_grid(1e-200, 16)
+    with pytest.raises(ValueError, match=r"L=1e\+160, n=16"):
+        make_grid(1e160, 16)
 
 
 def test_field_validation():

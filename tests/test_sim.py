@@ -279,6 +279,20 @@ def test_fixed_dt_above_stability_bound_raises():
         run_eps(u10, u20, u30, v30, 1e-3, 0.1, P, np.array([0.0, 0.1]), dt=1.0)
 
 
+def test_step_too_small_to_reach_output_raises():
+    # each step passes the finite-and-positive and stability checks but is
+    # below half an ulp of the output time: unchecked, these runs never return
+    grid = make_grid(1.0, 8)
+    u10, u20, u30 = default_initial_fields(grid)
+    v30 = Field.constant(grid, 1.0)
+    with pytest.raises(StabilityError, match=r"step 1\.000e-320 of the limit run at t=0"):
+        run_limit(u10, u20, u30, 0.01, P, dt=1e-320)
+    with pytest.raises(StabilityError, match=r"step 1\.000e-320 of the eps=0\.001 run"):
+        run_eps(u10, u20, u30, v30, 1e-3, 0.01, P, dt=1e-320)
+    with pytest.raises(StabilityError, match="too small to reach the output time"):
+        run_eps(u10, u20, u30, v30, 1e-3, 0.01, P, cfl=1e-300)
+
+
 def test_blow_up_detection():
     grid = make_grid(1.0, 16)
     s = make_homogeneous_state(grid, c=(1e200, 1.0, 1.0))
@@ -505,10 +519,9 @@ def test_stable_dt_values_equals_array_formula(p, b, n, single, cfl, max_dt, dat
        lam=st.lists(st.sampled_from([0.5, 1.0]), min_size=3, max_size=3),
        mu=st.lists(st.sampled_from([0.1, 0.4]), min_size=3, max_size=3),
        zeta=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
-       mode=st.sampled_from(["mixed", "fully_parabolic"]),
-       method=st.sampled_from(["tridiagonal", "spectral", "gmres"]), data=st.data())
+       mode=st.sampled_from(["mixed", "fully_parabolic"]), data=st.data())
 def test_grouped_chemical_update_equals_per_chemical_update(n, eps, lam, mu, zeta, mode,
-                                                           method, data):
+                                                           data):
     """advance_chemicals, with one solve per shared operator, is bitwise the
     per-chemical solve_elliptic and _exp_chem updates of any member set."""
     assume(mode == "mixed" or any(e is not None for e in eps))
@@ -516,7 +529,7 @@ def test_grouped_chemical_update_equals_per_chemical_update(n, eps, lam, mu, zet
                        mu1=mu[0], mu2=mu[1], mu3=mu[2],
                        zeta1=zeta[0], zeta2=zeta[1], zeta3=zeta[2])
     grid = make_grid(1.0, n)
-    kw = dict(eps=eps, chemical_mode=mode, solver_method=method)
+    kw = dict(eps=eps, chemical_mode=mode)
     subset = data.draw(st.lists(st.integers(0, len(eps) - 1), min_size=1, unique=True))
     members = slice(None) if data.draw(st.booleans()) else np.array(sorted(subset))
     ids = np.arange(len(eps))[members]
