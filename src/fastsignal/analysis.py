@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, _laplacian, mode_eigenvalues
-from .linsolve import HelmholtzOperator, from_modes, helmholtz_solve, to_modes
+from .grid import Field, _laplacian
+from .linsolve import _mode_rates, _spectral_resolvent, from_modes, to_modes
 from .model import ModelParams
 from .sim_eps import Trajectory, _run_members, _Stepper, initial_stable_dt
 
@@ -86,9 +86,7 @@ class InitialLayerSpec:
 
 def manifold_projection(u: Field, p: ModelParams) -> Field:
     """Chemical v with (u, v) on the discrete critical manifold."""
-    op = HelmholtzOperator(p.lambda3, p.mu3, u.grid)
-    v, _ = helmholtz_solve(op, Field(p.zeta3 * u.values, u.grid), method="spectral")
-    return v
+    return Field(_spectral_resolvent(p.lambda3, p.mu3, u.grid, p.zeta3 * u.values), u.grid)
 
 
 def _layer_residual(u30: Field, v30: Field, p: ModelParams) -> Field:
@@ -324,8 +322,7 @@ def semigroup_identity_residual(f: Field, lam: float, mu: float, S: float) -> fl
     """
     if S <= 0:
         raise ValueError("S must be positive")
-    ak = mode_eigenvalues(f.grid)
-    b = mu - lam * ak
+    b = _mode_rates(lam, mu, f.grid.L, f.grid.n)
     # per-mode difference of the two reconstructions, with the common factor
     # c_k/b_k shared so the tail e^{-b_k S} is not drowned by subtraction noise
     gap = to_modes(f.values) / b * (1.0 + np.expm1(-b * S))

@@ -133,10 +133,10 @@ def _face_div(u: np.ndarray, faces: tuple, dx: float, scheme: str) -> np.ndarray
 
 
 def mode_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalues a_k <= 0 of the discrete Neumann Laplacian, k = 0..n-1."""
-    n, dx = grid.n, grid.dx
-    k = np.arange(n)
-    return -(2.0 / (dx * dx)) * (1.0 - np.cos(k * np.pi / n))
+    """Eigenvalues a_k = -(4 / dx^2) sin^2(k pi / 2n) <= 0 of the discrete Neumann
+    Laplacian, k = 0..n-1; the form 1 - cos(k pi / n) would cancel for k << n."""
+    s = np.sin(np.arange(grid.n) * (0.5 * np.pi / grid.n))
+    return -(4.0 / (grid.dx * grid.dx)) * (s * s)
 
 
 def mode_vector(grid: Grid, k: int) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 The operator A = -lam * Lap + mu * I on the Neumann grid is symmetric positive
 definite with smallest eigenvalue mu, so it admits three interchangeable solve
-paths: banded Cholesky elimination, restarted GMRES, and expansion in the
-discrete cosine modes.  Time stepping uses the banded Cholesky alone; the
-other two paths cross-check it.  The exponential update advances
-eps * dv/dt = lam * Lap v - mu * v + source exactly per mode for a source
-varying linearly over the step.
+paths: expansion in the discrete cosine modes, banded Cholesky elimination,
+and restarted GMRES.  Time stepping works in the cosine modes, which
+diagonalise A exactly; the other two paths cross-check it.  The exponential
+update advances eps * dv/dt = lam * Lap v - mu * v + source exactly per mode
+for a source varying linearly over the step.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import Field, Grid, _laplacian, mode_eigenvalues, mode_vector
+from .grid import Field, Grid, _laplacian, mode_eigenvalues
 
 __all__ = [
     "HelmholtzOperator",
@@ -69,41 +69,46 @@ class SolverConvergenceError(RuntimeError):
 
 @cache
 def _scipy() -> SimpleNamespace:
-    """scipy's DCT and banded-Cholesky routines, imported on first use.
-
-    Importing them takes longer than a short ODE command, which needs none of
-    them; after the first call a lookup costs a cached call.
-    """
-    from scipy.fft import dct, idct
+    """scipy's banded Cholesky, imported on first use: only the "tridiagonal"
+    Helmholtz path needs it, and importing it outlasts a short command."""
     from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dpbtrs
 
-    return SimpleNamespace(dct=dct, idct=idct, cholesky_banded=cholesky_banded,
-                           dpbtrs=dpbtrs)
+    return SimpleNamespace(cholesky_banded=cholesky_banded, dpbtrs=dpbtrs)
+
+
+@lru_cache(maxsize=64)
+def _dct_plan(n: int) -> tuple:
+    """Gathers and scaled twiddles of the length-n cosine-mode transforms:
+    Makhoul's DCT through one real FFT of the even samples followed by the odd
+    ones reversed.  Read circularly reversed, that sequence has the conjugate
+    FFT, so each coefficient is the real or imaginary part of one twiddled
+    product and one gather of the (re, im) pairs emits them all."""
+    k, j = np.arange(n // 2 + 1), np.arange(n)
+    even_odd = np.concatenate([j[::2], j[1::2][::-1]])
+    w = np.exp(0.5j * np.pi / n * k)
+    fwd_twiddle = np.where(k == 0, 1.0 / n, (2.0 / n) * w)  # the mode normalisation
+    fwd_out = np.where(j < k.size, 2 * j, 2 * (n - j) + 1)
+    # inverse mode k is c_k + i c_{n-k}; at k = 0 the real twiddle and irfft drop the i c_0
+    inv_in = np.stack([k, (n - k) % n], axis=-1).ravel()
+    inv_twiddle = np.where(k == 0, 1.0, 0.5 * w.conj())
+    return even_odd[-j % n], fwd_twiddle, fwd_out, inv_in, inv_twiddle, -np.argsort(even_odd) % n
 
 
 def to_modes(values: np.ndarray) -> np.ndarray:
     """Coefficients c with values_j = sum_k c_k cos(k pi (j+1/2) / n), along the last axis."""
-    c = _scipy().dct(values, type=2)
-    c /= values.shape[-1]
-    c[..., 0] *= 0.5
-    return c
+    into, twiddle, out = _dct_plan(values.shape[-1])[:3]
+    z = np.fft.rfft(values.take(into, axis=-1))
+    z *= twiddle
+    return z.view(float).take(out, axis=-1)
 
 
 def from_modes(coeffs: np.ndarray) -> np.ndarray:
-    y = coeffs * coeffs.shape[-1]
-    y[..., 0] *= 2.0
-    return _scipy().idct(y, type=2)
-
-
-def _project_modes(values: np.ndarray, n: int) -> np.ndarray:
-    # plain O(n^2) projection; must agree with the DCT path to round-off
-    g = Grid(1.0, n)
-    phi = np.stack([mode_vector(g, k) for k in range(n)])
-    c = phi @ values
-    c *= 2.0 / n
-    c[0] *= 0.5
-    return c
+    """Values of the mode coefficients coeffs: the inverse of to_modes."""
+    into, twiddle, out = _dct_plan(coeffs.shape[-1])[3:]
+    z = coeffs.take(into, axis=-1).astype(float, copy=False).view(complex)
+    z *= twiddle
+    return np.fft.irfft(z, coeffs.shape[-1], norm="forward").take(out, axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -148,13 +153,11 @@ def helmholtz_solve(
     if rhs.grid != op.grid:
         raise ValueError("rhs grid does not match the operator grid")
     b = rhs.values
+    iters = 0
     if method == "tridiagonal":
         x = _solve_tridiagonal_values(op.lam, op.mu, op.grid, b)
-        iters = 0
     elif method == "spectral":
-        ak = mode_eigenvalues(op.grid)
-        x = from_modes(to_modes(b) / (-op.lam * ak + op.mu))
-        iters = 0
+        x = _spectral_resolvent(op.lam, op.mu, op.grid, b)
     elif method == "gmres":
         if tol <= 0:
             raise ValueError("iterative solve needs tol > 0")
@@ -264,10 +267,20 @@ def _ramp_weight(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _mode_rates(lam: float, mu: float, L: float, n: int) -> np.ndarray:
-    # b_k = mu - lam a_k, the per-mode rates of the exponential update
+    """b_k = mu - lam a_k, the per-mode rates of A = -lam Lap + mu.  A decay
+    lost in the round-off of the largest rate (A singular in floating point)
+    is rejected, not turned into inf or noise by the solves that divide."""
     b = mu - lam * mode_eigenvalues(Grid(L, n))
+    if b[-1] > 2.0**53 * mu:  # b_k grows with k
+        raise ValueError(f"decay mu={mu:g} is lost in the round-off of the largest mode "
+                         f"rate {b[-1]:.3g} of lam={lam:g} on n={n} cells")
     b.flags.writeable = False
     return b
+
+
+def _spectral_resolvent(lam: float, mu: float, grid: Grid, rhs: np.ndarray) -> np.ndarray:
+    """Solve (-lam Lap + mu) v = rhs along the last axis, mode by mode."""
+    return from_modes(to_modes(rhs) / _mode_rates(lam, mu, grid.L, grid.n))
 
 
 def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):
@@ -284,9 +297,10 @@ def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):
     return np.exp(-z), -em1 / b, _ramp_weight(z, em1) / b
 
 
-def _exp_step(factors, v: np.ndarray, source_start: np.ndarray,
-              source_end: np.ndarray) -> np.ndarray:
-    """Exponential update from precomputed factors, along the last axis.
+def _exp_ramp_values(lam: float, mu: float, eps: float, dt: float, v: np.ndarray,
+                     source_start: np.ndarray, source_end: np.ndarray,
+                     grid: Grid) -> np.ndarray:
+    """Advance eps * dv/dt = lam * Lap v - mu * v + source over dt.
 
     Exact for a source varying linearly from source_start to source_end over
     the step.  Per mode: v <- e^-z v + (1-e^-z)/b s0 + psi(z)/b (s1 - s0) with
@@ -295,17 +309,10 @@ def _exp_step(factors, v: np.ndarray, source_start: np.ndarray,
     which is what makes relaxation-vs-limit differences measurable for small
     eps at practical step sizes.
     """
-    decay, gain, ramp = factors
-    c, s0, s1 = to_modes(np.stack([v, source_start, source_end]))
-    return from_modes(decay * c + gain * s0 + ramp * (s1 - s0))
-
-
-def _exp_ramp_values(lam: float, mu: float, eps: float, dt: float, v: np.ndarray,
-                     source_start: np.ndarray, source_end: np.ndarray,
-                     grid: Grid) -> np.ndarray:
-    """Advance eps * dv/dt = lam * Lap v - mu * v + source over dt by _exp_step."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _exp_step(_exp_factors(lam, mu, eps, dt, grid), v, source_start, source_end)
+    decay, gain, ramp = _exp_factors(lam, mu, eps, dt, grid)
+    c, s0, s1 = to_modes(np.stack([v, source_start, source_end]))
+    return from_modes(decay * c + gain * s0 + ramp * (s1 - s0))

@@ -3,11 +3,11 @@ equations with chemotaxis, two elliptic chemicals, and one slow-evolution
 parabolic chemical.
 
 One step applies a first-order splitting: an explicit Heun (SSP-RK2) update of
-the species transport + reaction, a refresh of the elliptic chemicals at the
-new densities, and an exponential update of the slow chemical that is exact
-per mode for a source varying linearly over the step.  Species stay
-non-negative under the stable_dt bound; negative round-off is clipped and
-accounted.
+the species transport + reaction, then the chemicals in the cosine modes of
+the grid, which diagonalise their operators: the elliptic ones solved at the
+new densities, and the slow one updated exponentially, exactly per mode for a
+source varying linearly over the step.  Species stay non-negative under the
+stable_dt bound; negative round-off is clipped and accounted.
 
 The stepping kernel is batch-native: one step advances B members, each by its
 own dt, held as (B, 3, n) species and chemical arrays.  A member is either a
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid, _face_div, _face_factors, _laplacian
-from .linsolve import _exp_factors, _exp_step, _solve_tridiagonal_values
+from .linsolve import _exp_factors, _mode_rates, _spectral_resolvent, from_modes, to_modes
 from .model import ModelParams
 
 __all__ = [
@@ -170,8 +170,8 @@ def initial_stable_dt(u10: Field, u20: Field, u30: Field, v30: Field,
     """stable_dt of the state a run starts from: the species data, v30, and
     the fast chemicals at their elliptic solves from the species data."""
     grid = u10.grid
-    v1 = _solve_tridiagonal_values(p.lambda1, p.mu1, grid, p.zeta1 * u10.values)
-    v2 = _solve_tridiagonal_values(p.lambda2, p.mu2, grid, p.zeta2 * u20.values)
+    v1 = _spectral_resolvent(p.lambda1, p.mu1, grid, p.zeta1 * u10.values)
+    v2 = _spectral_resolvent(p.lambda2, p.mu2, grid, p.zeta2 * u20.values)
     return float(_stable_dt_values((u10.values, u20.values, u30.values),
                                    (v1, v2, v30.values), p, grid.dx, cfl))
 
@@ -265,70 +265,66 @@ class _Stepper:
         self.clipped = np.zeros((len(eps), 3))
         self._lam = (p.lambda1, p.lambda2, p.lambda3)
         self._mu = (p.mu1, p.mu2, p.mu3)
-        self._zeta = (p.zeta1, p.zeta2, p.zeta3)
+        self._zeta = np.array([[p.zeta1], [p.zeta2], [p.zeta3]])
+        self._rates = np.stack([_mode_rates(lam, mu, grid.L, grid.n)
+                                for lam, mu in zip(self._lam, self._mu)])
         self._layouts = {}
         self._planes = {}  # batch size -> _species_planes
 
     def member_label(self, b: int) -> str:
         return "limit run" if self.eps[b] is None else f"eps={self.eps[b]:g} run"
 
-    def _layout(self, members) -> tuple:
+    def _layout(self, members) -> list:
         """For ``members`` (slice(None) for the whole batch, or an index
-        array): the elliptic solves as (chemical, rows) pairs grouped by
-        operator (lam, mu), and the exponential updates as (chemical, rows,
-        factor cache).  Contiguous rows are slices, which index by view."""
+        array): the exponential updates as (chemical, rows, factor cache).
+        Contiguous rows are slices, which index by view."""
         key = None if isinstance(members, slice) else members.tobytes()
         if key not in self._layouts:
             ids = np.arange(len(self.eps))[members]
-            solves, exps = {}, []
+            exps = []
             for i, elliptic in enumerate(self.elliptic[ids].T):
-                rows = np.flatnonzero(elliptic)
-                if rows.size:
-                    op = self._lam[i], self._mu[i]
-                    solves.setdefault(op, []).append((i, _as_slice(rows)))
                 rows = np.flatnonzero(~elliptic)
                 if rows.size:
                     eps = np.array([self.eps[b] for b in ids[rows]], dtype=float)[:, None]
                     # the rows' eps, then the dts and (decay, gain, ramp) factors in use
                     exps.append((i, _as_slice(rows), [eps, None, None]))
-            self._layouts[key] = list(solves.items()), exps
+            self._layouts[key] = exps
         return self._layouts[key]
 
     def solve_elliptic(self, u: np.ndarray, which: int) -> np.ndarray:
         """Resolvent of chemical ``which`` for (n,) or (B, n) densities."""
-        lam, mu, zeta = self._lam[which], self._mu[which], self._zeta[which]
-        # one multi-right-hand-side banded Cholesky solve, right-hand sides as columns
-        return _solve_tridiagonal_values(lam, mu, self.grid, (zeta * u).T).T
-
-    def _exp_chem(self, u_old, u_new, v, rows, which: int, cache, dt):
-        # chemical ``which`` of batch rows ``rows``, updated exponentially by
-        # dt (one value, or one per batch row); the factors are recomputed
-        # only when some row's dt changed
-        lam, mu, zeta = self._lam[which], self._mu[which], self._zeta[which]
-        eps, last, factors = cache
-        dts = dt[rows].tolist() if isinstance(dt, np.ndarray) else [dt] * len(eps)
-        if dts != last:
-            factors = _exp_factors(lam, mu, eps, np.array(dts)[:, None], self.grid)
-            cache[1:] = dts, factors
-        return _exp_step(factors, v[rows, which], zeta * u_old[rows, which],
-                         zeta * u_new[rows, which])
+        return _spectral_resolvent(self._lam[which], self._mu[which], self.grid,
+                                   self._zeta[which] * u)
 
     def advance_chemicals(self, u_old, u_new, v, dt, members=slice(None)) -> np.ndarray:
         """Chemicals (B, 3, n) of ``members`` after their species moved from
-        u_old to u_new by dt (one value, or an array of one per member)."""
-        new_v = np.empty_like(v)
-        solves, exps = self._layout(members)
-        for (lam, mu), pairs in solves:
-            # one solve for every chemical of this operator
-            parts = [self._zeta[i] * u_new[rows, i] for i, rows in pairs]
-            x = _solve_tridiagonal_values(lam, mu, self.grid, np.concatenate(parts).T).T
-            start = 0
-            for (i, rows), part in zip(pairs, parts):
-                new_v[rows, i] = x[start:start + len(part)]
-                start += len(part)
+        u_old to u_new by dt (one value, or an array of one per member).
+
+        One forward cosine-mode transform takes every new source, plus v and
+        the old source of the exponentially updated rows, and one inverse
+        returns all three chemicals."""
+        exps = self._layout(members)
+        sources = (self._zeta * u_new).reshape(-1, u_new.shape[-1])
+        stack = [sources]
+        for i, rows, _ in exps:
+            stack += [v[rows, i], self._zeta[i] * u_old[rows, i]]
+        modes = to_modes(np.concatenate(stack) if exps else sources)
+        s1 = modes[:len(sources)].reshape(u_new.shape)
+        new = s1 / self._rates
+        start = len(sources)
         for i, rows, cache in exps:
-            new_v[rows, i] = self._exp_chem(u_old, u_new, v, rows, i, cache, dt)
-        return new_v
+            eps, last, factors = cache
+            dts = dt[rows].tolist() if isinstance(dt, np.ndarray) else [dt] * len(eps)
+            if dts != last:
+                # recomputed only when some row's dt changed
+                factors = _exp_factors(self._lam[i], self._mu[i], eps,
+                                       np.array(dts)[:, None], self.grid)
+                cache[1:] = dts, factors
+            decay, gain, ramp = factors
+            c, s0 = modes[start:start + 2 * len(eps)].reshape(2, len(eps), -1)
+            start += 2 * len(eps)
+            new[rows, i] = decay * c + gain * s0 + ramp * (s1[rows, i] - s0)
+        return from_modes(new)
 
     def _check_finite(self, arrays: np.ndarray, prefix: str, t, dt, members) -> None:
         if not np.isfinite(arrays).all():

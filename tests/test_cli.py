@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,33 @@ def test_parse_config_gamma_and_eps_list():
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/path.cfg")
+
+
+@pytest.mark.parametrize(
+    "argv, mu",
+    [
+        (["simulate-eps", "--n", "8", "--T", "0.01", "--mu1", "1e-300"], "mu=1e-300"),
+        (["simulate-eps", "--n", "8", "--T", "0.01", "--mu1", "5e-324"], "mu=4.94066e-324"),
+        (["simulate-limit", "--n", "8", "--T", "0.01", "--mu3", "1e-300"], "mu=1e-300"),
+        (["rate-study", "--n", "16", "--T", "0.1", "--eps_list", "1e-2,1e-3,1e-4",
+          "--mu2", "1e-300"], "mu=1e-300"),
+    ],
+    ids=["simulate-eps-mu1", "simulate-eps-mu1-subnormal", "simulate-limit-mu3",
+         "rate-study-mu2"],
+)
+def test_decay_lost_in_round_off_is_a_validation_error(tmp_path, capsys, argv, mu):
+    # mu below 2**-53 of the largest mode rate: the operator is singular in
+    # floating point, so no run may report ok or write inf into its outputs
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="decay ')
+    assert mu in err[0] and "lam=1" in err[0] and f"n={argv[2]}" in err[0]
+    assert not (tmp_path / "out" / "rate_report.csv").exists()
 
 
 def test_main_validation_exit_code(tmp_path, capsys):
@@ -346,34 +374,41 @@ _IMPORT_GUARD = """
 import sys
 from fastsignal.cli import main
 
+def loaded(*roots):
+    return [m for m in sys.modules if m.split(".")[0] in roots]
+
 out = sys.argv[1]
 assert main(["ode-bifurcation", "--ode_model", "pp", "--eta1", "0.2", "--eta2", "0.2",
              "--sweep_min", "0.6", "--sweep_max", "0.7", "--sweep_count", "2",
              "--t_osc", "100", "--outdir", out + "/bif"]) == 0
 assert main(["ode-simulate", "--ode_model", "3pop", "--T", "20",
              "--outdir", out + "/sim"]) == 0
-loaded = [m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing")]
-assert not loaded, loaded
+# the PDE commands transform with numpy's FFT; a layer study is one batch in
+# this process, so no process pool is loaded either
+flags = ["--n", "16", "--T", "0.05", "--output_count", "2", "--eps_list", "1e-2,1e-3,1e-4"]
 assert main(["simulate-eps", "--T", "0.001", "--n", "16", "--output_count", "2",
-             "--outdir", out + "/pde"]) == 0
-assert "scipy.fft" in sys.modules
-# a layer study is one batch in this process: no process pool is loaded
-assert main(["rate-study", "--gamma", "0.5", "--n", "16", "--T", "0.05",
-             "--output_count", "2", "--eps_list", "1e-2,1e-3,1e-4",
-             "--outdir", out + "/layer"]) == 0
-loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
-assert not loaded, loaded
+             "--outdir", out + "/eps"]) == 0
+assert main(["simulate-limit", "--T", "0.001", "--n", "16", "--output_count", "2",
+             "--outdir", out + "/limit"]) == 0
+assert main(["rate-study", *flags, "--outdir", out + "/rate"]) == 0
+assert main(["rate-study", *flags, "--gamma", "0.5", "--outdir", out + "/layer"]) == 0
+assert main(["manifold-distance", *flags, "--outdir", out + "/md"]) == 0
+assert not loaded("scipy", "multiprocessing"), loaded("scipy", "multiprocessing")
+assert "concurrent.futures.process" not in sys.modules
+# verify cross-checks the banded Cholesky solve, which is scipy's
+assert main(["verify"]) == 0
+assert "scipy.linalg" in sys.modules
 """
 
 
-def test_ode_commands_import_neither_scipy_nor_multiprocessing(tmp_path):
+def test_only_verify_imports_scipy_and_no_command_multiprocessing(tmp_path):
     src = str(Path(fastsignal.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
                             env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.count("status=ok") == 4
+    assert result.stdout.count("status=ok") == 8
 
 
 def test_write_snapshots_matches_per_value_formatting(tmp_path):
@@ -393,10 +428,10 @@ def test_write_snapshots_matches_per_value_formatting(tmp_path):
 
 
 # CLI runs whose CSVs and summaries are pinned byte for byte in tests/data/golden/<case>/.
-# The PDE path goes through array np.exp/np.expm1 and LAPACK, whose SIMD kernels
-# numpy and scipy pick per CPU: the files were recorded with numpy 2.4.6 and
-# scipy 1.17.1 on an x86-64 Xeon, and a mismatch under another build or CPU is
-# not by itself a regression; re-record from the parent commit to tell.
+# The PDE path goes through array np.exp/np.expm1 and numpy's FFT, whose SIMD
+# kernels numpy picks per CPU: the files were recorded with numpy 2.4.6 on an
+# x86-64 Xeon, and a mismatch under another build or CPU is not by itself a
+# regression; re-record from the parent commit to tell.
 _GOLDEN_CASES = {
     "simulate_eps_mixed": ["simulate-eps", "--n", "48", "--T", "0.1", "--eps", "1e-3"],
     "simulate_eps_fully_parabolic": ["simulate-eps", "--n", "48", "--T", "0.1",

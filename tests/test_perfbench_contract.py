@@ -65,5 +65,5 @@ def test_traced_smoke_operation_reaches_its_layers(tmp_path, workload):
     if workload == "ode_sweep":
         assert calls["ode.integrate"] > 0
     else:
-        for name in ("sim_eps.step", "sim_eps.stable_dt", "linsolve.tridiagonal"):
+        for name in ("sim_eps.step", "sim_eps.stable_dt", "linsolve.exp_factors"):
             assert calls[name] > 0, name

@@ -14,7 +14,7 @@ from fastsignal.analysis import (
     norm_l2,
 )
 from fastsignal.grid import Field, _laplacian, make_grid
-from fastsignal.linsolve import HelmholtzOperator
+from fastsignal.linsolve import HelmholtzOperator, _exp_ramp_values, from_modes, to_modes
 from fastsignal.model import _POSITIVE, ModelParams, default_params, kinetics
 from fastsignal.ode import integrate, ode_rhs_3pop
 from fastsignal.sim_eps import (
@@ -202,7 +202,6 @@ def test_limit_constant_predator_resolvent():
 
 def test_limit_initial_v3_matches_truncated_semigroup_integral():
     from fastsignal.grid import mode_eigenvalues
-    from fastsignal.linsolve import from_modes, to_modes
 
     grid = make_grid(1.0, 32)
     u10, u20, u30 = default_initial_fields(grid)
@@ -522,8 +521,9 @@ def test_stable_dt_values_equals_array_formula(p, b, n, single, cfl, max_dt, dat
        mode=st.sampled_from(["mixed", "fully_parabolic"]), data=st.data())
 def test_grouped_chemical_update_equals_per_chemical_update(n, eps, lam, mu, zeta, mode,
                                                            data):
-    """advance_chemicals, with one solve per shared operator, is bitwise the
-    per-chemical solve_elliptic and _exp_chem updates of any member set."""
+    """advance_chemicals, one transform pair for every chemical of the
+    batch, is bitwise the per-chemical solve_elliptic and per-row
+    _exp_ramp_values updates of any member set."""
     assume(mode == "mixed" or any(e is not None for e in eps))
     p = P.with_updates(lambda1=lam[0], lambda2=lam[1], lambda3=lam[2],
                        mu1=mu[0], mu2=mu[1], mu3=mu[2],
@@ -545,10 +545,10 @@ def test_grouped_chemical_update_equals_per_chemical_update(n, eps, lam, mu, zet
         rows = np.flatnonzero(elliptic)
         if rows.size:
             want[rows, i] = ref.solve_elliptic(u_new[rows, i], i)
-        rows = np.flatnonzero(~elliptic)
-        if rows.size:
-            eps_col = np.array([eps[b] for b in ids[rows]], dtype=float)[:, None]
-            want[rows, i] = ref._exp_chem(u_old, u_new, v, rows, i, [eps_col, None, None], dt)
+        for r in np.flatnonzero(~elliptic):
+            want[r, i] = _exp_ramp_values(lam[i], mu[i], eps[ids[r]],
+                                          float(np.broadcast_to(dt, ids.shape)[r]), v[r, i],
+                                          zeta[i] * u_old[r, i], zeta[i] * u_new[r, i], grid)
     stepper = _Stepper(grid, p, **kw)
     for _ in range(2):  # the second call reuses the cached layout and factors
         got = stepper.advance_chemicals(u_old, u_new, v, dt, members)
