@@ -26,7 +26,7 @@ from .linsolve import (
     gmres,
     helmholtz_solve,
 )
-from .model import ModelParams, OdeState, default_params, kinetics, kinetics_jacobian
+from .model import ModelParams, default_params, kinetics, kinetics_jacobian
 from .ode import (
     BranchPoint,
     OdeTrajectory,

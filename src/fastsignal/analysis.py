@@ -137,8 +137,7 @@ def manifold_distance(s, p: ModelParams) -> float:
 
 def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
                             eps_list, T: float, p: ModelParams, output_times, *,
-                            cfl: float = 0.45, scheme: str = "upwind",
-                            chemical_mode: str = "mixed"):
+                            cfl: float = 0.45, chemical_mode: str = "mixed"):
     """Distance from the critical manifold at each output time, per eps.
 
     Each eps run starts from slow-chemical data at layer size eps**gamma.
@@ -150,7 +149,7 @@ def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | s
     if not eps:
         raise ValueError("eps_list must not be empty")
     v30s = [make_layer_data(u30, InitialLayerSpec(gamma, e), p) for e in eps]
-    st = _Stepper(u10.grid, p, eps=eps, scheme=scheme, chemical_mode=chemical_mode)
+    st = _Stepper(u10.grid, p, eps=eps, chemical_mode=chemical_mode)
     trajs = _run_members(st, (u10, u20, u30), v30s, T, output_times, cfl=cfl)
     dist = np.array([[manifold_distance(s, p) for s in tr.states] for tr in trajs])
     eps_in = np.array([initial_layer_size(u30, v30, p) for v30 in v30s])
@@ -260,7 +259,7 @@ class RateReport:
 
 def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
                eps_list, T: float, p: ModelParams, *, n_outputs: int = 64,
-               cfl: float = 0.45, scheme: str = "upwind", chemical_mode: str = "mixed",
+               cfl: float = 0.45, chemical_mode: str = "mixed",
                floor: float = ERROR_FLOOR) -> RateReport:
     """Sweep the relaxation parameter and fit per-component convergence rates.
 
@@ -294,8 +293,7 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     else:
         # each eps run gets its own limit run, both at dt_eps
         limits, dts = [None] * k, [dt0 * float(np.sqrt(e / eps[0])) for e in eps] * 2
-    st = _Stepper(u10.grid, p, eps=[*eps, *limits], scheme=scheme,
-                  chemical_mode=chemical_mode)
+    st = _Stepper(u10.grid, p, eps=[*eps, *limits], chemical_mode=chemical_mode)
     trajs = _run_members(st, (u10, u20, u30), [*v30s, *limits], T,
                          np.linspace(0.0, T, n_outputs), dt=dts)
 

@@ -72,7 +72,6 @@ _REGISTRY: dict[str, tuple[str, object]] = {
     "eps_list": ("floatlist", (1e-2, 1e-3, 1e-4, 1e-5)),
     "gamma": ("gamma", "on_manifold"),
     "chemical_mode": ("choice:mixed,fully_parabolic", "mixed"),
-    "flux_scheme": ("choice:upwind,central", "upwind"),
     "seed": ("int", 0),
     "outdir": ("str", "out"),
     "ode_model": ("choice:3pop,pp", "3pop"),
@@ -210,6 +209,9 @@ def _validate(values: dict) -> None:
         )
     if values["ode_rtol"] <= 0 or values["ode_atol"] <= 0:
         raise ConfigError("ODE tolerances must be positive")
+    if values["t_osc"] <= 0:
+        # t_osc = 0 would report oscillating=0 for values never integrated
+        raise ConfigError("key 't_osc' must be positive")
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -287,10 +289,8 @@ def _cmd_simulate_eps(cfg: RunConfig) -> int:
     T = cfg.resolve_T("simulate-eps")
     grid, u10, u20, u30, v30 = _initial_data(cfg, p, cfg.eps)
     times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
-    traj = run_eps(
-        u10, u20, u30, v30, cfg.eps, T, p, times, cfl=cfg.cfl,
-        scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
-    )
+    traj = run_eps(u10, u20, u30, v30, cfg.eps, T, p, times, cfl=cfg.cfl,
+                   chemical_mode=cfg.chemical_mode)
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "simulate-eps", T)
     _write_snapshots(out, traj, ("u1", "u2", "u3", "v1", "v2", "v3"))
@@ -305,7 +305,7 @@ def _cmd_simulate_limit(cfg: RunConfig) -> int:
     grid = cfg.make_grid()
     u10, u20, u30 = default_initial_fields(grid)
     times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
-    traj = run_limit(u10, u20, u30, T, p, times, cfl=cfg.cfl, scheme=cfg.flux_scheme)
+    traj = run_limit(u10, u20, u30, T, p, times, cfl=cfg.cfl)
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "simulate-limit", T)
     _write_snapshots(out, traj, ("u1", "u2", "u3", "v1", "v2", "v3"))
@@ -322,7 +322,7 @@ def _cmd_rate_study(cfg: RunConfig) -> int:
     report = rate_study(
         u10, u20, u30, cfg.gamma, cfg.eps_list, T, p,
         n_outputs=cfg.output_count, cfl=min(0.45, cfg.cfl),
-        scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
+        chemical_mode=cfg.chemical_mode,
     )
     out = _prepare_outdir(cfg)
     _write_echo(out, cfg, "rate-study", T)
@@ -343,7 +343,7 @@ def _cmd_manifold_distance(cfg: RunConfig) -> int:
     times, dist, eps_in = manifold_distance_study(
         u10, u20, u30, cfg.gamma, cfg.eps_list, T, p,
         np.linspace(0.0, T, cfg.output_count), cfl=min(0.45, cfg.cfl),
-        scheme=cfg.flux_scheme, chemical_mode=cfg.chemical_mode,
+        chemical_mode=cfg.chemical_mode,
     )
     rows = ["eps,t,eps_t"]
     for eps, d in zip(cfg.eps_list, dist):

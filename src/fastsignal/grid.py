@@ -73,10 +73,6 @@ class Field:
     def constant(cls, grid: Grid, c: float) -> "Field":
         return cls(np.full(grid.n, float(c)), grid)
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(np.asarray(fn(grid.centers), dtype=float), grid)
-
 
 def make_grid(L: float, n: int) -> Grid:
     """Build the uniform cell-centered grid on (0, L) with n cells."""
@@ -94,37 +90,27 @@ def _laplacian(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _chemotaxis_div(
-    u: np.ndarray, v: np.ndarray, chi, dx: float, scheme: str = "upwind"
-) -> np.ndarray:
-    # conservative face-flux discretization of chi * div(u grad v) along the
-    # last axis; boundary faces carry zero flux.  chi is a scalar or
-    # broadcasts against the faces, one coefficient per leading row.  The sign
-    # of chi selects the upwind side, so a negative chi evaluates
-    # -|chi| div(u grad v) with donor cells chosen for the reversed drift.
-    return _face_div(u, _face_factors(v, chi, dx, scheme), dx, scheme)
+def _chemotaxis_div(u: np.ndarray, v: np.ndarray, chi, dx: float) -> np.ndarray:
+    # conservative upwind (donor-cell) face-flux discretization of
+    # chi * div(u grad v) along the last axis; boundary faces carry zero flux.
+    # chi is a scalar or broadcasts against the faces, one coefficient per
+    # leading row.  The sign of chi selects the upwind side, so a negative chi
+    # evaluates -|chi| div(u grad v) with donor cells chosen for the reversed drift.
+    return _face_div(u, _face_factors(v, chi, dx), dx)
 
 
-def _face_factors(v: np.ndarray, chi, dx: float, scheme: str) -> tuple:
+def _face_factors(v: np.ndarray, chi, dx: float) -> tuple:
     # the v-only factors of the face flux, reusable while v is frozen: the
-    # parts of chi * grad(v) of either sign (upwind), or chi and grad(v) (central)
-    g = (v[..., 1:] - v[..., :-1]) / dx
-    if scheme == "upwind":
-        cg = chi * g
-        return np.maximum(cg, 0.0), np.minimum(cg, 0.0)
-    if scheme == "central":
-        return chi, g
-    raise ValueError(f"unknown face scheme {scheme!r}")
+    # parts of chi * grad(v) of either sign
+    cg = chi * ((v[..., 1:] - v[..., :-1]) / dx)
+    return np.maximum(cg, 0.0), np.minimum(cg, 0.0)
 
 
-def _face_div(u: np.ndarray, faces: tuple, dx: float, scheme: str) -> np.ndarray:
-    # divergence of the face flux of u with the factors from _face_factors
+def _face_div(u: np.ndarray, faces: tuple, dx: float) -> np.ndarray:
+    # divergence of the donor-cell face flux of u with the factors from
+    # _face_factors: the donor of the drift -chi*grad(v) is cell j+1 when chi*g > 0
     a, b = faces
-    if scheme == "upwind":
-        # donor cell of the drift -chi*grad(v): cell j+1 when chi*g > 0
-        flux = a * u[..., 1:] + b * u[..., :-1]
-    else:
-        flux = a * (0.5 * (u[..., 1:] + u[..., :-1])) * b
+    flux = a * u[..., 1:] + b * u[..., :-1]
     out = np.zeros(flux.shape[:-1] + u.shape[-1:])
     out[..., :-1] += flux
     out[..., 1:] -= flux

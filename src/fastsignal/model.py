@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "OdeState",
     "default_params",
     "kinetics",
     "kinetics_jacobian",
@@ -77,18 +76,6 @@ class ModelParams:
 
     def with_updates(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)
-
-
-@dataclass(frozen=True)
-class OdeState:
-    """Spatially homogeneous species densities."""
-
-    u1: float
-    u2: float
-    u3: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.u1, self.u2, self.u3], dtype=float)
 
 
 def default_params() -> ModelParams:

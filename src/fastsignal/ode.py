@@ -154,7 +154,7 @@ def _rms(num, den) -> float:
 
 
 def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
-              t_eval=None, max_step: float = np.inf) -> OdeTrajectory:
+              t_eval=None) -> OdeTrajectory:
     """Adaptive Dormand-Prince 5(4) with cubic Hermite dense output.
 
     Steps are accepted when the embedded error estimate stays below
@@ -175,8 +175,6 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         raise ValueError("rtol and atol must be positive")
     if not 0 <= T < math.inf:
         raise ValueError("T must be finite and non-negative")
-    if not max_step > 0:
-        raise ValueError("max_step must be positive")
     y0 = np.array(y0, dtype=float)
     if y0.ndim != 1 or y0.size == 0 or not np.all(np.isfinite(y0)):
         raise ValueError("y0 must be a non-empty 1-D array of finite values")
@@ -236,7 +234,7 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     d0 = _rms(y, scale)
     d1 = _rms(f, scale)
     h0 = 0.01 * d0 / d1 if (d0 > 1e-12 and d1 > 1e-12) else 1e-3
-    h = min(T, h0, max_step)
+    h = min(T, h0)
 
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A[1:]
@@ -245,7 +243,7 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         if T - t <= 1e-12 * max(1.0, T):
             t = T
             break
-        h = min(h, T - t, max_step)
+        h = min(h, T - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t:.6g}")
         # k[0] holds f; stage sums unrolled in the tableau's left-to-right order
@@ -501,8 +499,7 @@ _SWEEP_Y0 = {"3pop": np.array([1.0, 1.0, 0.5]), "pp": np.array([1.0, 0.5])}
 
 def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
                       T_osc: float = 2000.0, rtol: float = 1e-8,
-                      atol: float = 1e-11, n_eval: int = 4001,
-                      y0=None) -> list[BranchPoint]:
+                      atol: float = 1e-11) -> list[BranchPoint]:
     """Equilibria + stability per parameter value, with long integrations and
     oscillation detection wherever no non-negative equilibrium is stable."""
     if model == "3pop":
@@ -511,7 +508,6 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
         rhs_of, jac_of, dim = ode_rhs_pp, ode_jacobian_pp, 2
     else:
         raise ValueError(f"unknown model {model!r}")
-    start = _SWEEP_Y0[model] if y0 is None else np.asarray(y0, dtype=float)
 
     values = np.asarray(values, dtype=float)
     params = [p.with_updates(**{param: float(val)}) for val in values]  # validates
@@ -530,8 +526,8 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
             branch.append(BranchPoint(float(val), eq, lams, stable, res))
         record = None
         if not any_stable:
-            traj = integrate(model_rhs(model, pv), start, T_osc, rtol=rtol, atol=atol,
-                             t_eval=np.linspace(0.0, T_osc, n_eval))
+            traj = integrate(model_rhs(model, pv), _SWEEP_Y0[model], T_osc, rtol=rtol,
+                             atol=atol, t_eval=np.linspace(0.0, T_osc, 4001))
             record = detect_oscillation(traj)
         for bp in branch:
             bp.oscillation = record

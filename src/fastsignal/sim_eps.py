@@ -203,7 +203,7 @@ def _species_rates(u, c: dict, p: ModelParams) -> np.ndarray:
     return f
 
 
-def _heun_species(u, v, p: ModelParams, dx: float, dt, scheme: str, c: dict):
+def _heun_species(u, v, p: ModelParams, dx: float, dt, c: dict):
     """One SSP-RK2 step of the species subsystem with frozen chemicals.
 
     u and v are (B, 3, n); dt is a float or a (B, 1, 1) column of per-member
@@ -214,11 +214,11 @@ def _heun_species(u, v, p: ModelParams, dx: float, dt, scheme: str, c: dict):
     us = np.ascontiguousarray(np.transpose(u, (1, 0, 2)), dtype=float)
     if np.ndim(dt):
         dt = np.reshape(dt, (1, -1, 1))
-    faces = _face_factors(np.transpose(v, (1, 0, 2))[_DRIFT_V], c["chi"], dx, scheme)
+    faces = _face_factors(np.transpose(v, (1, 0, 2))[_DRIFT_V], c["chi"], dx)
 
     def rhs(x):
         f = _species_rates(x, c, p)
-        drift = _face_div(x[_DRIFT_U], faces, dx, scheme)
+        drift = _face_div(x[_DRIFT_U], faces, dx)
         r = c["d"] * _laplacian(x, dx) + drift[:3]
         r[2] += drift[3]
         r += f
@@ -248,8 +248,8 @@ class _Stepper:
     exponential update otherwise.
     """
 
-    def __init__(self, grid: Grid, p: ModelParams, *, scheme: str = "upwind",
-                 eps=None, chemical_mode: str = "mixed"):
+    def __init__(self, grid: Grid, p: ModelParams, *, eps=None,
+                 chemical_mode: str = "mixed"):
         if chemical_mode not in ("mixed", "fully_parabolic"):
             raise ValueError(f"unknown chemical_mode {chemical_mode!r}")
         eps = [eps] if eps is None or np.ndim(eps) == 0 else list(eps)
@@ -258,7 +258,6 @@ class _Stepper:
             raise ValueError("fully_parabolic mode needs a relaxation parameter")
         self.grid = grid
         self.p = p
-        self.scheme = scheme
         self.eps = eps
         self.elliptic = np.column_stack(
             [limit | (chemical_mode == "mixed")] * 2 + [limit])
@@ -351,7 +350,7 @@ class _Stepper:
             self._planes[len(u)] = _species_planes(self.p, len(u), self.grid.n)
         with np.errstate(over="ignore", invalid="ignore"):
             new_u, reaction_rate = _heun_species(
-                u, v, self.p, dx, dt_col[..., None] if per_member else dt, self.scheme,
+                u, v, self.p, dx, dt_col[..., None] if per_member else dt,
                 self._planes[len(u)])
         self._check_finite(new_u, "u", t, dt, members)
         mass_pre = new_u.sum(-1) * dx
@@ -387,13 +386,12 @@ def _states(stepper: _Stepper, t: float, u: np.ndarray, v: np.ndarray) -> list:
             for b, eps in enumerate(stepper.eps)]
 
 
-def step(s: State, p: ModelParams, dt: float, *, scheme: str = "upwind",
-         chemical_mode: str = "mixed") -> State:
+def step(s: State, p: ModelParams, dt: float, *, chemical_mode: str = "mixed") -> State:
     """One split step of the relaxation-time system, or of the limiting
     system when s.eps is None."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    st = _Stepper(s.grid, p, eps=s.eps, scheme=scheme, chemical_mode=chemical_mode)
+    st = _Stepper(s.grid, p, eps=s.eps, chemical_mode=chemical_mode)
     u = (s.u1.values, s.u2.values, s.u3.values)
     v = (s.v1.values, s.v2.values, s.v3.values)
     u, v, _ = st.step(s.t, u, v, dt)
@@ -529,8 +527,7 @@ def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
 
 def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float,
             p: ModelParams, output_times=None, *, cfl: float = 0.9,
-            dt: float | None = None, scheme: str = "upwind",
-            chemical_mode: str = "mixed") -> Trajectory:
+            dt: float | None = None, chemical_mode: str = "mixed") -> Trajectory:
     """Integrate the relaxation-time system from t = 0 to T.
 
     The elliptic chemicals are initialised from the species data; v30 is the
@@ -540,6 +537,6 @@ def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    st = _EpsStepper(u10.grid, p, eps, scheme=scheme, chemical_mode=chemical_mode)
+    st = _EpsStepper(u10.grid, p, eps, chemical_mode=chemical_mode)
     return _run_members(st, (u10, u20, u30), [v30], T, output_times, cfl=cfl,
                         dt=dt)[0]

@@ -17,13 +17,13 @@ __all__ = ["run_limit"]
 
 
 def run_limit(u10: Field, u20: Field, u30: Field, T: float, p: ModelParams,
-              output_times=None, *, cfl: float = 0.9, dt: float | None = None,
-              scheme: str = "upwind") -> Trajectory:
+              output_times=None, *, cfl: float = 0.9,
+              dt: float | None = None) -> Trajectory:
     """Integrate the limiting system from t = 0 to T.
 
     All chemicals, including v3, start from elliptic solves at the species
     data, so the trajectory begins on the critical manifold.
     """
-    st = _LimitStepper(u10.grid, p, scheme=scheme)
+    st = _LimitStepper(u10.grid, p)
     return _run_members(st, (u10, u20, u30), [None], T, output_times, cfl=cfl,
                         dt=dt)[0]

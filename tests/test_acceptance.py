@@ -204,7 +204,7 @@ def test_criterion_7_homogeneous_consistency():
     T = 10.0
     times = np.linspace(0.0, T, 41)
     ref = integrate(lambda y: ode_rhs_3pop(y, P), np.array(c), T,
-                    rtol=1e-12, atol=1e-14, t_eval=times, max_step=0.05)
+                    rtol=1e-12, atol=1e-14, t_eval=times)
     dev = 0.0
     for traj in (
         run_eps(*u, v30, 1e-3, T, P, times, dt=1e-3),

@@ -326,10 +326,11 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_unknown_flag_prints_validation_line(tmp_path, capsys):
-    # removed options: the exponential-update order, and the stepper's
-    # elliptic solver choice (stepping always uses the banded Cholesky)
+    # removed options: the exponential-update order, the stepper's elliptic
+    # solver choice (stepping always solves in the cosine modes), and the
+    # chemotactic flux (always the upwind donor-cell flux)
     for flag, value in (("--etd_order", "2"), ("--solver_method", "gmres"),
-                        ("--solver_tol", "1e-10")):
+                        ("--solver_tol", "1e-10"), ("--flux_scheme", "central")):
         rc = main(["simulate-eps", flag, value])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -338,14 +339,15 @@ def test_unknown_flag_prints_validation_line(tmp_path, capsys):
         assert flag in err[0]
     # so is an old config echo that still holds a removed key
     cfg = tmp_path / "config_echo.txt"
-    cfg.write_text("n = 16\nsolver_method = tridiagonal\n")
-    rc = main(["simulate-eps", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith('fastsignal: status=error kind=validation msg="')
-    assert "unknown key 'solver_method'" in err[0]
-    assert not (tmp_path / "out").exists()
+    for key, value in (("solver_method", "tridiagonal"), ("flux_scheme", "upwind")):
+        cfg.write_text(f"n = 16\n{key} = {value}\n")
+        rc = main(["simulate-eps", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith('fastsignal: status=error kind=validation msg="')
+        assert f"unknown key {key!r}" in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -436,8 +438,6 @@ _GOLDEN_CASES = {
     "simulate_eps_mixed": ["simulate-eps", "--n", "48", "--T", "0.1", "--eps", "1e-3"],
     "simulate_eps_fully_parabolic": ["simulate-eps", "--n", "48", "--T", "0.1",
                                      "--eps", "1e-3", "--chemical_mode", "fully_parabolic"],
-    "simulate_eps_central": ["simulate-eps", "--flux_scheme", "central", "--n", "48",
-                             "--T", "0.1", "--eps", "1e-3"],
     "simulate_limit": ["simulate-limit", "--n", "48", "--T", "0.1"],
     "rate_study_on_manifold": ["rate-study", "--n", "16", "--T", "0.1",
                                "--eps_list", "1e-2,1e-3,1e-4"],
@@ -477,4 +477,30 @@ def test_output_count_below_two_is_a_validation_error(tmp_path, capsys, argv):
     assert len(err) == 1
     assert err[0].startswith('fastsignal: status=error kind=validation msg="key ')
     assert "'output_count'" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+_OSC_SWEEP = ["ode-bifurcation", "--ode_model", "pp", "--eta1", "0.2", "--eta2", "0.2",
+              "--sweep_min", "0.6", "--sweep_max", "0.7", "--sweep_count", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # unchecked, a sweep with a stable equilibrium at every value prints
+        # status=ok; one without stops in integrate with a message naming 'T';
+        # and t_osc = 0 writes oscillating=0 for values it never integrated
+        ["ode-bifurcation", "--ode_model", "pp", "--sweep_count", "2", "--t_osc", "-1"],
+        [*_OSC_SWEEP, "--t_osc", "-1"],
+        [*_OSC_SWEEP, "--t_osc", "0"],
+    ],
+    ids=["negative-all-stable", "negative-unstable", "zero-unstable"],
+)
+def test_t_osc_not_positive_is_a_validation_error(tmp_path, capsys, argv):
+    rc = main([*argv, "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="key ')
+    assert "'t_osc'" in err[0]
     assert not (tmp_path / "out").exists()

@@ -116,18 +116,11 @@ def test_chemotaxis_divergence_matches_laplacian_for_unit_density():
 def test_chemotaxis_divergence_conserves_mass():
     rng = np.random.default_rng(3)
     g = make_grid(2.0, 48)
-    for scheme in ("upwind", "central"):
-        for _ in range(5):
-            u = rng.random(g.n)
-            v = rng.standard_normal(g.n)
-            out = _chemotaxis_div(u, v, 0.8, g.dx, scheme=scheme)
-            assert abs(g.dx * out.sum()) <= 1e-12
-
-
-def test_chemotaxis_divergence_rejects_unknown_scheme():
-    ones = np.ones(8)
-    with pytest.raises(ValueError):
-        _chemotaxis_div(ones, ones, 1.0, 1.0 / 8, scheme="bogus")
+    for _ in range(5):
+        u = rng.random(g.n)
+        v = rng.standard_normal(g.n)
+        out = _chemotaxis_div(u, v, 0.8, g.dx)
+        assert abs(g.dx * out.sum()) <= 1e-12
 
 
 def test_neumann_modes_constant_mode():

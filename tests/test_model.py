@@ -5,7 +5,6 @@ import pytest
 
 from fastsignal.model import (
     ModelParams,
-    OdeState,
     default_params,
     kinetics,
     kinetics_jacobian,
@@ -137,7 +136,3 @@ def test_quasi_positivity():
         assert kinetics(a, 0.0, b, p)[1] == 0.0
         assert kinetics(a, b, 0.0, p)[2] == 0.0
 
-
-def test_ode_state_array():
-    s = OdeState(0.1, 0.2, 0.3)
-    assert np.allclose(s.to_array(), [0.1, 0.2, 0.3])

@@ -131,7 +131,7 @@ def test_homogeneous_runs_track_ode():
     v30 = Field.constant(grid, c[2] * P.zeta3 / P.mu3)
     times = np.linspace(0.0, 10.0, 21)
     ref = integrate(lambda y: ode_rhs_3pop(y, P), np.array(c), 10.0,
-                    rtol=1e-12, atol=1e-14, t_eval=times, max_step=0.05)
+                    rtol=1e-12, atol=1e-14, t_eval=times)
     eps_traj = run_eps(*u, v30, 1e-3, 10.0, P, times, dt=1e-3)
     lim_traj = run_limit(*u, 10.0, P, times, dt=1e-3)
     assert np.max(np.abs(eps_traj.spatial_means() - ref.states)) <= 1e-6
@@ -244,7 +244,7 @@ def test_fully_parabolic_mode_runs_and_matches_ode():
     traj = run_eps(*u, v30, 1e-3, 5.0, P, times, dt=1e-3,
                    chemical_mode="fully_parabolic")
     ref = integrate(lambda y: ode_rhs_3pop(y, P), np.array(c), 5.0,
-                    rtol=1e-12, atol=1e-14, t_eval=times, max_step=0.05)
+                    rtol=1e-12, atol=1e-14, t_eval=times)
     assert np.max(np.abs(traj.spatial_means() - ref.states)) <= 1e-6
 
 
@@ -555,15 +555,12 @@ def test_grouped_chemical_update_equals_per_chemical_update(n, eps, lam, mu, zet
         assert got.tobytes() == want.tobytes()
 
 
-def _chemotaxis_div_reference(u, v, chi, dx, scheme):
+def _chemotaxis_div_reference(u, v, chi, dx):
     """grid._chemotaxis_div as one function, before it was split into the
     v-only face factors and the face divergence."""
     g = (v[..., 1:] - v[..., :-1]) / dx
-    if scheme == "upwind":
-        cg = chi * g
-        flux = np.maximum(cg, 0.0) * u[..., 1:] + np.minimum(cg, 0.0) * u[..., :-1]
-    else:
-        flux = chi * (0.5 * (u[..., 1:] + u[..., :-1])) * g
+    cg = chi * g
+    flux = np.maximum(cg, 0.0) * u[..., 1:] + np.minimum(cg, 0.0) * u[..., :-1]
     out = np.zeros(flux.shape[:-1] + u.shape[-1:])
     out[..., :-1] += flux
     out[..., 1:] -= flux
@@ -571,7 +568,7 @@ def _chemotaxis_div_reference(u, v, chi, dx, scheme):
     return out
 
 
-def _heun_species_reference(u, v, p, dx, dt, scheme):
+def _heun_species_reference(u, v, p, dx, dt):
     """The batch-major Heun step with kinetics and the chemotaxis divergence
     called per stage, as the stepper evaluated it before the species-major
     kernel."""
@@ -579,7 +576,7 @@ def _heun_species_reference(u, v, p, dx, dt, scheme):
         f = np.stack(kinetics(u[..., 0, :], u[..., 1, :], u[..., 2, :], p), axis=-2)
         chi = np.array([[p.chi1], [p.chi2], [-p.chi31], [-p.chi32]])
         drift = _chemotaxis_div_reference(u[..., [0, 1, 2, 2], :], v[..., [2, 2, 0, 1], :],
-                                          chi, dx, scheme)
+                                          chi, dx)
         d = np.array([[p.d1], [p.d2], [p.d3]])
         r = d * _laplacian(u, dx) + drift[..., :3, :]
         r[..., 2, :] += drift[..., 3, :]
@@ -601,9 +598,8 @@ def params_with_zero_chi(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(p=params_with_zero_chi(), b=st.integers(1, 6), n=st.integers(4, 64),
-       scheme=st.sampled_from(["upwind", "central"]), per_member=st.booleans(),
-       data=st.data())
-def test_heun_species_equals_batch_major_reference(p, b, n, scheme, per_member, data):
+       per_member=st.booleans(), data=st.data())
+def test_heun_species_equals_batch_major_reference(p, b, n, per_member, data):
     """The species-major kernel is bitwise the per-stage reference, also for
     zero densities and for steps far above the stable one, whose second
     stage sees negative densities."""
@@ -615,9 +611,9 @@ def test_heun_species_equals_batch_major_reference(p, b, n, scheme, per_member, 
           else data.draw(step))
     dx = 1.0 / n
     with np.errstate(all="ignore"):
-        want_u, want_rate = _heun_species_reference(u, v, p, dx, dt, scheme)
+        want_u, want_rate = _heun_species_reference(u, v, p, dx, dt)
         assume(np.isfinite(want_u).all() and np.isfinite(want_rate).all())
-        got_u, got_rate = _heun_species(u, v, p, dx, dt, scheme, _species_planes(p, b, n))
+        got_u, got_rate = _heun_species(u, v, p, dx, dt, _species_planes(p, b, n))
     assert got_u.shape == want_u.shape and got_rate.shape == want_rate.shape
     assert got_u.tobytes() == want_u.tobytes()
     assert np.ascontiguousarray(got_rate).tobytes() == want_rate.tobytes()
