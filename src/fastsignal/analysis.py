@@ -72,7 +72,6 @@ class InitialLayerSpec:
 
     gamma: float | str
     eps: float
-    perturbation_shape: Field | None = None
 
     def __post_init__(self):
         if isinstance(self.gamma, str):
@@ -108,23 +107,18 @@ def initial_layer_size(u30: Field, v30: Field, p: ModelParams) -> float:
 def make_layer_data(u30: Field, spec: InitialLayerSpec, p: ModelParams) -> Field:
     """Slow-chemical datum with layer size eps**gamma.
 
-    The perturbation is normalised so its image under lambda3*Lap - mu3*I has
-    unit L2 norm, which makes the realised layer size exact up to the
-    projection residual.
+    The perturbation, the first cosine mode, is normalised so its image under
+    lambda3*Lap - mu3*I has unit L2 norm, which makes the realised layer size
+    exact up to the projection residual.
     """
     grid = u30.grid
     base = manifold_projection(u30, p)
     if spec.gamma == "on_manifold":
         return base
-    if spec.perturbation_shape is None:
-        w = Field(np.cos(np.pi * grid.centers / grid.L), grid)
-    else:
-        w = spec.perturbation_shape
-        if w.grid != grid:
-            raise ValueError("perturbation shape lives on a different grid")
+    w = Field(np.cos(np.pi * grid.centers / grid.L), grid)
     image = p.lambda3 * _laplacian(w.values, grid.dx) - p.mu3 * w.values
     scale = norm_l2(Field(image, grid))
-    if scale == 0.0:
+    if scale == 0.0:  # the image's squares underflow, e.g. lambda3 = mu3 = 1e-170
         raise ValueError("perturbation shape has zero operator image")
     delta = spec.eps ** spec.gamma
     return Field(base.values + (delta / scale) * w.values, grid)
@@ -206,18 +200,18 @@ def compare_trajectories(A: Trajectory, B: Trajectory) -> TrajectoryComparison:
     return TrajectoryComparison(*sup, l2h2)
 
 
-def fit_slope(eps: np.ndarray, err: np.ndarray, floor: float = ERROR_FLOOR):
-    """Least-squares slope of log(err) vs log(eps) above the numerical floor.
+def fit_slope(eps: np.ndarray, err: np.ndarray):
+    """Least-squares slope of log(err) vs log(eps) above ERROR_FLOOR.
 
     Returns (slope, residual, n_points); raises ValueError when fewer than
     three points sit above the floor.
     """
     eps = np.asarray(eps, dtype=float)
     err = np.asarray(err, dtype=float)
-    keep = err > floor
+    keep = err > ERROR_FLOOR
     if keep.sum() < 3:
         raise ValueError(
-            f"only {int(keep.sum())} error values above the floor {floor:g}; "
+            f"only {int(keep.sum())} error values above the floor {ERROR_FLOOR:g}; "
             "need at least 3 to fit a rate"
         )
     x = np.log(eps[keep])
@@ -236,7 +230,6 @@ class RateReport:
     errors: dict[str, np.ndarray]
     slopes: dict[str, tuple[float, float, int]]
     gamma: float | str
-    floor: float = ERROR_FLOOR
 
     COLUMNS = ("err_u1", "err_u2", "err_u3", "err_v1", "err_v2", "err_v3_h1", "err_v3_l2h2")
 
@@ -249,7 +242,7 @@ class RateReport:
         return "\n".join(lines) + "\n"
 
     def summary_text(self) -> str:
-        lines = [f"gamma = {self.gamma}", f"floor = {self.floor:g}", "fitted slopes:"]
+        lines = [f"gamma = {self.gamma}", f"floor = {ERROR_FLOOR:g}", "fitted slopes:"]
         for name, (slope, res, npts) in sorted(self.slopes.items()):
             lines.append(
                 f"  {name}: slope = {slope:.4f}  residual = {res:.3e}  points = {npts}"
@@ -259,8 +252,7 @@ class RateReport:
 
 def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
                eps_list, T: float, p: ModelParams, *, n_outputs: int = 64,
-               cfl: float = 0.45, chemical_mode: str = "mixed",
-               floor: float = ERROR_FLOOR) -> RateReport:
+               cfl: float = 0.45, chemical_mode: str = "mixed") -> RateReport:
     """Sweep the relaxation parameter and fit per-component convergence rates.
 
     Each relaxation-time run and its paired limit run share one grid and one
@@ -305,10 +297,10 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     slopes = {}
     for c in RateReport.COLUMNS:
         try:
-            slopes[c] = fit_slope(eps_list, errors[c], floor)
+            slopes[c] = fit_slope(eps_list, errors[c])
         except ValueError:
             pass
-    return RateReport(eps_list, eps_in, errors, slopes, gamma, floor)
+    return RateReport(eps_list, eps_in, errors, slopes, gamma)
 
 
 def semigroup_identity_residual(f: Field, lam: float, mu: float, S: float) -> float:

@@ -59,38 +59,48 @@ _PARAM_KEYS = [
     "zeta1", "zeta2", "zeta3",
 ]
 
-# key -> (type tag, default); types: float, int, str, floatlist, gamma, choice:<opts>
+
+def _float_list(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _gamma(raw: str):
+    return raw if raw == "on_manifold" else float(raw)
+
+
+# key -> (parse, default); parse is a callable on the raw string or a tuple of
+# the allowed choices
 _DEFAULT_PARAMS = default_params()
-_REGISTRY: dict[str, tuple[str, object]] = {
-    **{k: ("float", getattr(_DEFAULT_PARAMS, k)) for k in _PARAM_KEYS},
-    "L": ("float", 1.0),
-    "n": ("int", 256),
-    "T": ("float", None),
-    "cfl": ("float", 0.9),
-    "output_count": ("int", 64),
-    "eps": ("float", 1e-3),
-    "eps_list": ("floatlist", (1e-2, 1e-3, 1e-4, 1e-5)),
-    "gamma": ("gamma", "on_manifold"),
-    "chemical_mode": ("choice:mixed,fully_parabolic", "mixed"),
-    "seed": ("int", 0),
-    "outdir": ("str", "out"),
-    "ode_model": ("choice:3pop,pp", "3pop"),
-    "ode_rtol": ("float", 1e-8),
-    "ode_atol": ("float", 1e-11),
-    "sweep_param": ("str", "m1"),
-    "sweep_min": ("float", 0.05),
-    "sweep_max": ("float", 1.5),
-    "sweep_count": ("int", 200),
-    "t_osc": ("float", 2000.0),
+_REGISTRY: dict[str, tuple[object, object]] = {
+    **{k: (float, getattr(_DEFAULT_PARAMS, k)) for k in _PARAM_KEYS},
+    "L": (float, 1.0),
+    "n": (int, 256),
+    "T": (float, None),
+    "cfl": (float, 0.9),
+    "output_count": (int, 64),
+    "eps": (float, 1e-3),
+    "eps_list": (_float_list, (1e-2, 1e-3, 1e-4, 1e-5)),
+    "gamma": (_gamma, "on_manifold"),
+    "chemical_mode": (("mixed", "fully_parabolic"), "mixed"),
+    "seed": (int, 0),
+    "outdir": (str, "out"),
+    "ode_model": (("3pop", "pp"), "3pop"),
+    "ode_rtol": (float, 1e-8),
+    "ode_atol": (float, 1e-11),
+    "sweep_param": (str, "m1"),
+    "sweep_min": (float, 0.05),
+    "sweep_max": (float, 1.5),
+    "sweep_count": (int, 200),
+    "t_osc": (float, 2000.0),
 }
 
+# default horizon T per subcommand; ode-bifurcation integrates over t_osc
 _SUBCOMMAND_T = {
     "simulate-eps": 500.0,
     "simulate-limit": 500.0,
     "rate-study": 2.0,
     "manifold-distance": 2.0,
     "ode-simulate": 2000.0,
-    "ode-bifurcation": 2000.0,
     "verify": 10.0,
 }
 
@@ -100,33 +110,20 @@ class ConfigError(ValueError):
 
 
 def _coerce(key: str, raw, where: str):
-    typ, _ = _REGISTRY[key]
+    parse, _ = _REGISTRY[key]
     if not isinstance(raw, str):
         return raw
     raw = raw.strip()
+    if isinstance(parse, tuple):
+        if raw not in parse:
+            raise ConfigError(
+                f"{where}: key {key!r} must be one of {list(parse)}, got {raw!r}"
+            )
+        return raw
     try:
-        if typ == "float":
-            return float(raw)
-        if typ == "int":
-            return int(raw)
-        if typ == "str":
-            return raw
-        if typ == "floatlist":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if typ == "gamma":
-            return raw if raw == "on_manifold" else float(raw)
-        if typ.startswith("choice:"):
-            options = typ.split(":", 1)[1].split(",")
-            if raw not in options:
-                raise ConfigError(
-                    f"{where}: key {key!r} must be one of {options}, got {raw!r}"
-                )
-            return raw
-    except ConfigError:
-        raise
+        return parse(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key {key!r}") from None
-    raise ConfigError(f"{where}: unhandled key type for {key!r}")
 
 
 class RunConfig:
@@ -151,6 +148,8 @@ class RunConfig:
         return make_grid(self.L, self.n)
 
     def resolve_T(self, subcommand: str) -> float:
+        if subcommand == "ode-bifurcation":
+            return self.t_osc
         return self.T if self.T is not None else _SUBCOMMAND_T[subcommand]
 
 
@@ -188,6 +187,8 @@ def _validate(values: dict) -> None:
         raise ConfigError("key 'T' must be non-negative")
     if not 0.0 < values["cfl"] <= 1.0:
         raise ConfigError("key 'cfl' must lie in (0, 1]")
+    if values["seed"] < 0:
+        raise ConfigError("key 'seed' must be non-negative")
     if values["output_count"] < 2:
         # linspace(0, T, 1) is [0]: one output time would integrate nothing
         raise ConfigError("key 'output_count' must be >= 2")
@@ -237,15 +238,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _prepare_outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.outdir)
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root and not out.is_absolute():
-        out = Path(root) / out
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_echo(outdir: Path, cfg: RunConfig, subcommand: str, T: float) -> None:
     lines = [f"# fastsignal {subcommand}"]
     values = cfg.as_dict()
@@ -268,111 +260,78 @@ def _write_snapshots(outdir: Path, traj, columns) -> None:
         (outdir / f"t{i}_{t:.6g}.csv").write_text("\n".join(rows) + "\n")
 
 
-def _sim_summary(traj) -> str:
-    frac = traj.clipped_mass / np.maximum(traj.initial_mass, 1e-300)
-    return (
-        f"steps = {traj.n_steps}\n"
-        f"max_mass_balance_residual = {traj.max_balance_residual:.6e}\n"
-        f"clipped_mass_fraction = {','.join(f'{f:.6e}' for f in frac)}\n"
-    )
-
-
-def _initial_data(cfg: RunConfig, p: ModelParams, eps: float):
-    grid = cfg.make_grid()
-    u10, u20, u30 = default_initial_fields(grid)
-    v30 = make_layer_data(u30, InitialLayerSpec(cfg.gamma, eps), p)
-    return grid, u10, u20, u30, v30
-
-
-def _cmd_simulate_eps(cfg: RunConfig) -> int:
+def _cmd_simulate(cfg: RunConfig, T: float, limit: bool = False):
     p = cfg.model_params()
-    T = cfg.resolve_T("simulate-eps")
-    grid, u10, u20, u30, v30 = _initial_data(cfg, p, cfg.eps)
+    u10, u20, u30 = default_initial_fields(cfg.make_grid())
     times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
-    traj = run_eps(u10, u20, u30, v30, cfg.eps, T, p, times, cfl=cfg.cfl,
-                   chemical_mode=cfg.chemical_mode)
-    out = _prepare_outdir(cfg)
-    _write_echo(out, cfg, "simulate-eps", T)
-    _write_snapshots(out, traj, ("u1", "u2", "u3", "v1", "v2", "v3"))
-    (out / "summary.txt").write_text(_sim_summary(traj))
-    print(f"fastsignal: status=ok cmd=simulate-eps steps={traj.n_steps} outdir={out}")
-    return 0
+    if limit:
+        traj = run_limit(u10, u20, u30, T, p, times, cfl=cfg.cfl)
+    else:
+        v30 = make_layer_data(u30, InitialLayerSpec(cfg.gamma, cfg.eps), p)
+        traj = run_eps(u10, u20, u30, v30, cfg.eps, T, p, times, cfl=cfg.cfl,
+                       chemical_mode=cfg.chemical_mode)
+
+    def write(out: Path) -> None:
+        _write_snapshots(out, traj, ("u1", "u2", "u3", "v1", "v2", "v3"))
+        frac = traj.clipped_mass / np.maximum(traj.initial_mass, 1e-300)
+        (out / "summary.txt").write_text(
+            f"steps = {traj.n_steps}\n"
+            f"max_mass_balance_residual = {traj.max_balance_residual:.6e}\n"
+            f"clipped_mass_fraction = {','.join(f'{f:.6e}' for f in frac)}\n"
+        )
+
+    return write, f" steps={traj.n_steps}"
 
 
-def _cmd_simulate_limit(cfg: RunConfig) -> int:
-    p = cfg.model_params()
-    T = cfg.resolve_T("simulate-limit")
-    grid = cfg.make_grid()
-    u10, u20, u30 = default_initial_fields(grid)
-    times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
-    traj = run_limit(u10, u20, u30, T, p, times, cfl=cfg.cfl)
-    out = _prepare_outdir(cfg)
-    _write_echo(out, cfg, "simulate-limit", T)
-    _write_snapshots(out, traj, ("u1", "u2", "u3", "v1", "v2", "v3"))
-    (out / "summary.txt").write_text(_sim_summary(traj))
-    print(f"fastsignal: status=ok cmd=simulate-limit steps={traj.n_steps} outdir={out}")
-    return 0
-
-
-def _cmd_rate_study(cfg: RunConfig) -> int:
-    p = cfg.model_params()
-    T = cfg.resolve_T("rate-study")
-    grid = cfg.make_grid()
-    u10, u20, u30 = default_initial_fields(grid)
+def _cmd_rate_study(cfg: RunConfig, T: float):
     report = rate_study(
-        u10, u20, u30, cfg.gamma, cfg.eps_list, T, p,
-        n_outputs=cfg.output_count, cfl=min(0.45, cfg.cfl),
+        *default_initial_fields(cfg.make_grid()), cfg.gamma, cfg.eps_list, T,
+        cfg.model_params(), n_outputs=cfg.output_count, cfl=min(0.45, cfg.cfl),
         chemical_mode=cfg.chemical_mode,
     )
-    out = _prepare_outdir(cfg)
-    _write_echo(out, cfg, "rate-study", T)
-    (out / "rate_report.csv").write_text(report.to_csv())
-    (out / "summary.txt").write_text(report.summary_text())
+
+    def write(out: Path) -> None:
+        (out / "rate_report.csv").write_text(report.to_csv())
+        (out / "summary.txt").write_text(report.summary_text())
+
     slopes = " ".join(
         f"{name}={slope:.3f}" for name, (slope, _, _) in sorted(report.slopes.items())
     )
-    print(f"fastsignal: status=ok cmd=rate-study {slopes} outdir={out}")
-    return 0
+    return write, f" {slopes}"
 
 
-def _cmd_manifold_distance(cfg: RunConfig) -> int:
-    p = cfg.model_params()
-    T = cfg.resolve_T("manifold-distance")
-    grid = cfg.make_grid()
-    u10, u20, u30 = default_initial_fields(grid)
+def _cmd_manifold_distance(cfg: RunConfig, T: float):
     times, dist, eps_in = manifold_distance_study(
-        u10, u20, u30, cfg.gamma, cfg.eps_list, T, p,
-        np.linspace(0.0, T, cfg.output_count), cfl=min(0.45, cfg.cfl),
-        chemical_mode=cfg.chemical_mode,
+        *default_initial_fields(cfg.make_grid()), cfg.gamma, cfg.eps_list, T,
+        cfg.model_params(), np.linspace(0.0, T, cfg.output_count),
+        cfl=min(0.45, cfg.cfl), chemical_mode=cfg.chemical_mode,
     )
     rows = ["eps,t,eps_t"]
     for eps, d in zip(cfg.eps_list, dist):
         rows += [f"{eps:.17g},{t:.17g},{x:.17g}" for t, x in zip(times, d)]
     sup_late = dist[:, times >= 0.1 * T].max(axis=1)
     ratios = dist.max(axis=1) / np.maximum(eps_in, 1e-300)
-    out = _prepare_outdir(cfg)
-    _write_echo(out, cfg, "manifold-distance", T)
-    (out / "manifold_distance.csv").write_text("\n".join(rows) + "\n")
     lines = [
         f"eps = {_fmt(tuple(cfg.eps_list))}",
         f"sup_eps_t_late = {','.join(f'{v:.6e}' for v in sup_late)}",
         f"max_over_initial = {','.join(f'{v:.6e}' for v in ratios)}",
     ]
-    slope_msg = ""
+    status = ""
     try:
         slope, res, npts = fit_slope(np.array(cfg.eps_list), sup_late)
         lines.append(f"late_distance_slope = {slope:.4f} (residual {res:.3e}, {npts} points)")
-        slope_msg = f" slope={slope:.3f}"
+        status = f" slope={slope:.3f}"
     except ValueError as exc:
         lines.append(f"late_distance_slope = unavailable ({exc})")
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print(f"fastsignal: status=ok cmd=manifold-distance{slope_msg} outdir={out}")
-    return 0
+
+    def write(out: Path) -> None:
+        (out / "manifold_distance.csv").write_text("\n".join(rows) + "\n")
+        (out / "summary.txt").write_text("\n".join(lines) + "\n")
+
+    return write, status
 
 
-def _cmd_ode_simulate(cfg: RunConfig) -> int:
-    p = cfg.model_params()
-    T = cfg.resolve_T("ode-simulate")
+def _cmd_ode_simulate(cfg: RunConfig, T: float):
     if cfg.ode_model == "3pop":
         y0 = np.array([1.0, 1.0, 0.5])
         columns = ("u1", "u2", "u3")
@@ -380,38 +339,35 @@ def _cmd_ode_simulate(cfg: RunConfig) -> int:
         y0 = np.array([1.0, 0.5])
         columns = ("u1", "u3")
     n_eval = max(cfg.output_count, 2001)
-    traj = integrate(model_rhs(cfg.ode_model, p), y0, T, rtol=cfg.ode_rtol,
-                     atol=cfg.ode_atol, t_eval=np.linspace(0.0, T, n_eval))
+    traj = integrate(model_rhs(cfg.ode_model, cfg.model_params()), y0, T,
+                     rtol=cfg.ode_rtol, atol=cfg.ode_atol,
+                     t_eval=np.linspace(0.0, T, n_eval))
     osc = detect_oscillation(traj)
-    out = _prepare_outdir(cfg)
-    _write_echo(out, cfg, "ode-simulate", T)
-    rows = ["t," + ",".join(columns)]
-    for t, y in zip(traj.times, traj.states):
-        rows.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in y]))
-    (out / "ode.csv").write_text("\n".join(rows) + "\n")
-    (out / "summary.txt").write_text(
-        f"model = {cfg.ode_model}\n"
-        f"steps = {traj.n_steps}\nrejected = {traj.n_rejected}\n"
-        f"oscillating = {osc.detected}\n"
-        f"period = {osc.period if osc.period is not None else 'none'}\n"
-        f"amplitude = {','.join(f'{a:.6e}' for a in osc.amplitude)}\n"
-    )
-    print(
-        f"fastsignal: status=ok cmd=ode-simulate oscillating={osc.detected} outdir={out}"
-    )
-    return 0
+
+    def write(out: Path) -> None:
+        rows = ["t," + ",".join(columns)]
+        for t, y in zip(traj.times, traj.states):
+            rows.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in y]))
+        (out / "ode.csv").write_text("\n".join(rows) + "\n")
+        (out / "summary.txt").write_text(
+            f"model = {cfg.ode_model}\n"
+            f"steps = {traj.n_steps}\nrejected = {traj.n_rejected}\n"
+            f"oscillating = {osc.detected}\n"
+            f"period = {osc.period if osc.period is not None else 'none'}\n"
+            f"amplitude = {','.join(f'{a:.6e}' for a in osc.amplitude)}\n"
+        )
+
+    return write, f" oscillating={osc.detected}"
 
 
-def _cmd_ode_bifurcation(cfg: RunConfig) -> int:
-    p = cfg.model_params()
+def _cmd_ode_bifurcation(cfg: RunConfig, T: float):
     values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_count)
     points = bifurcation_sweep(
-        cfg.ode_model, cfg.sweep_param, values, p, T_osc=cfg.t_osc,
+        cfg.ode_model, cfg.sweep_param, values, cfg.model_params(), T_osc=T,
         rtol=cfg.ode_rtol, atol=cfg.ode_atol,
     )
-    out = _prepare_outdir(cfg)
-    _write_echo(out, cfg, "ode-bifurcation", cfg.t_osc)
     rows = ["param,u1,u2,u3,re_lambda_max,stable,oscillating,amplitude_u1,period"]
+    n_osc = 0
     for bp in points:
         if cfg.ode_model == "3pop":
             u1, u2, u3 = bp.state
@@ -420,6 +376,7 @@ def _cmd_ode_bifurcation(cfg: RunConfig) -> int:
             u2 = float("nan")
         osc = bp.oscillation
         oscillating = 1 if (osc is not None and osc.detected) else 0
+        n_osc += oscillating
         amp = osc.amplitude[0] if osc is not None else float("nan")
         period = osc.period if (osc is not None and osc.period is not None) else float("nan")
         rows.append(
@@ -427,15 +384,11 @@ def _cmd_ode_bifurcation(cfg: RunConfig) -> int:
             f"{bp.eigenvalues.real.max():.17g},{int(bp.stable)},{oscillating},"
             f"{amp:.17g},{period:.17g}"
         )
-    (out / "branch.csv").write_text("\n".join(rows) + "\n")
-    n_osc = sum(
-        1 for bp in points if bp.oscillation is not None and bp.oscillation.detected
-    )
-    print(
-        f"fastsignal: status=ok cmd=ode-bifurcation points={len(points)} "
-        f"oscillating_points={n_osc} outdir={out}"
-    )
-    return 0
+
+    def write(out: Path) -> None:
+        (out / "branch.csv").write_text("\n".join(rows) + "\n")
+
+    return write, f" points={len(points)} oscillating_points={n_osc}"
 
 
 def _verify_semigroup(rng) -> list[str]:
@@ -516,7 +469,11 @@ def _verify_homogeneous(cfg: RunConfig) -> list[str]:
     return failures
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+class _GateFailure(Exception):
+    """A verify check failed; main maps it to exit code 3."""
+
+
+def _cmd_verify(cfg: RunConfig, T: float):
     rng = np.random.default_rng(cfg.seed)
     checks = (
         ("semigroup-identity", lambda: _verify_semigroup(rng)),
@@ -533,15 +490,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
         else:
             print(f"PASS {name}")
     if any_failed:
-        print("fastsignal: status=error kind=verify msg=\"verification gate failed\"")
-        return 3
-    print("fastsignal: status=ok cmd=verify")
-    return 0
+        raise _GateFailure("verification gate failed")
+    return None, ""
 
 
+# subcommand -> body(cfg, T) returning (writer of the output files or None, status suffix)
 _COMMANDS = {
-    "simulate-eps": _cmd_simulate_eps,
-    "simulate-limit": _cmd_simulate_limit,
+    "simulate-eps": _cmd_simulate,
+    "simulate-limit": lambda cfg, T: _cmd_simulate(cfg, T, limit=True),
     "rate-study": _cmd_rate_study,
     "manifold-distance": _cmd_manifold_distance,
     "ode-simulate": _cmd_ode_simulate,
@@ -563,13 +519,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for a chemotaxis system and its "
                     "fast signal diffusion limit",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None, help="flat key = value file")
-        for key in _REGISTRY:
-            sp.add_argument(f"--{key}", default=None, metavar="V")
+    parser.add_argument("subcommand", choices=_COMMANDS)
+    parser.add_argument("--config", default=None, help="flat key = value file")
+    for key in _REGISTRY:
+        parser.add_argument(f"--{key}", default=None, metavar="V")
     return parser
+
+
+def _error(kind: str, exc: Exception) -> None:
+    print(f'fastsignal: status=error kind={kind} msg="{exc}"', file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -580,21 +538,34 @@ def main(argv=None) -> int:
         # --help prints and exits 0
         return 0 if exc.code in (0, None) else 1
     except ConfigError as exc:
-        print(f'fastsignal: status=error kind=validation msg="{exc}"', file=sys.stderr)
+        _error("validation", exc)
         return 1
     overrides = {k: getattr(args, k) for k in _REGISTRY if getattr(args, k) is not None}
+    sub = args.subcommand
     try:
         cfg = parse_config(args.config, overrides)
-        return _COMMANDS[args.subcommand](cfg)
-    except ConfigError as exc:
-        print(f'fastsignal: status=error kind=validation msg="{exc}"', file=sys.stderr)
-        return 1
+        T = cfg.resolve_T(sub)
+        write, status = _COMMANDS[sub](cfg, T)
+    except _GateFailure as exc:
+        print(f'fastsignal: status=error kind=verify msg="{exc}"')
+        return 3
     except (BlowUpError, StabilityError, StiffnessError, SolverConvergenceError) as exc:
-        print(f'fastsignal: status=error kind=numerical msg="{exc}"', file=sys.stderr)
+        _error("numerical", exc)
         return 2
-    except ValueError as exc:
-        print(f'fastsignal: status=error kind=validation msg="{exc}"', file=sys.stderr)
+    except ValueError as exc:  # ConfigError included
+        _error("validation", exc)
         return 1
+    if write is not None:
+        out = Path(cfg.outdir)
+        root = os.environ.get(OUTPUT_ROOT_ENV)
+        if root and not out.is_absolute():
+            out = Path(root) / out
+        out.mkdir(parents=True, exist_ok=True)
+        _write_echo(out, cfg, sub, T)
+        write(out)
+        status += f" outdir={out}"
+    print(f"fastsignal: status=ok cmd={sub}{status}")
+    return 0
 
 
 def entry() -> None:

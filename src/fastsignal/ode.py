@@ -311,14 +311,18 @@ def _solve_rows(J: np.ndarray, F: np.ndarray):
     return step, has_step
 
 
-def _newton(rhs, jac, y0, args=(), max_iter: int = 60, tol: float = 1e-12):
+_NEWTON_MAX_ITER = 60
+_NEWTON_TOL = 1e-12
+
+
+def _newton(rhs, jac, y0, args=()):
     """Damped Newton on every row of an ``(N, dim)`` stack at once.
 
     ``args`` holds per-row arrays passed after the states, sliced with them.
     Each row takes the path a lone solve from it would: stop once
-    max |rhs| <= tol; otherwise halve the step from lam = 1 (at most 40
+    max |rhs| <= 1e-12; otherwise halve the step from lam = 1 (at most 40
     times) until max |rhs| decreases, and give up on a singular Jacobian, a
-    failed line search or after ``max_iter`` steps.  Only the rows still
+    failed line search or after 60 steps.  Only the rows still
     iterating are evaluated.  Returns the final states and a converged mask.
     """
     y = np.array(y0, dtype=float)
@@ -326,8 +330,8 @@ def _newton(rhs, jac, y0, args=(), max_iter: int = 60, tol: float = 1e-12):
     fnorm = np.max(np.abs(f), axis=-1)
     converged = np.zeros(y.shape[0], dtype=bool)
     live = np.arange(y.shape[0])  # rows still iterating
-    for _ in range(max_iter):
-        done = fnorm[live] <= tol
+    for _ in range(_NEWTON_MAX_ITER):
+        done = fnorm[live] <= _NEWTON_TOL
         converged[live[done]] = True
         live = live[~done]
         if live.size == 0:
@@ -350,31 +354,30 @@ def _newton(rhs, jac, y0, args=(), max_iter: int = 60, tol: float = 1e-12):
                 break
             lam *= 0.5
         live = np.delete(live, pending)
-    converged[live] = fnorm[live] <= tol
+    converged[live] = fnorm[live] <= _NEWTON_TOL
     return y, converged
 
 
-def find_equilibria(rhs, jacobian, guesses=None, dim: int | None = None,
-                    args=None):
+def _guess_lattice(dim: int) -> np.ndarray:
+    """The Newton starting points: every state with coordinates in 0, 0.3, ..., 1.5."""
+    return np.array(list(itertools.product(np.linspace(0.0, 1.5, 6), repeat=dim)))
+
+
+def find_equilibria(rhs, jacobian, dim: int, args=None):
     """Damped Newton from a lattice of guesses; keeps non-negative roots.
 
     ``rhs`` and ``jacobian`` take an ``(N, dim)`` stack of states and return
-    ``(N, dim)`` and ``(N, dim, dim)``; every guess is one row of a single
-    stacked Newton solve.  Converged roots (max |rhs| <= 1e-12) are
-    deduplicated to 1e-8 in guess order and sorted lexicographically for
-    reproducibility.
+    ``(N, dim)`` and ``(N, dim, dim)``; every point of ``_guess_lattice(dim)``
+    is one row of a single stacked Newton solve.  Converged roots
+    (max |rhs| <= 1e-12) are deduplicated to 1e-8 in guess order and sorted
+    lexicographically for reproducibility.
 
     With ``args`` (a sequence of K problem values), the guesses are solved
     for all K problems in the same stack: the callables are then called as
     ``rhs(y, a)``, where ``a`` holds each row's problem value, and one root
     list per problem is returned.
     """
-    if guesses is None:
-        if dim is None:
-            raise ValueError("need guesses or dim for the default lattice")
-        axis = np.linspace(0.0, 1.5, 6)
-        guesses = list(itertools.product(axis, repeat=dim))
-    guesses = np.array(guesses, dtype=float)
+    guesses = _guess_lattice(dim)
     n_guess = guesses.shape[0]
     values = None if args is None else np.asarray(args, dtype=float)
     n_prob = 1 if values is None else values.size
@@ -453,9 +456,15 @@ def classify_stability(eq, jacobian) -> tuple[np.ndarray, bool, float]:
     return lams, bool(np.max(lams.real) < -1e-10), res
 
 
-def detect_oscillation(traj: OdeTrajectory, transient_fraction: float = 0.5,
-                       min_peaks: int = 5, min_amplitude: float = 1e-3,
-                       period_tol: float = 0.2) -> OscillationRecord:
+# an oscillation has at least this many peaks, a larger peak-to-trough
+# amplitude, and last three inter-peak gaps that agree within this fraction
+_OSC_MIN_PEAKS = 5
+_OSC_MIN_AMPLITUDE = 1e-3
+_OSC_PERIOD_TOL = 0.2
+
+
+def detect_oscillation(traj: OdeTrajectory, transient_fraction: float = 0.5
+                       ) -> OscillationRecord:
     """Peak-based oscillation detector on the first component.
 
     The leading transient is discarded; oscillation requires enough strict
@@ -476,9 +485,9 @@ def detect_oscillation(traj: OdeTrajectory, transient_fraction: float = 0.5,
     n_peaks = int(peak_idx.size)
     detected = False
     period = None
-    if n_peaks >= min_peaks and amplitude[0] > min_amplitude:
+    if n_peaks >= _OSC_MIN_PEAKS and amplitude[0] > _OSC_MIN_AMPLITUDE:
         gaps = np.diff(t[peak_idx])[-3:]
-        if gaps.size == 3 and gaps.max() - gaps.min() <= period_tol * gaps.mean():
+        if gaps.size == 3 and gaps.max() - gaps.min() <= _OSC_PERIOD_TOL * gaps.mean():
             detected = True
             period = float(gaps.mean())
     return OscillationRecord(detected, amplitude, period, n_peaks)
@@ -511,6 +520,16 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
 
     values = np.asarray(values, dtype=float)
     params = [p.with_updates(**{param: float(val)}) for val in values]  # validates
+    # a value so extreme that the Jacobian overflows or is 0/0 (eta1 = 5e-324
+    # squares to 0) on the guess lattice would give nan eigenvalues
+    lattice = _guess_lattice(dim)
+    with np.errstate(all="ignore"):
+        J = jac_of(np.tile(lattice, (values.size, 1)),
+                   _row_params(p, param, np.repeat(values, len(lattice))))
+    finite = np.isfinite(J).reshape(values.size, -1).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the {model} Jacobian is not finite at "
+                         f"{param}={float(values[~finite][0])!r}")
 
     roots = find_equilibria(lambda y, c: rhs_of(y, _row_params(p, param, c)),
                             lambda y, c: jac_of(y, _row_params(p, param, c)),

@@ -127,8 +127,7 @@ def _reaction_rate_bounds(p: ModelParams, m1, m2, m3):
     return lam1, lam2, lam3
 
 
-def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float,
-                      max_dt: float = np.inf):
+def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float):
     """Stable step of each member of a (B, 3, n) batch, shape (B,); a scalar
     for one (3, n) state.  Each member's bound is evaluated on Python floats,
     whose arithmetic is numpy's elementwise arithmetic."""
@@ -147,21 +146,20 @@ def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float,
             + 2.0 * (p.chi31 * g1 + p.chi32 * g2) * dx
             + dx * dx * r3
         )
-        dts.append(min(cfl * dx * dx / max(den1, den2, den3), max_dt))
+        dts.append(cfl * dx * dx / max(den1, den2, den3))
     return np.array(dts) if u.ndim == 3 else np.float64(dts[0])
 
 
-def stable_dt(s, p: ModelParams, cfl: float, max_dt: float = np.inf) -> float:
+def stable_dt(s, p: ModelParams, cfl: float) -> float:
     """Largest explicit step for the species update, scaled by cfl.
 
     Bounds diffusion, the upwind chemotactic drift from the current chemical
-    gradients, and a local Lipschitz estimate of the reaction terms; never
-    exceeds max_dt (the output interval, when the caller has one).
+    gradients, and a local Lipschitz estimate of the reaction terms.
     """
     return float(_stable_dt_values(
         (s.u1.values, s.u2.values, s.u3.values),
         (s.v1.values, s.v2.values, s.v3.values),
-        p, s.grid.dx, cfl, max_dt,
+        p, s.grid.dx, cfl,
     ))
 
 

@@ -106,9 +106,10 @@ def test_make_layer_data_on_manifold_and_errors():
         InitialLayerSpec(-0.5, 1e-3)
     with pytest.raises(ValueError):
         InitialLayerSpec(1.0, 0.0)
-    zero_shape = Field.constant(GRID, 0.0)
-    with pytest.raises(ValueError):
-        make_layer_data(u30, InitialLayerSpec(1.0, 1e-2, zero_shape), P)
+    # the cosine perturbation's operator image squares to 0
+    tiny = P.with_updates(lambda3=1e-170, mu3=1e-170)
+    with pytest.raises(ValueError, match="zero operator image"):
+        make_layer_data(u30, InitialLayerSpec(1.0, 1e-2), tiny)
 
 
 def test_manifold_distance_at_t0_equals_layer_size():

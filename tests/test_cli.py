@@ -458,6 +458,44 @@ def test_pde_outputs_match_golden(tmp_path, case):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+# Each subcommand's config_echo.txt and stdout, pinned byte for byte in
+# tests/data/golden/cli/<case>/ (stdout.txt), with every output file of the
+# cases that no other golden pins.  Runs write to the relative outdir "out", so
+# the echo and the status line do not depend on the test's directory.
+_CLI_GOLDEN_CASES = {
+    **{case: [*argv, "--output_count", "3"] for case, argv in _GOLDEN_CASES.items()},
+    "manifold_distance": ["manifold-distance", "--n", "16", "--T", "0.2",
+                          "--output_count", "5"],
+    "ode_simulate_pp": ["ode-simulate", "--ode_model", "pp", "--T", "50"],
+    # the echo holds T = t_osc
+    "ode_bifurcation_pp": ["ode-bifurcation", "--ode_model", "pp", "--sweep_min", "0.5",
+                           "--sweep_max", "0.8", "--sweep_count", "4", "--eta1", "1.0",
+                           "--t_osc", "300"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_GOLDEN_CASES))
+def test_cli_echo_stdout_and_files_match_golden(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FASTSIGNAL_OUTPUT_ROOT", raising=False)
+    assert main([*_CLI_GOLDEN_CASES[case], "--outdir", "out"]) == 0
+    golden = Path(__file__).parent / "data" / "golden" / "cli" / case
+    captured = capsys.readouterr()
+    assert captured.out == (golden / "stdout.txt").read_text()
+    assert captured.err == ""
+    out = tmp_path / "out"
+    written = {f.name for f in out.iterdir()} if out.exists() else set()
+    pinned = {f.name for f in golden.iterdir()} - {"stdout.txt"}
+    if case in _GOLDEN_CASES:
+        assert pinned == {"config_echo.txt"}
+        assert pinned <= written
+    else:
+        assert written == pinned
+    for name in sorted(pinned):
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -504,3 +542,51 @@ def test_t_osc_not_positive_is_a_validation_error(tmp_path, capsys, argv):
     assert err[0].startswith('fastsignal: status=error kind=validation msg="key ')
     assert "'t_osc'" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_flags_may_precede_the_subcommand(tmp_path):
+    # one parser declares every flag once, next to the subcommand positional
+    first, last = tmp_path / "first", tmp_path / "last"
+    assert main(["--n", "16", "--T", "0", "simulate-eps", "--outdir", str(first)]) == 0
+    assert main(["simulate-eps", "--n", "16", "--T", "0", "--outdir", str(last)]) == 0
+    assert (first / "t0_0.csv").read_bytes() == (last / "t0_0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("model", ["3pop", "pp"])
+def test_sweep_value_with_non_finite_jacobian_is_a_validation_error(tmp_path, capsys, model):
+    # eta1 = 5e-324 squares to 0, so the Jacobian at u1 = 0 is 0/0: unchecked,
+    # 3pop failed with numpy's message and pp wrote re_lambda_max = nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["ode-bifurcation", "--ode_model", model, "--sweep_param", "eta1",
+                   "--sweep_min", "5e-324", "--sweep_max", "1", "--sweep_count", "2",
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="')
+    assert "eta1=5e-324" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_is_a_validation_error(capsys):
+    rc = main(["verify", "--seed", "-1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err == ['fastsignal: status=error kind=validation msg="key \'seed\' must be '
+                   'non-negative"']
+
+
+def test_subnormal_eps_runs_without_overflow_warning(tmp_path):
+    # dt / eps overflows to inf: the decay factor is its limit 0, not an error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate-eps", "--n", "16", "--T", "0.01", "--eps", "5e-324",
+                   "--outdir", str(tmp_path)])
+    assert rc == 0
+    assert not caught, [str(w.message) for w in caught]
+    for f in tmp_path.glob("t*.csv"):
+        assert np.isfinite(np.loadtxt(f, delimiter=",", skiprows=1)).all()
