@@ -118,8 +118,9 @@ def make_layer_data(u30: Field, spec: InitialLayerSpec, p: ModelParams) -> Field
     w = Field(np.cos(np.pi * grid.centers / grid.L), grid)
     image = p.lambda3 * _laplacian(w.values, grid.dx) - p.mu3 * w.values
     scale = norm_l2(Field(image, grid))
-    if scale == 0.0:  # the image's squares underflow, e.g. lambda3 = mu3 = 1e-170
-        raise ValueError("perturbation shape has zero operator image")
+    if scale == 0.0:  # the image's squares underflow
+        raise ValueError(f"lambda3={p.lambda3:g} and mu3={p.mu3:g} give the layer "
+                         "perturbation a zero operator image: its squares underflow")
     delta = spec.eps ** spec.gamma
     return Field(base.values + (delta / scale) * w.values, grid)
 

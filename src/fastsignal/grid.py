@@ -94,23 +94,11 @@ def _chemotaxis_div(u: np.ndarray, v: np.ndarray, chi, dx: float) -> np.ndarray:
     # conservative upwind (donor-cell) face-flux discretization of
     # chi * div(u grad v) along the last axis; boundary faces carry zero flux.
     # chi is a scalar or broadcasts against the faces, one coefficient per
-    # leading row.  The sign of chi selects the upwind side, so a negative chi
-    # evaluates -|chi| div(u grad v) with donor cells chosen for the reversed drift.
-    return _face_div(u, _face_factors(v, chi, dx), dx)
-
-
-def _face_factors(v: np.ndarray, chi, dx: float) -> tuple:
-    # the v-only factors of the face flux, reusable while v is frozen: the
-    # parts of chi * grad(v) of either sign
+    # leading row.  The donor of the drift -chi*grad(v) is cell j+1 where
+    # chi*grad(v) > 0, so a negative chi evaluates -|chi| div(u grad v) with
+    # donor cells chosen for the reversed drift.
     cg = chi * ((v[..., 1:] - v[..., :-1]) / dx)
-    return np.maximum(cg, 0.0), np.minimum(cg, 0.0)
-
-
-def _face_div(u: np.ndarray, faces: tuple, dx: float) -> np.ndarray:
-    # divergence of the donor-cell face flux of u with the factors from
-    # _face_factors: the donor of the drift -chi*grad(v) is cell j+1 when chi*g > 0
-    a, b = faces
-    flux = a * u[..., 1:] + b * u[..., :-1]
+    flux = np.maximum(cg, 0.0) * u[..., 1:] + np.minimum(cg, 0.0) * u[..., :-1]
     out = np.zeros(flux.shape[:-1] + u.shape[-1:])
     out[..., :-1] += flux
     out[..., 1:] -= flux

@@ -296,7 +296,8 @@ def _solve_rows(J: np.ndarray, F: np.ndarray):
 
     A batched ``np.linalg.solve`` raises for the whole stack when one matrix
     is singular, so rows whose LU determinant is zero or not finite are
-    retried one by one; only those that still raise have no step.
+    retried one by one; those that still raise or whose step is not finite
+    have no step.
     """
     step = np.empty_like(F)
     has_step = np.ones(F.shape[0], dtype=bool)
@@ -308,13 +309,14 @@ def _solve_rows(J: np.ndarray, F: np.ndarray):
             step[i] = np.linalg.solve(J[i], F[i])
         except np.linalg.LinAlgError:
             has_step[i] = False
-    return step, has_step
+    return step, has_step & np.isfinite(step).all(axis=-1)
 
 
 _NEWTON_MAX_ITER = 60
 _NEWTON_TOL = 1e-12
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(rhs, jac, y0, args=()):
     """Damped Newton on every row of an ``(N, dim)`` stack at once.
 
@@ -322,8 +324,10 @@ def _newton(rhs, jac, y0, args=()):
     Each row takes the path a lone solve from it would: stop once
     max |rhs| <= 1e-12; otherwise halve the step from lam = 1 (at most 40
     times) until max |rhs| decreases, and give up on a singular Jacobian, a
-    failed line search or after 60 steps.  Only the rows still
-    iterating are evaluated.  Returns the final states and a converged mask.
+    failed line search or after 60 steps.  Only the rows still iterating
+    are evaluated; an overflow leaves a row no step or a candidate that is
+    not better (nan compares false).  Returns the final states and a
+    converged mask.
     """
     y = np.array(y0, dtype=float)
     f = rhs(y, *args)
@@ -404,6 +408,7 @@ def find_equilibria(rhs, jacobian, dim: int, args=None):
     return roots[0] if values is None else roots
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _eig_with_residual(J: np.ndarray):
     if J.shape == (2, 2):
         tr = J[0, 0] + J[1, 1]
@@ -418,16 +423,15 @@ def _eig_with_residual(J: np.ndarray):
                 v = np.array([lam - J[1, 1], J[1, 0]], dtype=complex)
             if np.max(np.abs(v)) < 1e-300:
                 v = np.array([1.0, 0.0], dtype=complex)
-            vecs.append(v / np.linalg.norm(v))
+            norm = np.linalg.norm(v)  # if it overflows: no eigenvector, nan residual
+            vecs.append(v / norm if np.isfinite(norm) else np.full(2, np.nan))
         vecs = np.array(vecs).T
     else:
         lams, vecs = np.linalg.eig(J)
-    res = max(
-        float(np.linalg.norm(J @ vecs[:, i] - lams[i] * vecs[:, i]))
-        for i in range(lams.size)
-    )
+    res = np.max([np.linalg.norm(J @ vecs[:, i] - lams[i] * vecs[:, i])
+                  for i in range(lams.size)])
     order = np.argsort(-lams.real)
-    return lams[order], res
+    return lams[order], float(res)
 
 
 @dataclass

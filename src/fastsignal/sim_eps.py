@@ -3,11 +3,12 @@ equations with chemotaxis, two elliptic chemicals, and one slow-evolution
 parabolic chemical.
 
 One step applies a first-order splitting: an explicit Heun (SSP-RK2) update of
-the species transport + reaction, then the chemicals in the cosine modes of
-the grid, which diagonalise their operators: the elliptic ones solved at the
-new densities, and the slow one updated exponentially, exactly per mode for a
-source varying linearly over the step.  Species stay non-negative under the
-stable_dt bound; negative round-off is clipped and accounted.
+the species reaction + transport, one donor-cell face flux per species, then
+the chemicals in the cosine modes of the grid, which diagonalise their
+operators: the elliptic ones solved at the new densities, and the slow one
+updated exponentially, exactly per mode for a source varying linearly over the
+step.  Species stay non-negative under the stable_dt bound; negative round-off
+is clipped and accounted.
 
 The stepping kernel is batch-native: one step advances B members, each by its
 own dt, held as (B, 3, n) species and chemical arrays.  A member is either a
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _face_div, _face_factors, _laplacian
+from .grid import Field, Grid
 from .linsolve import _exp_factors, _mode_rates, _spectral_resolvent, from_modes, to_modes
 from .model import ModelParams
 
@@ -174,19 +175,16 @@ def initial_stable_dt(u10: Field, u20: Field, u30: Field, v30: Field,
                                    (v1, v2, v30.values), p, grid.dx, cfl))
 
 
-# the four chemotactic drifts: species _DRIFT_U[k] climbs chemical _DRIFT_V[k]
-_DRIFT_U = np.array([0, 1, 2, 2])
-_DRIFT_V = np.array([2, 2, 0, 1])
-
-
-def _species_planes(p: ModelParams, b: int, n: int) -> dict:
-    """Full-shape (rows, b, n) coefficient planes of a species-major batch: d,
-    the prey pair's m, eta, alpha, beta and gamma, and chi on the drift faces."""
+def _species_planes(p: ModelParams, b: int, n: int, dx: float) -> dict:
+    """Full-shape coefficient planes of a species-major batch: the prey pair's
+    m, eta, alpha, beta and gamma as (2, b, n), and on the faces d / dx**2 per
+    species as (3, b, n - 1) and chi / dx**2 per drift as (4, b, n - 1)."""
     rows = {k: [getattr(p, k + "1"), getattr(p, k + "2")]
             for k in ("m", "eta", "alpha", "beta", "gamma")}
-    rows.update(d=[p.d1, p.d2, p.d3], chi=[p.chi1, p.chi2, -p.chi31, -p.chi32])
-    return {k: np.full((len(r), b, n - (k == "chi")), np.reshape(r, (-1, 1, 1)))
-            for k, r in rows.items()}
+    planes = {k: np.full((2, b, n), np.reshape(r, (-1, 1, 1))) for k, r in rows.items()}
+    for k, r in (("d", [p.d1, p.d2, p.d3]), ("chi", [p.chi1, p.chi2, -p.chi31, -p.chi32])):
+        planes[k] = np.full((len(r), b, n - 1), np.reshape(r, (-1, 1, 1)) / (dx * dx))
+    return planes
 
 
 def _species_rates(u, c: dict, p: ModelParams) -> np.ndarray:
@@ -205,27 +203,35 @@ def _heun_species(u, v, p: ModelParams, dx: float, dt, c: dict):
     """One SSP-RK2 step of the species subsystem with frozen chemicals.
 
     u and v are (B, 3, n); dt is a float or a (B, 1, 1) column of per-member
-    steps; c holds _species_planes(p, B, n).  Returns the pre-clip update and
-    the time-centred (B, 3) reaction mass rate per species (transport
+    steps; c holds _species_planes(p, B, n, dx).  Returns the pre-clip update
+    and the time-centred (B, 3) reaction mass rate per species (transport
     contributes exactly zero total mass).  Works on species-major (3, B, n)
-    copies; the v-only face factors serve both stages."""
+    copies.  A stage's transport is the divergence of one face flux per
+    species, a * x[j + 1] + bm * x[j]: the donor-cell drifts up v3, v3, v1
+    and v2, and the mirrored-ghost Laplacian as (d / dx**2)(x[j + 1] - x[j]).
+    a >= 0 and bm <= 0 depend only on v, so both stages share them."""
     us = np.ascontiguousarray(np.transpose(u, (1, 0, 2)), dtype=float)
     if np.ndim(dt):
         dt = np.reshape(dt, (1, -1, 1))
-    faces = _face_factors(np.transpose(v, (1, 0, 2))[_DRIFT_V], c["chi"], dx)
+    vs = np.transpose(v, (1, 0, 2))
+    cg = c["chi"] * (vs[..., 1:] - vs[..., :-1])[[2, 2, 0, 1]]
+    up, down = np.maximum(cg, 0.0), np.minimum(cg, 0.0)
+    a, bm = up[:3] + c["d"], down[:3] - c["d"]
+    a[2] += up[3]
+    bm[2] += down[3]
 
     def rhs(x):
-        f = _species_rates(x, c, p)
-        drift = _face_div(x[_DRIFT_U], faces, dx)
-        r = c["d"] * _laplacian(x, dx) + drift[:3]
-        r[2] += drift[3]
-        r += f
-        return r, f
+        r = _species_rates(x, c, p)
+        f_mass = r.sum(-1)
+        flux = a * x[..., 1:] + bm * x[..., :-1]
+        r[..., :-1] += flux
+        r[..., 1:] -= flux
+        return r, f_mass
 
     r, fa = rhs(us)
     q, fb = rhs(us + dt * r)
     new = us + 0.5 * dt * (r + q)
-    reaction_rate = dx * 0.5 * (fa.sum(-1) + fb.sum(-1))
+    reaction_rate = dx * 0.5 * (fa + fb)
     return np.ascontiguousarray(new.transpose(1, 0, 2)), reaction_rate.T
 
 
@@ -345,7 +351,7 @@ class _Stepper:
         dx = self.grid.dx
         mass_old = u.sum(-1) * dx
         if len(u) not in self._planes:
-            self._planes[len(u)] = _species_planes(self.p, len(u), self.grid.n)
+            self._planes[len(u)] = _species_planes(self.p, len(u), self.grid.n, dx)
         with np.errstate(over="ignore", invalid="ignore"):
             new_u, reaction_rate = _heun_species(
                 u, v, self.p, dx, dt_col[..., None] if per_member else dt,

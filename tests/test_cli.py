@@ -270,6 +270,36 @@ def test_unknown_sweep_param_is_a_validation_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_layer_perturbation_image_names_its_keys(tmp_path, capsys):
+    # the cosine perturbation's image under lambda3 Lap - mu3 squares to 0
+    rc = main(["rate-study", "--gamma", "0.5", "--lambda3", "1e-170", "--mu3", "1e-170",
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="')
+    assert "lambda3=1e-170" in err[0] and "mu3=1e-170" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_pp_sweep_fails_without_a_warning(tmp_path, capsys):
+    # at m1 = 1e308 the Newton's determinants, candidate residuals and the
+    # eigenpairs overflow; each is treated as missing, and the long
+    # integration then fails as a numerical error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["ode-bifurcation", "--ode_model", "pp", "--sweep_param", "m1",
+                   "--sweep_min", "1", "--sweep_max", "1e308", "--sweep_count", "2",
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=numerical msg="')
+    assert "status=" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifold_distance_smoke(tmp_path):
     out = tmp_path / "md"
     rc = main(["manifold-distance", "--n", "16", "--T", "0.2", "--output_count", "5",

@@ -553,8 +553,8 @@ def test_grouped_chemical_update_equals_per_chemical_update(n, eps, lam, mu, zet
 
 
 def _chemotaxis_div_reference(u, v, chi, dx):
-    """grid._chemotaxis_div as one function, before it was split into the
-    v-only face factors and the face divergence."""
+    """grid._chemotaxis_div as one function, as it was before the stepper
+    merged it with diffusion."""
     g = (v[..., 1:] - v[..., :-1]) / dx
     cg = chi * g
     flux = np.maximum(cg, 0.0) * u[..., 1:] + np.minimum(cg, 0.0) * u[..., :-1]
@@ -565,24 +565,63 @@ def _chemotaxis_div_reference(u, v, chi, dx):
     return out
 
 
-def _heun_species_reference(u, v, p, dx, dt):
-    """The batch-major Heun step with kinetics and the chemotaxis divergence
-    called per stage, as the stepper evaluated it before the species-major
-    kernel."""
-    def rhs(u):
-        f = np.stack(kinetics(u[..., 0, :], u[..., 1, :], u[..., 2, :], p), axis=-2)
-        chi = np.array([[p.chi1], [p.chi2], [-p.chi31], [-p.chi32]])
-        drift = _chemotaxis_div_reference(u[..., [0, 1, 2, 2], :], v[..., [2, 2, 0, 1], :],
-                                          chi, dx)
-        d = np.array([[p.d1], [p.d2], [p.d3]])
-        r = d * _laplacian(u, dx) + drift[..., :3, :]
-        r[..., 2, :] += drift[..., 3, :]
-        r += f
-        return r, f
+def _kinetics_planes(x, p):
+    return np.stack(kinetics(x[..., 0, :], x[..., 1, :], x[..., 2, :], p), axis=-2)
 
+
+def _old_form_rhs(x, v, p, dx):
+    """The stage right-hand side of a (B, 3, n) batch as the stepper evaluated
+    it before the one-flux kernel: d * _laplacian plus the four drift
+    divergences, species 3's second drift added after its first, plus kinetics."""
+    f = _kinetics_planes(x, p)
+    chi = np.array([[p.chi1], [p.chi2], [-p.chi31], [-p.chi32]])
+    drift = _chemotaxis_div_reference(x[..., [0, 1, 2, 2], :], v[..., [2, 2, 0, 1], :],
+                                      chi, dx)
+    d = np.array([[p.d1], [p.d2], [p.d3]])
+    r = d * _laplacian(x, dx) + drift[..., :3, :]
+    r[..., 2, :] += drift[..., 3, :]
+    r += f
+    return r, f
+
+
+def _one_flux_rhs_reference(x, v, p, dx):
+    """The one-flux stage right-hand side of a (B, 3, n) batch, face by face.
+
+    The flux through face j + 1/2 is a * x[j + 1] + bm * x[j], with
+    a = max(g, 0) + d / dx**2 and bm = min(g, 0) - d / dx**2 over the
+    species' drifts g = (chi / dx**2) * (w[j + 1] - w[j]) up its chemicals w;
+    the predator's second drift is added last.  Cell j adds the flux through
+    its right face to its reaction rate and then subtracts the flux through
+    its left face."""
+    f = _kinetics_planes(x, p)
+    h = dx * dx
+    chi = np.array([p.chi1, p.chi2, -p.chi31, -p.chi32]) / h
+    d = np.array([p.d1, p.d2, p.d3]) / h
+    n = x.shape[-1]
+    fluxes = []
+    for j in range(n - 1):
+        g = chi * (v[..., j + 1] - v[..., j])[:, [2, 2, 0, 1]]
+        a = np.maximum(g, 0.0)[:, :3] + d
+        bm = np.minimum(g, 0.0)[:, :3] - d
+        a[:, 2] += np.maximum(g[:, 3], 0.0)
+        bm[:, 2] += np.minimum(g[:, 3], 0.0)
+        fluxes.append(a * x[..., j + 1] + bm * x[..., j])
+    r = f.copy()
+    for j in range(n):
+        if j < n - 1:
+            r[..., j] += fluxes[j]
+        if j > 0:
+            r[..., j] -= fluxes[j - 1]
+    return r, f
+
+
+def _heun_stages(rhs, u, dt):
+    """SSP-RK2 in the kernel's operation order: the stage-2 input y, both
+    stage rates and both stage reaction rates."""
     r, fa = rhs(u)
-    q, fb = rhs(u + dt * r)
-    return u + 0.5 * dt * (r + q), dx * 0.5 * (fa.sum(-1) + fb.sum(-1))
+    y = u + dt * r
+    q, fb = rhs(y)
+    return y, r, q, fa, fb
 
 
 @st.composite
@@ -593,27 +632,106 @@ def params_with_zero_chi(draw):
     return p.with_updates(**zero)
 
 
-@settings(max_examples=200, deadline=None)
-@given(p=params_with_zero_chi(), b=st.integers(1, 6), n=st.integers(4, 64),
-       per_member=st.booleans(), data=st.data())
-def test_heun_species_equals_batch_major_reference(p, b, n, per_member, data):
-    """The species-major kernel is bitwise the per-stage reference, also for
-    zero densities and for steps far above the stable one, whose second
-    stage sees negative densities."""
-    u = data.draw(arrays(float, (b, 3, n), elements=st.one_of(
+@st.composite
+def heun_inputs(draw):
+    """(p, u, v, dx, dt) of one species step: B 1-6, n 4-64, zero densities,
+    and a float or (B, 1, 1) dt up to 1.0, far above the stable step, so
+    the second stage sees negative densities."""
+    p = draw(params_with_zero_chi())
+    b, n = draw(st.integers(1, 6)), draw(st.integers(4, 64))
+    u = draw(arrays(float, (b, 3, n), elements=st.one_of(
         st.just(0.0), st.floats(0.0, 3.0, allow_subnormal=False))))
-    v = data.draw(arrays(float, (b, 3, n), elements=st.floats(0.0, 30.0)))
+    v = draw(arrays(float, (b, 3, n), elements=st.floats(0.0, 30.0)))
     step = st.floats(1e-6, 1.0, allow_subnormal=False)
-    dt = (data.draw(arrays(float, (b, 1, 1), elements=step)) if per_member
-          else data.draw(step))
-    dx = 1.0 / n
+    dt = draw(st.one_of(step, arrays(float, (b, 1, 1), elements=step)))
+    return p, u, v, 1.0 / n, dt
+
+
+@settings(max_examples=200, deadline=None)
+@given(heun_inputs())
+def test_heun_species_equals_batch_major_reference(inputs):
+    """The species-major kernel is bitwise SSP-RK2 on the face-by-face
+    one-flux right-hand side of the batch-major layout."""
+    p, u, v, dx, dt = inputs
+    b, _, n = u.shape
     with np.errstate(all="ignore"):
-        want_u, want_rate = _heun_species_reference(u, v, p, dx, dt)
+        y, r, q, fa, fb = _heun_stages(lambda x: _one_flux_rhs_reference(x, v, p, dx), u, dt)
+        want_u = u + 0.5 * dt * (r + q)
+        want_rate = dx * 0.5 * (fa.sum(-1) + fb.sum(-1))
         assume(np.isfinite(want_u).all() and np.isfinite(want_rate).all())
-        got_u, got_rate = _heun_species(u, v, p, dx, dt, _species_planes(p, b, n))
+        got_u, got_rate = _heun_species(u, v, p, dx, dt, _species_planes(p, b, n, dx))
     assert got_u.shape == want_u.shape and got_rate.shape == want_rate.shape
     assert got_u.tobytes() == want_u.tobytes()
     assert np.ascontiguousarray(got_rate).tobytes() == want_rate.tobytes()
+
+
+def _gamma(k):
+    unit = np.finfo(float).eps / 2
+    return k * unit / (1 - k * unit)
+
+
+def _term_magnitude(x, v, p, dx):
+    """Per cell, the sum of |term| of the stage rate written as a sum of
+    products of inputs: |f|, and for each of the cell's faces
+    (d / dx**2 + sum |g| over the species' drifts) * (|x[j]| + |x[j + 1]|)."""
+    h = dx * dx
+    g = np.abs(np.array([[p.chi1], [p.chi2], [p.chi31], [p.chi32]])
+               * np.diff(v, axis=-1)[..., [2, 2, 0, 1], :]) / h
+    coef = np.array([[p.d1], [p.d2], [p.d3]]) / h + g[..., :3, :]
+    coef[..., 2, :] += g[..., 3, :]
+    face = coef * (np.abs(x[..., 1:]) + np.abs(x[..., :-1]))
+    m = np.abs(_kinetics_planes(x, p))
+    m[..., :-1] += face
+    m[..., 1:] += face
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(heun_inputs())
+def test_heun_species_is_the_old_form_within_round_off(inputs):
+    """The one-flux kernel is the old d * _laplacian + drift form up to
+    round-off, at the stage inputs the kernel visits.
+
+    Both forms evaluate the same real expression, a sum of products of the
+    inputs (the computed chemical differences and dx among them), and f is
+    bitwise the same planes in both.  Counting the roundings on the path of
+    every term gives at most 9 in either form (the predator's second drift:
+    chi / dx**2, its product with the difference, the sum into a, a * x, the
+    face flux sum and the two cell updates; the old form's chain is as
+    long), so each form is within gamma_9 * M of the exact value, where M is
+    _term_magnitude; gamma_10 also covers M's own evaluation.  Underflow
+    adds at most half the smallest subnormal per operation, of which each
+    cell's evaluation has fewer than 64.  Hence the stage rates differ by at
+    most E = 2 gamma_10 M + 64 * smallest_subnormal.  The combination
+    u + (0.5 dt)(r + q) then rounds three more times: with u' = u / (1 - u)
+    the outputs differ by at most
+    0.5 dt (E_r + E_q + u' (|s| + |s_old|)) + u' (|t| + |t_old|)
+    + u' (|new| + |new_old|), s = r + q, t = 0.5 dt * s.
+
+    The stage-2 input is shared: the old form's own second stage would
+    start from its own y, and far above the stable step the stage map
+    amplifies that difference by dt times a kinetics Jacobian at negative
+    densities, which has no bound of this kind."""
+    p, u, v, dx, dt = inputs
+    b, _, n = u.shape
+    with np.errstate(all="ignore"):
+        got_u, _ = _heun_species(u, v, p, dx, dt, _species_planes(p, b, n, dx))
+        y, r, q, _, _ = _heun_stages(lambda x: _one_flux_rhs_reference(x, v, p, dx), u, dt)
+        r_old, _ = _old_form_rhs(u, v, p, dx)
+        q_old, _ = _old_form_rhs(y, v, p, dx)
+        half = 0.5 * dt
+        s, s_old = r + q, r_old + q_old
+        t, t_old = half * s, half * s_old
+        old_u = u + t_old
+        tiny = 64 * np.finfo(float).smallest_subnormal
+        e_r = 2 * _gamma(10) * _term_magnitude(u, v, p, dx) + tiny
+        e_q = 2 * _gamma(10) * _term_magnitude(y, v, p, dx) + tiny
+        unit = _gamma(1)
+        bound = (half * (e_r + e_q + unit * (np.abs(s) + np.abs(s_old)))
+                 + unit * (np.abs(t) + np.abs(t_old))
+                 + unit * (np.abs(got_u) + np.abs(old_u)) + tiny)
+        assume(np.isfinite(bound).all() and np.isfinite(old_u).all())
+    assert (np.abs(got_u - old_u) <= bound).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -625,5 +743,5 @@ def test_species_rates_equal_kinetics(p, b, n, data):
     with np.errstate(all="ignore"):
         want = np.stack(kinetics(u[0], u[1], u[2], p))
         assume(np.isfinite(want).all())
-        got = _species_rates(u, _species_planes(p, b, n), p)
+        got = _species_rates(u, _species_planes(p, b, n, 1.0 / n), p)
     assert got.tobytes() == want.tobytes()
