@@ -291,29 +291,69 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     return OdeTrajectory(np.array(out_t), np.array(out_y), n_steps, n_rejected)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_rows(J: np.ndarray, F: np.ndarray):
     """Newton steps ``J[i]^-1 F[i]`` and a mask of the rows that have one.
 
-    A batched ``np.linalg.solve`` raises for the whole stack when one matrix
-    is singular, so rows whose LU determinant is zero or not finite are
-    retried one by one; those that still raise or whose step is not finite
-    have no step.
+    One ``np.linalg.solve`` over the whole stack comes first.  It solves each
+    matrix on its own, so its rows are the per-row solves bitwise, but it
+    raises for the whole stack when one matrix is singular.  Only then are
+    rows whose LU determinant is zero or not finite screened out and retried
+    one by one; those that still raise have no step.  Nor has a row whose
+    step is not finite.
     """
-    step = np.empty_like(F)
     has_step = np.ones(F.shape[0], dtype=bool)
-    det = np.linalg.det(J)
-    regular = np.isfinite(det) & (det != 0.0)
-    step[regular] = np.linalg.solve(J[regular], F[regular][..., None])[..., 0]
-    for i in np.flatnonzero(~regular):
-        try:
-            step[i] = np.linalg.solve(J[i], F[i])
-        except np.linalg.LinAlgError:
-            has_step[i] = False
+    try:
+        step = np.linalg.solve(J, F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.empty_like(F)
+        det = np.linalg.det(J)
+        regular = np.isfinite(det) & (det != 0.0)
+        step[regular] = np.linalg.solve(J[regular], F[regular][..., None])[..., 0]
+        for i in np.flatnonzero(~regular):
+            try:
+                step[i] = np.linalg.solve(J[i], F[i])
+            except np.linalg.LinAlgError:
+                has_step[i] = False
     return step, has_step & np.isfinite(step).all(axis=-1)
 
 
 _NEWTON_MAX_ITER = 60
 _NEWTON_TOL = 1e-12
+# the line search's candidate steps lam = 1, 1/2, ..., 2^-39, exact powers of two
+_LINE_SEARCH_LAMS = np.array([math.ldexp(1.0, -k) for k in range(40)])
+
+
+def _line_search(rhs, args, y, f, fnorm, live, step):
+    """The blocked backtracking of ``_newton`` for the rows ``live``.
+
+    Writes each row's first better candidate into ``y``, ``f`` and ``fnorm``
+    and returns the positions in ``live`` of the rows that found none.
+    Candidate ``b * pending.size + i`` is pending row i's at lam number
+    ``start + b``, and its args are tiled in that order.  N is the number of
+    rows of ``y``.  The blocks of up to N rows are freed on return, before
+    ``_newton``'s next Jacobian.
+    """
+    pending = np.arange(live.size)  # positions in ``live`` still searching
+    start = 0
+    while pending.size and start < _LINE_SEARCH_LAMS.size:
+        block = 1 if start == 0 else min(_LINE_SEARCH_LAMS.size - start,
+                                         max(1, y.shape[0] // pending.size))
+        rows = live[pending]
+        lams = _LINE_SEARCH_LAMS[start:start + block, None, None]
+        cand = (y[rows] - lams * step[pending]).reshape(-1, y.shape[1])
+        cand_rows = np.tile(rows, block)
+        fc = rhs(cand, *(a[cand_rows] for a in args))
+        cnorm = np.max(np.abs(fc), axis=-1)
+        better = (cnorm < fnorm[cand_rows]).reshape(block, rows.size)
+        first = better.argmax(axis=0)  # each row's first better candidate
+        took = np.flatnonzero(better.any(axis=0))
+        pick = first[took] * rows.size + took
+        won = rows[took]
+        y[won], f[won], fnorm[won] = cand[pick], fc[pick], cnorm[pick]
+        pending = np.delete(pending, took)
+        start += block
+    return pending
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -322,12 +362,19 @@ def _newton(rhs, jac, y0, args=()):
 
     ``args`` holds per-row arrays passed after the states, sliced with them.
     Each row takes the path a lone solve from it would: stop once
-    max |rhs| <= 1e-12; otherwise halve the step from lam = 1 (at most 40
-    times) until max |rhs| decreases, and give up on a singular Jacobian, a
-    failed line search or after 60 steps.  Only the rows still iterating
-    are evaluated; an overflow leaves a row no step or a candidate that is
-    not better (nan compares false).  Returns the final states and a
-    converged mask.
+    max |rhs| <= 1e-12; otherwise try the steps lam = 1, 1/2, ..., 2^-39
+    (40 candidates, 39 halvings) and take the first whose max |rhs| is
+    smaller; give up on a singular Jacobian, a failed line search or after
+    60 steps.  Only the rows still iterating are evaluated; an overflow
+    leaves a row no step or a candidate that is not better (nan compares
+    false).  Returns the final states and a converged mask.
+
+    The line search is blocked: every live row tries lam = 1 in one ``rhs``
+    call, and the rows still pending then try the next
+    ``block = min(left, max(1, N // pending))`` candidates each per call, so
+    no call stacks more than N rows.  Taking each row's first better
+    candidate in lam order is the choice the one-halving-at-a-time search
+    makes.
     """
     y = np.array(y0, dtype=float)
     f = rhs(y, *args)
@@ -342,22 +389,7 @@ def _newton(rhs, jac, y0, args=()):
             break
         step, has_step = _solve_rows(jac(y[live], *(a[live] for a in args)), f[live])
         live, step = live[has_step], step[has_step]
-        # line search; ``pending`` indexes the rows of ``live`` still halving
-        pending = np.arange(live.size)
-        lam = 1.0
-        for _ in range(40):
-            rows = live[pending]
-            cand = y[rows] - lam * step[pending]
-            fc = rhs(cand, *(a[rows] for a in args))
-            cnorm = np.max(np.abs(fc), axis=-1)
-            better = cnorm < fnorm[rows]
-            took = rows[better]
-            y[took], f[took], fnorm[took] = cand[better], fc[better], cnorm[better]
-            pending = pending[~better]
-            if pending.size == 0:
-                break
-            lam *= 0.5
-        live = np.delete(live, pending)
+        live = np.delete(live, _line_search(rhs, args, y, f, fnorm, live, step))
     converged[live] = fnorm[live] <= _NEWTON_TOL
     return y, converged
 

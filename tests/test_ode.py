@@ -1,13 +1,15 @@
 """Tests for the homogeneous ODE systems, integrator and bifurcation sweeps."""
 
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fastsignal import ode
 from fastsignal.cli import main
 from fastsignal.model import default_params, kinetics
 from fastsignal.ode import (
@@ -341,6 +343,140 @@ def test_solve_rows_retries_screened_rows_one_by_one():
     assert has_step.tolist() == [True, True, False]
     for i in range(2):
         assert np.array_equal(step[i], np.linalg.solve(J[i], F[i]))
+
+
+def test_solve_rows_equals_per_row_solves_on_every_sub_stack():
+    J = np.array([
+        [[2.0, 1.0], [1.0, 3.0]],  # regular
+        np.eye(2) * 1e-200,  # regular, but its det underflows to 0
+        [[1.0, 2.0], [2.0, 4.0]],  # singular
+        [[np.inf, 1.0], [1.0, 1.0]],
+        [[np.nan, 1.0], [1.0, 1.0]],
+        [[1e308, 1e308], [-1e308, 1e308]],  # its det overflows
+    ])
+    F = np.array([[1.0, 2.0], [1e-200, 2e-200], [1.0, 1.0], [1.0, 2.0], [1.0, 2.0],
+                  [1.0, 1.0]])
+    expected = []
+    for Ji, Fi in zip(J, F):
+        try:
+            ref = np.linalg.solve(Ji, Fi)
+        except np.linalg.LinAlgError:
+            ref = None
+        expected.append((ref, ref is not None and bool(np.isfinite(ref).all())))
+    assert [has for _, has in expected] == [True, True, False, True, False, True]
+    # a stack whose one solve raises takes the screened path, any other the
+    # stacked one; both must give each row its own solve's outcome
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in range(1, len(J) + 1):
+            for sub in map(list, itertools.combinations(range(len(J)), size)):
+                step, has_step = _solve_rows(J[sub], F[sub])
+                for i, got, has in zip(sub, step, has_step):
+                    ref, ref_has = expected[i]
+                    assert has == ref_has
+                    if ref is not None:
+                        assert got.tobytes() == ref.tobytes()
+
+
+def _halving_rhs(y, c=0.1):
+    """A synthetic system in which the Jacobian sets the line search's outcome.
+
+    State (x, s, g); f = (2 x - 2 c + r, 0, 0), where r = 0 for g = 0,
+    r = x x - x x (0, or nan once x x overflows) for g = 1 and r = x x (inf
+    once it overflows) for g = 2.  ``_halving_jac`` leaves r out and gives
+    2 s for 2, so the Newton step is (x - c) / s and s, g never change.  For
+    g < 2, s = 2^-k and exact arithmetic, the first candidate that lowers
+    |f0| is lam = 2^-k: k = 0...39 accept at candidate k, k = 40 uses up all
+    40 candidates, s < 0 sends every step uphill and s = 0 is singular.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, g = y[..., 0], y[..., 2]
+        r = np.where(g == 1, x * x - x * x, np.where(g == 2, x * x, 0.0))
+        f0 = (x + x) - (c + c) + r
+    zero = np.zeros_like(f0)
+    return np.stack([f0, zero, zero], axis=-1)
+
+
+def _halving_jac(y, c=0.1):
+    J = np.zeros(y.shape + (3,))
+    J[..., 0, 0] = 2.0 * y[..., 1]
+    J[..., 1, 1] = J[..., 2, 2] = 1.0
+    return J
+
+
+def _halving_row(x, k, c=0.1, g=0.0):
+    return (float(x), 2.0 ** -k, g, c)
+
+
+_X = st.builds(lambda m, e: m * 2.0 ** e, st.integers(-64, 64),
+               st.sampled_from([-6, 0, 8, 506, 1010]))
+# k = 39 and 40 are the last candidate and one past it
+_K = st.one_of(st.integers(0, 40), st.sampled_from([39, 40]))
+_S = st.one_of(_K.map(lambda k: 2.0 ** -k), _K.map(lambda k: -(2.0 ** -k)), st.just(0.0))
+_C = st.one_of(st.integers(-64, 64).map(lambda m: m / 8.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 60).flatmap(lambda n: st.lists(
+           st.tuples(_X, _S, st.sampled_from([0.0, 1.0, 2.0]), _C), min_size=n, max_size=n)),
+       per_row_args=st.booleans())
+# one row accepts at the last candidate, one would accept at a 41st
+@example(rows=[_halving_row(1, 39), _halving_row(1, 40)], per_row_args=False)
+# a lone pending row tries 10 candidates in one call; only the first
+# better one (lam = 2^-3) lands on the root in one step
+@example(rows=[_halving_row(1, 0)] * 9 + [_halving_row(1, 3)], per_row_args=False)
+# two pending rows with their own c share blocks of 10 candidates
+@example(rows=[_halving_row(1, 0)] * 18 + [_halving_row(1, 3, c=-0.5),
+                                            _halving_row(2, 4, c=0.75)],
+         per_row_args=True)
+def test_blocked_line_search_matches_scalar_reference(rows, per_row_args):
+    y0 = np.array([r[:3] for r in rows])
+    c = np.array([r[3] for r in rows])
+    y, ok = _newton(_halving_rhs, _halving_jac, y0, (c,) if per_row_args else ())
+    for i in range(len(rows)):
+        ci = (c[i],) if per_row_args else ()
+        ref = newton_reference(lambda v: _halving_rhs(v, *ci),
+                               lambda v: _halving_jac(v, *ci), y0[i])
+        assert ok[i] == (ref is not None)
+        if ref is not None:
+            assert y[i].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [40, 64])
+def test_failed_line_search_costs_two_rhs_calls(n_rows):
+    # every row but the last lands on its root at lam = 1; the last goes
+    # uphill.  lam = 1 is one call over all rows, and the one pending row then
+    # tries block = min(39, n_rows // 1) = 39 candidates in one more call
+    y0 = np.array([_halving_row(1, 0)[:3]] * (n_rows - 1) + [(1.0, -1.0, 0.0)])
+    sizes = []
+
+    def counted(y):
+        sizes.append(len(y))
+        return _halving_rhs(y)
+
+    y, ok = _newton(counted, _halving_jac, y0)
+    assert ok.tolist() == [True] * (n_rows - 1) + [False]
+    # the initial residual, then iteration 1's search; iteration 2 stops
+    assert sizes == [n_rows, n_rows, 39]
+
+
+def test_sweep_newton_stacks_no_more_rows_than_its_guesses(monkeypatch):
+    stacks, sizes = [], []
+    newton = ode._newton
+
+    def recording_newton(rhs, jac, y0, args=()):
+        stacks.append(len(y0))
+
+        def counted(y, *a):
+            sizes.append(len(y))
+            return rhs(y, *a)
+
+        return newton(counted, jac, y0, args)
+
+    monkeypatch.setattr(ode, "_newton", recording_newton)
+    bifurcation_sweep("3pop", "m1", np.linspace(0.05, 1.5, 24), P.with_updates(eta2=0.05))
+    assert stacks == [24 * 6 ** 3]
+    assert max(sizes) <= stacks[0]
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
