@@ -88,20 +88,17 @@ def manifold_projection(u: Field, p: ModelParams) -> Field:
     return Field(_spectral_resolvent(p.lambda3, p.mu3, u.grid, p.zeta3 * u.values), u.grid)
 
 
-def _layer_residual(u30: Field, v30: Field, p: ModelParams) -> Field:
-    r = (
-        p.lambda3 * _laplacian(v30.values, v30.grid.dx)
-        - p.mu3 * v30.values
-        + p.zeta3 * u30.values
-    )
-    return Field(r, v30.grid)
+def _layer_residual(u3: np.ndarray, v3: np.ndarray, p: ModelParams, dx: float) -> np.ndarray:
+    # lambda3 * Lap v3 - mu3 * v3 + zeta3 * u3, along the last axis
+    return p.lambda3 * _laplacian(v3, dx) - p.mu3 * v3 + p.zeta3 * u3
 
 
 def initial_layer_size(u30: Field, v30: Field, p: ModelParams) -> float:
     """L2 norm of lambda3 * Lap v30 - mu3 * v30 + zeta3 * u30."""
     if u30.grid != v30.grid:
         raise ValueError("u30 and v30 live on different grids")
-    return norm_l2(_layer_residual(u30, v30, p))
+    dx = v30.grid.dx
+    return float(_row_norms(_layer_residual(u30.values, v30.values, p, dx), dx, 0))
 
 
 def make_layer_data(u30: Field, spec: InitialLayerSpec, p: ModelParams) -> Field:
@@ -146,7 +143,9 @@ def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | s
     v30s = [make_layer_data(u30, InitialLayerSpec(gamma, e), p) for e in eps]
     st = _Stepper(u10.grid, p, eps=eps, chemical_mode=chemical_mode)
     trajs = _run_members(st, (u10, u20, u30), v30s, T, output_times, cfl=cfl)
-    dist = np.array([[manifold_distance(s, p) for s in tr.states] for tr in trajs])
+    # the (B, n_times, n) predator and slow-chemical rows of every snapshot
+    u3, v3 = (np.array([tr.values[:, i] for tr in trajs]) for i in (2, 5))
+    dist = _row_norms(_layer_residual(u3, v3, p, u10.grid.dx), u10.grid.dx, 0)
     eps_in = np.array([initial_layer_size(u30, v30, p) for v30 in v30s])
     return trajs[0].times, dist, eps_in
 
@@ -182,21 +181,17 @@ class TrajectoryComparison:
 
 def compare_trajectories(A: Trajectory, B: Trajectory) -> TrajectoryComparison:
     """Per-component errors between a relaxation-time run and a limit run."""
-    if len(A.states) != len(B.states) or not np.allclose(A.times, B.times):
+    if len(A.times) != len(B.times) or not np.allclose(A.times, B.times):
         raise ValueError("trajectories have different snapshot schedules")
-    ga, gb = A.states[0].grid, B.states[0].grid
-    if ga != gb:
+    if A.grid != B.grid:
         raise ValueError("trajectories live on different grids")
-
-    def norms(name, order):
-        # the norm of each snapshot's difference in one component, from (T, n) stacks
-        d = (np.array([getattr(s, name).values for s in A.states])
-             - np.array([getattr(s, name).values for s in B.states]))
-        return _row_norms(d, ga.dx, order)
-
-    sup = [float(norms(name, order).max()) for name, order in
-           (("u1", 0), ("u2", 0), ("u3", 0), ("v1", 2), ("v2", 2), ("v3", 1))]
-    v3_h2_sq = [h ** 2 for h in norms("v3", 2).tolist()]
+    # each component's norm of each snapshot's difference, from one (T, 6, n) array
+    d, dx = A.values - B.values, A.grid.dx
+    species = _row_norms(d[:, :3], dx, 0)
+    chem_h2 = _row_norms(d[:, 3:], dx, 2)
+    sup = [*species.max(0).tolist(), *chem_h2[:, :2].max(0).tolist(),
+           float(_row_norms(d[:, 5], dx, 1).max())]
+    v3_h2_sq = [h ** 2 for h in chem_h2[:, 2].tolist()]
     l2h2 = float(np.sqrt(np.trapezoid(v3_h2_sq, A.times) if len(A.times) > 1 else v3_h2_sq[0]))
     return TrajectoryComparison(*sup, l2h2)
 

@@ -40,6 +40,7 @@ from .ode import (
     model_rhs,
 )
 from .sim_eps import (
+    _COMPONENTS,
     BlowUpError,
     StabilityError,
     default_initial_fields,
@@ -249,13 +250,13 @@ def _write_echo(outdir: Path, cfg: RunConfig, subcommand: str, T: float) -> None
     (outdir / "config_echo.txt").write_text("\n".join(lines) + "\n")
 
 
-def _write_snapshots(outdir: Path, traj, columns) -> None:
-    x = traj.states[0].grid.centers
-    header = "x," + ",".join(columns)
-    row = ",".join(["{:.17g}"] * (len(columns) + 1))
-    for i, (t, s) in enumerate(zip(traj.times, traj.states)):
+def _write_snapshots(outdir: Path, traj) -> None:
+    x = traj.grid.centers
+    header = "x," + ",".join(_COMPONENTS)
+    row = ",".join(["{:.17g}"] * (len(_COMPONENTS) + 1))
+    for i, t in enumerate(traj.times):
         # Python floats format faster than numpy scalars, to the same digits
-        table = np.column_stack([x] + [getattr(s, c).values for c in columns]).tolist()
+        table = np.column_stack((x, *traj.values[i])).tolist()
         rows = [header] + [row.format(*r) for r in table]
         (outdir / f"t{i}_{t:.6g}.csv").write_text("\n".join(rows) + "\n")
 
@@ -272,7 +273,7 @@ def _cmd_simulate(cfg: RunConfig, T: float, limit: bool = False):
                        chemical_mode=cfg.chemical_mode)
 
     def write(out: Path) -> None:
-        _write_snapshots(out, traj, ("u1", "u2", "u3", "v1", "v2", "v3"))
+        _write_snapshots(out, traj)
         frac = traj.clipped_mass / np.maximum(traj.initial_mass, 1e-300)
         (out / "summary.txt").write_text(
             f"steps = {traj.n_steps}\n"
@@ -297,7 +298,7 @@ def _cmd_rate_study(cfg: RunConfig, T: float):
     slopes = " ".join(
         f"{name}={slope:.3f}" for name, (slope, _, _) in sorted(report.slopes.items())
     )
-    return write, f" {slopes}"
+    return write, f" {slopes}" if slopes else ""
 
 
 def _cmd_manifold_distance(cfg: RunConfig, T: float):

@@ -19,7 +19,7 @@ chemicals are elliptic.  Single runs are batches of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,7 +57,8 @@ class StabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class State:
-    """Full solution of one run at one time; eps is None for the limiting system."""
+    """Full solution of one run at one time; eps is None for the limiting system.
+    A Trajectory's States are views: each Field wraps a row of its ``values``."""
 
     t: float
     eps: float | None
@@ -73,28 +74,47 @@ class State:
         return self.u1.grid
 
 
+# the rows of a snapshot, in State's order: the species, then the chemicals
+_COMPONENTS = tuple(f.name for f in fields(State))[2:]
+
+
+def _state(t: float, eps, rows, grid: Grid) -> State:
+    """The State whose Fields wrap the six (n,) rows of a snapshot, without copies."""
+    return State(t, eps, *(Field(x, grid) for x in rows))
+
+
 @dataclass
 class Trajectory:
     """Snapshots of one run at the requested output times plus stepping diagnostics.
 
-    The diagnostics are aggregates over the whole run: the step count, the
-    worst per-step mass-balance residual and the mass clipped per species.
-    They are accumulated while stepping, so memory does not grow with the
-    number of steps.
+    ``values`` holds the snapshots as one (n_times, 6, n) array: values[k] is
+    (u1, u2, u3, v1, v2, v3) at times[k].  ``states`` builds one State per
+    snapshot on demand, as views into ``values``.  The diagnostics are
+    aggregates over the whole run, accumulated while stepping: the step count,
+    the worst per-step mass-balance residual and the mass clipped per species.
     """
 
     times: np.ndarray
-    states: list
+    values: np.ndarray
+    grid: Grid
+    eps: float | None
     clipped_mass: np.ndarray
-    initial_mass: np.ndarray
     n_steps: int
     max_balance_residual: float
 
+    @property
+    def states(self) -> list:
+        return [_state(t, self.eps, rows, self.grid)
+                for t, rows in zip(self.times.tolist(), self.values)]
+
+    @property
+    def initial_mass(self) -> np.ndarray:
+        """Mass of each species at t = 0."""
+        return self.values[0, :3].sum(-1) * self.grid.dx
+
     def spatial_means(self) -> np.ndarray:
         """Domain averages of (u1, u2, u3) at the snapshot times."""
-        return np.array(
-            [[s.u1.values.mean(), s.u2.values.mean(), s.u3.values.mean()] for s in self.states]
-        )
+        return self.values[:, :3].mean(-1)
 
 
 def default_initial_fields(grid: Grid) -> tuple[Field, Field, Field]:
@@ -157,11 +177,8 @@ def stable_dt(s, p: ModelParams, cfl: float) -> float:
     Bounds diffusion, the upwind chemotactic drift from the current chemical
     gradients, and a local Lipschitz estimate of the reaction terms.
     """
-    return float(_stable_dt_values(
-        (s.u1.values, s.u2.values, s.u3.values),
-        (s.v1.values, s.v2.values, s.v3.values),
-        p, s.grid.dx, cfl,
-    ))
+    x = np.array([getattr(s, c).values for c in _COMPONENTS])
+    return float(_stable_dt_values(x[:3], x[3:], p, s.grid.dx, cfl))
 
 
 def initial_stable_dt(u10: Field, u20: Field, u30: Field, v30: Field,
@@ -382,24 +399,15 @@ class _LimitStepper(_Stepper):
         super().__init__(grid, p, eps=None, **kw)
 
 
-def _states(stepper: _Stepper, t: float, u: np.ndarray, v: np.ndarray) -> list:
-    """One State per member of the (B, 3, n) batch (u, v) at time t, holding
-    copies: a step of part of the batch writes into u and v."""
-    g = stepper.grid
-    return [State(t, eps, *(Field(x, g) for x in (*u[b].copy(), *v[b].copy())))
-            for b, eps in enumerate(stepper.eps)]
-
-
 def step(s: State, p: ModelParams, dt: float, *, chemical_mode: str = "mixed") -> State:
     """One split step of the relaxation-time system, or of the limiting
     system when s.eps is None."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
     st = _Stepper(s.grid, p, eps=s.eps, chemical_mode=chemical_mode)
-    u = (s.u1.values, s.u2.values, s.u3.values)
-    v = (s.v1.values, s.v2.values, s.v3.values)
-    u, v, _ = st.step(s.t, u, v, dt)
-    return _states(st, s.t + dt, u, v)[0]
+    x = np.array([getattr(s, c).values for c in _COMPONENTS])
+    u, v, _ = st.step(s.t, x[:3], x[3:], dt)
+    return _state(s.t + dt, s.eps, (*u[0], *v[0]), s.grid)
 
 
 def _normalise_output_times(T: float, output_times) -> np.ndarray:
@@ -417,7 +425,8 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
                dt_fixed=None) -> list:
     """Step every member of the batch (u, v) from t = 0 to T.
 
-    Returns one Trajectory per member.  Each member keeps its own clock and
+    Returns one Trajectory per member, whose values are its slice of one
+    (B, n_times, 6, n) snapshot array.  Each member keeps its own clock and
     steps with its own dt: its entry of dt_fixed (one value, or one per
     member), checked against its own stability bound, or its own stable step.
     Each member shortens its last step to land on each output time and then
@@ -432,15 +441,16 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
     if dt_fixed is not None:
         dt_fixed = np.broadcast_to(np.asarray(dt_fixed, dtype=float), (n_members,)).tolist()
 
-    snapshots = [_states(stepper, 0.0, u, v)]
-    initial_mass = u.sum(-1) * dx
+    # every snapshot of every member, written in place at each output time
+    snaps = np.empty((n_members, times.size, 6, u.shape[-1]))
+    snaps[:, 0, :3], snaps[:, 0, 3:] = u, v
     # per-member clocks and aggregates as Python floats: a batch is a handful
     # of members, and per-element float arithmetic is what numpy's is
     t = [0.0] * n_members
     n_steps = [0] * n_members
     max_residual = [0.0] * n_members
 
-    for target in times[1:].tolist():
+    for k, target in enumerate(times[1:].tolist(), 1):
         while True:
             rows = [b for b in range(n_members) if t[b] < target]
             if not rows:
@@ -482,19 +492,11 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
                 n_steps[b] += 1
                 max_residual[b] = max(max_residual[b], r)
         t = [target] * n_members
-        snapshots.append(_states(stepper, target, u, v))
+        snaps[:, k, :3], snaps[:, k, 3:] = u, v
 
-    return [
-        Trajectory(
-            times=times,
-            states=[states[b] for states in snapshots],
-            clipped_mass=stepper.clipped[b].copy(),
-            initial_mass=initial_mass[b],
-            n_steps=n_steps[b],
-            max_balance_residual=max_residual[b],
-        )
-        for b in range(n_members)
-    ]
+    return [Trajectory(times, snaps[b], stepper.grid, stepper.eps[b],
+                       stepper.clipped[b].copy(), n_steps[b], max_residual[b])
+            for b in range(n_members)]
 
 
 def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,

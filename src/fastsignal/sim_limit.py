@@ -4,7 +4,8 @@ A limit run is a run of the relaxation-time stepper whose eps is None: the
 same split step, except that the slow chemical is an elliptic solve too, so
 all three chemicals satisfy their resolvent equations at every step.  There
 is no datum for v3: its initial value is the resolvent applied to the initial
-predator density.  Its snapshots are ``sim_eps.State``s with eps None.
+predator density.  It returns a ``sim_eps.Trajectory`` with eps None, whose
+snapshots are one (n_times, 6, n) array and whose States are views into it.
 """
 
 from __future__ import annotations

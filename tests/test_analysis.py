@@ -139,14 +139,9 @@ def test_compare_trajectories_identical_and_shifted():
 
     import copy
 
-    from fastsignal.sim_eps import State
-
     shifted = copy.deepcopy(traj)
-    s = shifted.states[0]
     c = 0.37
-    shifted.states[0] = State(
-        s.t, None, Field(s.u1.values + c, grid), s.u2, s.u3, s.v1, s.v2, s.v3
-    )
+    shifted.values[0, 0] += c
     comp = compare_trajectories(traj, shifted)
     assert np.isclose(comp.err_u1, c, atol=1e-12)
     assert comp.err_u2 == 0.0 and comp.err_u3 == 0.0
@@ -181,9 +176,7 @@ def test_compare_trajectories_equals_per_snapshot_norms(t, n, data):
 
     def trajectory():
         values = data.draw(arrays(float, (t, 6, n), elements=st.floats(-100.0, 100.0)))
-        states = [State(float(s), None, *(Field(x, grid) for x in v))
-                  for s, v in zip(times, values)]
-        return Trajectory(times, states, np.zeros(3), np.zeros(3), 0, 0.0)
+        return Trajectory(times, values, grid, None, np.zeros(3), 0, 0.0)
 
     a, b = trajectory(), trajectory()
     got = list(compare_trajectories(a, b).as_dict().values())

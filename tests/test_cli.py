@@ -178,6 +178,14 @@ def test_rate_study_deterministic_output(tmp_path):
     assert csv_a == csv_b
 
 
+def test_rate_study_status_without_slopes_has_single_spaces(tmp_path, capsys):
+    # at T = 1e-300 every error sits below the fit floor, so no slope is fitted
+    out = tmp_path / "o"
+    assert main(["rate-study", "--n", "16", "--T", "1e-300", "--outdir", str(out)]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    assert line.split(" ") == ["fastsignal:", "status=ok", "cmd=rate-study", f"outdir={out}"]
+
+
 def test_workers_is_an_unknown_key(tmp_path, capsys):
     # every rate study is one batch in one process; the knob is gone
     rc = main(["rate-study", *FAST_RATE_FLAGS, "--gamma", "0.5", "--workers", "2",
@@ -448,7 +456,7 @@ def test_write_snapshots_matches_per_value_formatting(tmp_path):
     traj = run_limit(*default_initial_fields(grid), 0.01, default_params(),
                      np.linspace(0.0, 0.01, 3))
     columns = ("u1", "u2", "u3", "v1", "v2", "v3")
-    _write_snapshots(tmp_path, traj, columns)
+    _write_snapshots(tmp_path, traj)
     x = grid.centers
     for i, (t, s) in enumerate(zip(traj.times, traj.states)):
         data = [getattr(s, c).values for c in columns]

@@ -1,6 +1,9 @@
 """Tests for the two time integrators and their shared stepping machinery."""
 
+import tempfile
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +14,11 @@ from fastsignal.analysis import (
     InitialLayerSpec,
     compare_trajectories,
     make_layer_data,
+    manifold_distance,
+    manifold_distance_study,
     norm_l2,
 )
+from fastsignal.cli import _write_snapshots
 from fastsignal.grid import Field, _laplacian, make_grid
 from fastsignal.linsolve import HelmholtzOperator, _exp_ramp_values, from_modes, to_modes
 from fastsignal.model import _POSITIVE, ModelParams, default_params, kinetics
@@ -329,6 +335,15 @@ def test_fixed_dt_must_be_finite_and_positive(dt):
     with pytest.raises(ValueError, match="finite and positive"):
         _run_members(_Stepper(grid, P, eps=[1e-3, None]), (u10, u20, u30), [v30, None],
                      0.1, None, dt=[1e-4, dt])
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+def test_step_dt_must_be_finite_and_positive(dt):
+    # a non-finite step used to surface as a blow-up of the stepped state
+    s = make_homogeneous_state(make_grid(1.0, 16))
+    for eps in (1e-3, None):
+        with pytest.raises(ValueError, match="finite and positive"):
+            step(replace(s, eps=eps), P, dt)
 
 
 def test_oscillatory_regime_homogeneous_long_run():
@@ -745,3 +760,48 @@ def test_species_rates_equal_kinetics(p, b, n, data):
         assume(np.isfinite(want).all())
         got = _species_rates(u, _species_planes(p, b, n, 1.0 / n), p)
     assert got.tobytes() == want.tobytes()
+
+
+SNAPSHOT_COLUMNS = ("u1", "u2", "u3", "v1", "v2", "v3")
+
+
+@settings(max_examples=25, deadline=None)
+@given(members=st.lists(st.sampled_from([None, 1e-1, 1e-2, 1e-3]), min_size=1, max_size=3),
+       n=st.integers(4, 48), n_times=st.integers(2, 5),
+       gamma=st.sampled_from(["on_manifold", 0.5]))
+def test_snapshot_array_consumers_equal_per_state_loops(members, n, n_times, gamma):
+    """The array forms of spatial_means, the manifold distance study and the
+    snapshot CSVs are bitwise the per-State loops they replaced, and a
+    Trajectory's States are views into its values."""
+    grid = make_grid(1.0, n)
+    u0 = default_initial_fields(grid)
+    T = 0.01
+    times = np.linspace(0.0, T, n_times)
+
+    def layer_data(eps_list):
+        return [None if e is None else make_layer_data(u0[2], InitialLayerSpec(gamma, e), P)
+                for e in eps_list]
+
+    trajs = _run_members(_Stepper(grid, P, eps=members), u0, layer_data(members), T, times)
+    for traj in trajs:
+        states = traj.states
+        assert all(np.shares_memory(s.u1.values, traj.values) for s in states)
+        means = [[s.u1.values.mean(), s.u2.values.mean(), s.u3.values.mean()] for s in states]
+        assert traj.spatial_means().tobytes() == np.array(means).tobytes()
+        with tempfile.TemporaryDirectory() as out:
+            _write_snapshots(Path(out), traj)
+            for i, (t, s) in enumerate(zip(traj.times, states)):
+                data = [getattr(s, c).values for c in SNAPSHOT_COLUMNS]
+                rows = ["x," + ",".join(SNAPSHOT_COLUMNS)]
+                rows += [",".join([f"{x:.17g}"] + [f"{d[j]:.17g}" for d in data])
+                         for j, x in enumerate(grid.centers)]
+                written = (Path(out) / f"t{i}_{t:.6g}.csv").read_text()
+                assert written == "\n".join(rows) + "\n"
+
+    eps_list = [e for e in members if e is not None]
+    if eps_list:
+        _, dist, _ = manifold_distance_study(*u0, gamma, eps_list, T, P, times)
+        ref = _run_members(_Stepper(grid, P, eps=eps_list), u0, layer_data(eps_list), T,
+                           times, cfl=0.45)
+        want = [[manifold_distance(s, P) for s in tr.states] for tr in ref]
+        assert dist.tobytes() == np.array(want).tobytes()
