@@ -79,8 +79,8 @@ class InitialLayerSpec:
                 raise ValueError(f"unknown layer symbol {self.gamma!r}")
         elif self.gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be finite and positive")
 
 
 def manifold_projection(u: Field, p: ModelParams) -> Field:
@@ -268,8 +268,8 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     eps_list = np.asarray(list(eps_list), dtype=float)
     if eps_list.size < 3 or np.any(np.diff(eps_list) >= 0) or np.any(eps_list <= 0):
         raise ValueError("eps_list must be strictly decreasing with at least 3 entries")
-    if T <= 0:
-        raise ValueError("rate study needs T > 0")
+    if not 0.0 < T < np.inf:
+        raise ValueError("rate study needs a finite T > 0")
     eps = [float(e) for e in eps_list]
     v30s = [make_layer_data(u30, InitialLayerSpec(gamma, e), p) for e in eps]
     # base fixed step, sized once from the initial state with a safety margin

@@ -30,7 +30,7 @@ class Grid:
     def __post_init__(self):
         if not np.isfinite(self.L) or self.L <= 0:
             raise ValueError(f"domain length must be positive, got L={self.L}")
-        if int(self.n) != self.n or self.n < 4:
+        if not np.isfinite(self.n) or int(self.n) != self.n or self.n < 4:
             raise ValueError(f"cell count must be an integer >= 4, got n={self.n}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "L", float(self.L))

@@ -11,9 +11,9 @@ for a source varying linearly over the step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from types import SimpleNamespace
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,16 +67,6 @@ class SolverConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@cache
-def _scipy() -> SimpleNamespace:
-    """scipy's banded Cholesky, imported on first use: only the "tridiagonal"
-    Helmholtz path needs it, and importing it outlasts a short command."""
-    from scipy.linalg import cholesky_banded
-    from scipy.linalg.lapack import dpbtrs
-
-    return SimpleNamespace(cholesky_banded=cholesky_banded, dpbtrs=dpbtrs)
-
-
 @lru_cache(maxsize=64)
 def _dct_plan(n: int) -> tuple:
     """Gathers and scaled twiddles of the length-n cosine-mode transforms:
@@ -112,29 +102,35 @@ def from_modes(coeffs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _banded_cholesky(lam: float, mu: float, L: float, n: int):
+def _banded_cholesky(lam: float, mu: float, L: float, n: int) -> tuple[tuple, tuple]:
+    """Diagonal d and superdiagonal s of the upper factor U of A = U^T U, by
+    d_j = sqrt(a_j - s_{j-1}^2) and s_j = -w / d_j with w = lam / dx^2.  s
+    carries a zero at each end, so s[j] couples rows j - 1 and j."""
     dx = L / n
     w = lam / (dx * dx)
-    ab = np.zeros((2, n))
-    ab[1, :] = 2.0 * w + mu
-    ab[1, 0] = ab[1, -1] = w + mu
-    ab[0, 1:] = -w
-    return _scipy().cholesky_banded(ab)
+    d, s = [], [0.0]
+    for j in range(n):
+        pivot = (w if j in (0, n - 1) else 2.0 * w) + mu - s[-1] * s[-1]
+        if not 0.0 < pivot < math.inf:
+            raise np.linalg.LinAlgError(f"{j + 1}-th leading minor not positive definite")
+        d.append(math.sqrt(pivot))
+        s.append(-w / d[-1])
+    return tuple(d), (*s[:-1], 0.0)
 
 
 def _solve_tridiagonal_values(lam: float, mu: float, grid: Grid,
                               rhs: np.ndarray) -> np.ndarray:
-    """Banded Cholesky solve for an (n,) or (n, B) right-hand side.
-
-    Calls LAPACK dpbtrs on the cached factor directly: the same arithmetic as
-    scipy's cho_solve_banded without its wrapper overhead, which dominates
-    at these sizes.
-    """
+    """Banded Cholesky solve for an (n,) or (n, B) right-hand side: U^T y = rhs
+    forward, then U x = y backward, one grid row (axis 0) at a time."""
     if not np.all(np.isfinite(rhs)):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = _scipy().dpbtrs(_banded_cholesky(lam, mu, grid.L, grid.n), rhs, lower=False)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpbtrs failed with info={info}")
+    d, s = _banded_cholesky(lam, mu, grid.L, grid.n)
+    x = np.array(rhs, dtype=float)
+    row = 0.0
+    for j in range(grid.n):
+        row = x[j] = (x[j] - s[j] * row) / d[j]
+    for j in reversed(range(grid.n)):
+        row = x[j] = (x[j] - s[j + 1] * row) / d[j]
     return x
 
 

@@ -274,6 +274,8 @@ class _Stepper:
         if chemical_mode not in ("mixed", "fully_parabolic"):
             raise ValueError(f"unknown chemical_mode {chemical_mode!r}")
         eps = [eps] if eps is None or np.ndim(eps) == 0 else list(eps)
+        if not all(e is None or 0.0 < e < np.inf for e in eps):
+            raise ValueError("eps must be finite and positive")
         limit = np.array([e is None for e in eps])
         if chemical_mode == "fully_parabolic" and limit.all():
             raise ValueError("fully_parabolic mode needs a relaxation parameter")
@@ -414,7 +416,8 @@ def _normalise_output_times(T: float, output_times) -> np.ndarray:
     if output_times is None:
         output_times = np.linspace(0.0, T, 64) if T > 0 else np.array([0.0])
     times = np.unique(np.asarray(output_times, dtype=float))
-    if times.size == 0 or times[0] < 0 or times[-1] > T + 1e-12 * max(T, 1.0):
+    if (times.size == 0 or not np.isfinite(times).all() or times[0] < 0
+            or times[-1] > T + 1e-12 * max(T, 1.0)):
         raise ValueError("output times must lie inside [0, T]")
     if times[0] > 0.0:
         times = np.concatenate([[0.0], times])
@@ -510,8 +513,8 @@ def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
     datum of eps member b and None for a limit member, whose v3 starts from
     its elliptic solve too.  Returns one Trajectory per member.
     """
-    if T < 0:
-        raise ValueError("T must be non-negative")
+    if not 0.0 <= T < np.inf:
+        raise ValueError("T must be finite and non-negative")
     if len(v30s) != len(stepper.eps):
         raise ValueError("need one slow-chemical datum (or None) per member")
     if dt is not None and not (np.isfinite(dt) & np.greater(dt, 0.0)).all():
@@ -541,8 +544,6 @@ def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float
     schedule (still shortened to land exactly on output times), which lets a
     paired limit run share the identical schedule.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     st = _EpsStepper(u10.grid, p, eps, chemical_mode=chemical_mode)
     return _run_members(st, (u10, u20, u30), [v30], T, output_times, cfl=cfl,
                         dt=dt)[0]

@@ -323,3 +323,6 @@ def test_rate_study_validation():
         rate_study(u10, u20, u30, 1.0, [1e-3, 1e-2, 1e-4], 0.2, P)
     with pytest.raises(ValueError):
         rate_study(u10, u20, u30, 1.0, [1e-2, 1e-3, 1e-4], 0.0, P)
+    for T in (np.nan, np.inf):  # checked before the output times are spaced over T
+        with pytest.raises(ValueError, match="finite T > 0"):
+            rate_study(u10, u20, u30, 1.0, [1e-2, 1e-3, 1e-4], T, P)

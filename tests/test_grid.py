@@ -46,6 +46,9 @@ def test_make_grid_rejects_bad_input():
         make_grid(1e-200, 16)
     with pytest.raises(ValueError, match=r"L=1e\+160, n=16"):
         make_grid(1e160, 16)
+    for n in (float("inf"), float("nan")):  # not OverflowError or numpy's cast error
+        with pytest.raises(ValueError, match="cell count"):
+            make_grid(1.0, n)
 
 
 def test_field_validation():

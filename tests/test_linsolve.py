@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.fft import dct, idct
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from fastsignal.grid import Field, make_grid, mode_eigenvalues, mode_vector
 from fastsignal.linsolve import (
     HelmholtzOperator,
     SolverConvergenceError,
-    _banded_cholesky,
     _exp_factors,
     _exp_ramp_values,
     _ramp_weight,
@@ -124,13 +123,29 @@ def test_helmholtz_maximum_principle():
 
 @pytest.mark.parametrize("shape", [(256,), (256, 5)])
 def test_tridiagonal_solve_equals_cho_solve_banded(shape):
+    """The numpy elimination agrees with LAPACK's banded Cholesky to the direct
+    bound of test_helmholtz_paths_agree; the two round differently, so they
+    are not bitwise equal."""
+    w = OP.lam / (GRID.dx * GRID.dx)
+    ab = np.zeros((2, GRID.n))
+    ab[1] = 2.0 * w + OP.mu
+    ab[1, [0, -1]] = w + OP.mu
+    ab[0, 1:] = -w
     rhs = np.random.default_rng(3).standard_normal(shape)
-    cb = _banded_cholesky(OP.lam, OP.mu, GRID.L, GRID.n)
+    want = cho_solve_banded((cholesky_banded(ab), False), rhs)
     x = _solve_tridiagonal_values(OP.lam, OP.mu, GRID, rhs)
-    assert np.array_equal(x, cho_solve_banded((cb, False), rhs))
+    cond = 1.0 + 4.0 * OP.lam * GRID.n**2 / OP.mu
+    assert np.linalg.norm(x - want) <= 2e-15 * cond * np.linalg.norm(want)
     rhs[3] = np.nan
     with pytest.raises(ValueError):
         _solve_tridiagonal_values(OP.lam, OP.mu, GRID, rhs)
+
+
+def test_tridiagonal_solve_rejects_non_positive_pivot():
+    # mu = 1e-300 is lost next to lam / dx^2, so A is singular in floating point
+    op = HelmholtzOperator(1.0, 1e-300, make_grid(1.0, 16))
+    with pytest.raises(np.linalg.LinAlgError, match="16-th leading minor not positive definite"):
+        helmholtz_solve(op, Field.constant(op.grid, 1.0))
 
 
 def test_helmholtz_rejects_mismatched_grid_and_unknown_method():

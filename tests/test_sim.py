@@ -319,6 +319,38 @@ def test_run_rejects_bad_inputs():
     other = Field.constant(make_grid(1.0, 8), 1.0)
     with pytest.raises(ValueError):
         run_eps(u10, u20, u30, other, 1e-3, 1.0, P)
+    # a nan horizon used to give a 0-step run, an infinite one a StabilityError
+    for T in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="T must be finite and non-negative"):
+            run_eps(u10, u20, u30, v30, 1e-3, T, P)
+        with pytest.raises(ValueError, match="T must be finite and non-negative"):
+            run_limit(u10, u20, u30, T, P)
+    # a nan output time used to label the t = 0.02 snapshot
+    for times in ([0.02, np.nan], [0.02, np.inf], [-np.inf, 0.02]):
+        with pytest.raises(ValueError, match="output times"):
+            run_limit(u10, u20, u30, 0.05, P, times)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
+def test_every_eps_entry_point_rejects_bad_eps(eps):
+    """A nan eps used to end in a BlowUpError and an infinite one to freeze v3:
+    either is bad input, rejected before any step."""
+    from fastsignal.analysis import rate_study
+
+    grid = make_grid(1.0, 16)
+    u10, u20, u30 = default_initial_fields(grid)
+    v30 = Field.constant(grid, 1.0)
+    calls = [
+        lambda: run_eps(u10, u20, u30, v30, eps, 0.01, P),
+        lambda: rate_study(u10, u20, u30, "on_manifold", [1e-2, 1e-3, eps], 0.01, P),
+        lambda: manifold_distance_study(u10, u20, u30, 1.0, [1e-2, eps], 0.01, P, None),
+        lambda: step(make_homogeneous_state(grid, eps=eps), P, 1e-4),
+        lambda: _Stepper(grid, P, eps=[1e-3, eps, None]),
+        lambda: InitialLayerSpec(1.0, eps),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="eps"):
+            call()
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
