@@ -101,17 +101,17 @@ def ode_jacobian_pp(y, p: ModelParams) -> np.ndarray:
 class _FloatRhs:
     """``fn(*components, p)`` as an ``integrate`` right-hand side.
 
-    ``integrate`` runs its stages through ``floats`` on lists of Python
-    floats.  Called with one (dim,) state or an (..., dim) stack it returns
-    what ``ode_rhs_*`` would, from numpy values: at a pole that gives inf or
-    nan where Python floats raise ZeroDivisionError.
+    ``integrate`` calls ``fn`` on the Python floats of each stage state.
+    Called with one (dim,) state or an (..., dim) stack it returns what
+    ``ode_rhs_*`` would, from numpy values: at a pole that gives inf or nan
+    where Python floats raise ZeroDivisionError.
     """
 
     def __init__(self, fn, p: ModelParams):
-        self.floats = lambda state: fn(*state, p)
+        self.fn, self.p = fn, p
 
     def __call__(self, y) -> np.ndarray:
-        return np.array(self.floats(np.asarray(y, dtype=float).T)).T
+        return np.array(self.fn(*np.asarray(y, dtype=float).T, self.p)).T
 
 
 def model_rhs(model: str, p: ModelParams) -> _FloatRhs:
@@ -137,11 +137,9 @@ _A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_ERR = _B5 - _B4
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 
 def _rms(num, den) -> float:
@@ -163,13 +161,12 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     interpolation on the accepted steps.
 
     ``rhs`` maps a (dim,) ndarray state to its (dim,) derivative.  The
-    states are short, so the step arithmetic runs on Python floats, in the
-    order a numpy version of it would take.  A right-hand side from
-    ``model_rhs`` is evaluated on those float lists directly; any other is
-    called with an ndarray.  numpy is kept where the bits depend on it: the
-    two weighted stage sums are BLAS matvecs on a (7, dim) stage array,
-    which sum in their own order, and each stage's derivative is stored
-    there.
+    states are short, so each attempt runs on Python floats: every stage
+    and weighted sum is a per-component sum in the tableau's left-to-right
+    order, with the zero-weight stages left out, so the bits do not depend
+    on the BLAS build.  A right-hand side from ``model_rhs`` is evaluated
+    on those floats directly; any other is called with an ndarray and must
+    return dim values.
     """
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
@@ -198,24 +195,22 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         out_y = []
         next_eval = 0
 
-    k = np.zeros((7, dim))  # stage derivatives, the matvec operand
-
     if isinstance(rhs, _FloatRhs):
-        floats = rhs.floats
+        fn, p = rhs.fn, rhs.p
 
-        def stage(i, state):
+        def stage(state):
             try:
-                vals = floats(state)
+                return fn(*state, p)
             except ZeroDivisionError:  # at a pole, the ndarray route's inf or nan
-                vals = rhs(np.array(state)).tolist()
-            k[i] = vals
-            return vals
+                return rhs(np.array(state)).tolist()
     else:
-        def stage(i, state):
-            k[i] = rhs(np.array(state))
-            return k[i].tolist()
+        def stage(state):
+            vals = np.asarray(rhs(np.array(state)), dtype=float)
+            if vals.shape != (dim,):
+                raise ValueError(f"rhs returned shape {vals.shape}, expected ({dim},)")
+            return vals.tolist()
 
-    f = stage(0, y)
+    f = stage(y)
     t = 0.0
     n_steps = 0
     n_rejected = 0
@@ -226,9 +221,6 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
             out_y.append(y)
             next_eval += 1
 
-    if T == 0.0:
-        return OdeTrajectory(np.array(out_t), np.array(out_y), 0, 0)
-
     # initial step from the scale of the data
     scale = [atol + rtol * abs(a) for a in y]
     d0 = _rms(y, scale)
@@ -238,7 +230,8 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
 
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A[1:]
-    b5, k_b5 = _B5[:6], k[:6]
+    b1, _, b3, b4, b5, b6, _ = _B5
+    e1, _, e3, e4, e5, e6, e7 = _ERR
     while t < T:
         if T - t <= 1e-12 * max(1.0, T):
             t = T
@@ -246,19 +239,24 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         h = min(h, T - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t:.6g}")
-        # k[0] holds f; stage sums unrolled in the tableau's left-to-right order
-        k1 = stage(1, [a + h * (a21 * c0) for a, c0 in zip(y, f)])
-        k2 = stage(2, [a + h * (a31 * c0 + a32 * c1) for a, c0, c1 in zip(y, f, k1)])
-        k3 = stage(3, [a + h * (a41 * c0 + a42 * c1 + a43 * c2)
-                       for a, c0, c1, c2 in zip(y, f, k1, k2)])
-        k4 = stage(4, [a + h * (a51 * c0 + a52 * c1 + a53 * c2 + a54 * c3)
-                       for a, c0, c1, c2, c3 in zip(y, f, k1, k2, k3)])
-        stage(5, [a + h * (a61 * c0 + a62 * c1 + a63 * c2 + a64 * c3 + a65 * c4)
-                  for a, c0, c1, c2, c3, c4 in zip(y, f, k1, k2, k3, k4)])
-        y5 = [a + h * c for a, c in zip(y, (b5 @ k_b5).tolist())]
-        f_new = stage(6, y5)
-        err = _rms([h * e for e in (_ERR @ k).tolist()],
-                   [atol + rtol * max(abs(a), abs(b)) for a, b in zip(y, y5)])
+        # stage sums unrolled in the tableau's left-to-right order
+        k1 = stage([a + h * (a21 * c0) for a, c0 in zip(y, f)])
+        k2 = stage([a + h * (a31 * c0 + a32 * c1) for a, c0, c1 in zip(y, f, k1)])
+        k3 = stage([a + h * (a41 * c0 + a42 * c1 + a43 * c2)
+                    for a, c0, c1, c2 in zip(y, f, k1, k2)])
+        k4 = stage([a + h * (a51 * c0 + a52 * c1 + a53 * c2 + a54 * c3)
+                    for a, c0, c1, c2, c3 in zip(y, f, k1, k2, k3)])
+        k5 = stage([a + h * (a61 * c0 + a62 * c1 + a63 * c2 + a64 * c3 + a65 * c4)
+                    for a, c0, c1, c2, c3, c4 in zip(y, f, k1, k2, k3, k4)])
+        y5 = [a + h * (b1 * c0 + b3 * c2 + b4 * c3 + b5 * c4 + b6 * c5)
+              for a, c0, c2, c3, c4, c5 in zip(y, f, k2, k3, k4, k5)]
+        f_new = stage(y5)
+        acc = 0.0  # the error norm, _rms fused with its two operands
+        for a, b, c0, c2, c3, c4, c5, c6 in zip(y, y5, f, k2, k3, k4, k5, f_new):
+            q = (h * (e1 * c0 + e3 * c2 + e4 * c3 + e5 * c4 + e6 * c5 + e7 * c6)
+                 / (atol + rtol * max(abs(a), abs(b))))
+            acc += q * q
+        err = math.sqrt(acc / dim)
         if err <= 1.0:
             t_new = t + h
             if eval_times is not None:
@@ -277,7 +275,6 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
                 out_t.append(t_new)
                 out_y.append(y5)
             t, y, f = t_new, y5, f_new
-            k[0] = k[6]
             n_steps += 1
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 1e-12 else 5.0))
         else:
@@ -288,7 +285,8 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         # times equal to T within round-off
         out_t.extend(eval_times[next_eval:])
         out_y.extend([y] * (len(eval_times) - next_eval))
-    return OdeTrajectory(np.array(out_t), np.array(out_y), n_steps, n_rejected)
+    return OdeTrajectory(np.array(out_t), np.array(out_y).reshape(len(out_t), dim),
+                         n_steps, n_rejected)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -511,6 +509,8 @@ def detect_oscillation(traj: OdeTrajectory, transient_fraction: float = 0.5
         raise ValueError("transient_fraction must lie in [0, 1)")
     t = traj.times
     y = traj.states
+    if t.size == 0:
+        raise ValueError("cannot detect oscillation on an empty trajectory")
     keep = t >= t[0] + transient_fraction * (t[-1] - t[0])
     t = t[keep]
     y = y[keep]

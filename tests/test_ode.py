@@ -33,16 +33,18 @@ from fastsignal.ode import (
 P = default_params()
 
 
-def rk4_reference(rhs, y0, T, dt):
-    y = np.array(y0, dtype=float)
-    n = int(round(T / dt))
-    for _ in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + dt / 2 * k1)
-        k3 = rhs(y + dt / 2 * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+def rk4_reference(fn, y0, T, dt):
+    """Classical RK4 on Python floats; ``fn(*y)`` returns the derivative's
+    components.  Each update is the elementwise one of an ndarray RK4."""
+    y = [float(a) for a in y0]
+    for _ in range(int(round(T / dt))):
+        k1 = fn(*y)
+        k2 = fn(*[a + dt / 2 * b for a, b in zip(y, k1)])
+        k3 = fn(*[a + dt / 2 * b for a, b in zip(y, k2)])
+        k4 = fn(*[a + dt * b for a, b in zip(y, k3)])
+        y = [a + dt / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return np.array(y)
 
 
 def test_rhs_3pop_matches_kinetics():
@@ -86,9 +88,9 @@ def test_integrate_constant_and_exponential():
 
 
 def test_integrate_matches_rk4_reference():
-    rhs = lambda y: ode_rhs_3pop(y, P)
-    ref = rk4_reference(rhs, [1.0, 1.0, 1.0], 5.0, 1e-5)
-    traj = integrate(rhs, np.array([1.0, 1.0, 1.0]), 5.0, rtol=1e-10, atol=1e-12)
+    ref = rk4_reference(lambda *y: kinetics(*y, P), [1.0, 1.0, 1.0], 5.0, 1e-5)
+    traj = integrate(lambda y: ode_rhs_3pop(y, P), np.array([1.0, 1.0, 1.0]), 5.0,
+                     rtol=1e-10, atol=1e-12)
     assert np.max(np.abs(traj.states[-1] - ref)) <= 1e-6
 
 
@@ -124,6 +126,33 @@ def test_integrate_validation():
         for y0 in ([np.nan, 0.5], [1.0, np.inf]):
             with pytest.raises(ValueError, match="y0"):
                 integrate(rhs, y0, 10.0)
+
+
+def test_ndarray_rhs_of_the_wrong_size_raises():
+    # one value would broadcast and three would be cut short by a zip
+    for wrong in (lambda y: y[:1], lambda y: np.append(y, 1.0), lambda y: y.sum(),
+                  lambda y: y[:, None]):
+        with pytest.raises(ValueError, match="expected \\(2,\\)"):
+            integrate(wrong, [1.0, 0.5], 1.0)
+
+
+def test_empty_t_eval_gives_an_empty_trajectory():
+    for model, rhs_of, dim in (("pp", ode_rhs_pp, 2), ("3pop", ode_rhs_3pop, 3)):
+        for rhs in (lambda y: rhs_of(y, P), model_rhs(model, P)):
+            for T in (0.0, 10.0):
+                traj = integrate(rhs, np.ones(dim), T, t_eval=[])
+                assert traj.times.shape == (0,) and traj.states.shape == (0, dim)
+                assert traj.states.dtype == float
+    with pytest.raises(ValueError, match="empty trajectory"):
+        detect_oscillation(traj)
+
+
+def test_zero_horizon_fills_every_requested_time():
+    # t_eval may overshoot T by round-off; at T = 0 that is up to 1e-300
+    for rhs in (lambda y: ode_rhs_pp(y, P), model_rhs("pp", P)):
+        traj = integrate(rhs, [1.0, 0.5], 0.0, t_eval=[0.0, 1e-300])
+        assert traj.times.tolist() == [0.0, 1e-300]
+        assert traj.states.tolist() == [[1.0, 0.5]] * 2
 
 
 def test_find_equilibria_3pop_contains_origin():
@@ -524,14 +553,16 @@ _A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 def dp54_numpy_reference(rhs, y0, T, rtol, atol, t_eval=None):
-    """The Dormand-Prince 5(4) loop on numpy arrays that ``integrate`` replaces."""
+    """The Dormand-Prince 5(4) loop on numpy arrays that ``integrate`` replaces.
+
+    Every weighted stage sum is elementwise, term by term in the tableau's
+    order with the zero weights left out, so no BLAS kernel sets the bits.
+    """
     y = np.array(y0, dtype=float)
     dim = y.size
     if t_eval is None:
@@ -545,8 +576,6 @@ def dp54_numpy_reference(rhs, y0, T, rtol, atol, t_eval=None):
             out_t.append(eval_times[next_eval])
             out_y.append(y.copy())
             next_eval += 1
-    if T == 0.0:
-        return OdeTrajectory(np.array(out_t), np.array(out_y), 0, 0)
     scale = atol + rtol * np.abs(y)
     d0 = np.sqrt(((y / scale) ** 2).sum() / dim)
     d1 = np.sqrt(((f / scale) ** 2).sum() / dim)
@@ -554,8 +583,9 @@ def dp54_numpy_reference(rhs, y0, T, rtol, atol, t_eval=None):
     h = min(T, h0)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A[1:]
-    k = np.zeros((7, dim))
-    k0, k1, k2, k3, k4 = k[:5]
+    b1, b2, b3, b4, b5, b6, b7 = _B5
+    e1, e2, e3, e4, e5, e6, e7 = (b - c for b, c in zip(_B5, _B4))
+    assert b2 == b7 == e2 == 0.0
     while t < T:
         if T - t <= 1e-12 * max(1.0, T):
             t = T
@@ -563,20 +593,20 @@ def dp54_numpy_reference(rhs, y0, T, rtol, atol, t_eval=None):
         h = min(h, T - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t:.6g}")
-        k[0] = f
-        k[1] = rhs(y + h * (a21 * k0))
-        k[2] = rhs(y + h * (a31 * k0 + a32 * k1))
-        k[3] = rhs(y + h * (a41 * k0 + a42 * k1 + a43 * k2))
-        k[4] = rhs(y + h * (a51 * k0 + a52 * k1 + a53 * k2 + a54 * k3))
-        k[5] = rhs(y + h * (a61 * k0 + a62 * k1 + a63 * k2 + a64 * k3 + a65 * k4))
-        y5 = y + h * (_B5[:6] @ k[:6])
-        k[6] = rhs(y5)
-        err_vec = h * ((_B5 - _B4) @ k)
+        k0 = f
+        k1 = rhs(y + h * (a21 * k0))
+        k2 = rhs(y + h * (a31 * k0 + a32 * k1))
+        k3 = rhs(y + h * (a41 * k0 + a42 * k1 + a43 * k2))
+        k4 = rhs(y + h * (a51 * k0 + a52 * k1 + a53 * k2 + a54 * k3))
+        k5 = rhs(y + h * (a61 * k0 + a62 * k1 + a63 * k2 + a64 * k3 + a65 * k4))
+        y5 = y + h * (b1 * k0 + b3 * k2 + b4 * k3 + b5 * k4 + b6 * k5)
+        k6 = rhs(y5)
+        err_vec = h * (e1 * k0 + e3 * k2 + e4 * k3 + e5 * k4 + e6 * k5 + e7 * k6)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = np.sqrt(((err_vec / scale) ** 2).sum() / dim)
         if err <= 1.0:
             t_new = t + h
-            f_new = k[6].copy()
+            f_new = k6
             if eval_times is not None:
                 while next_eval < eval_times.size and eval_times[next_eval] <= t_new + 1e-14:
                     s = (eval_times[next_eval] - t) / h
@@ -601,7 +631,8 @@ def dp54_numpy_reference(rhs, y0, T, rtol, atol, t_eval=None):
             out_t.append(eval_times[next_eval])
             out_y.append(y.copy())
             next_eval += 1
-    return OdeTrajectory(np.array(out_t), np.array(out_y), n_steps, n_rejected)
+    return OdeTrajectory(np.array(out_t), np.array(out_y).reshape(-1, dim), n_steps,
+                         n_rejected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -644,9 +675,9 @@ def test_float_rhs_equals_stacked_rhs(model, data, params, eta1, eta2):
     # DP54 stage states may dip below zero; the poles sit at -eta <= -0.05
     states = data.draw(arrays(float, (data.draw(st.integers(1, 6)), dim),
                               elements=st.floats(-0.04, 3.0)))
-    floats = model_rhs(model, p).floats
-    got = np.array([floats(row) for row in states.tolist()])
-    assert all(type(v) is float for v in floats(states[0].tolist()))
+    rhs = model_rhs(model, p)
+    got = np.array([rhs.fn(*row, rhs.p) for row in states.tolist()])
+    assert all(type(v) is float for v in rhs.fn(*states[0].tolist(), rhs.p))
     assert np.array_equal(got, rhs_of(states, p))
     assert np.array_equal(got[0], rhs_of(states[0], p))
 
