@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +27,9 @@ from .analysis import (
     semigroup_identity_residual,
 )
 from .grid import Field, make_grid, mode_vector
-from .linsolve import (
-    HelmholtzOperator,
-    SolverConvergenceError,
-    helmholtz_solve,
-)
+from .linsolve import HelmholtzOperator, SolverConvergenceError, helmholtz_solve
 from .model import ModelParams, default_params
-from .ode import (
-    StiffnessError,
-    bifurcation_sweep,
-    detect_oscillation,
-    integrate,
-    model_rhs,
-)
+from .ode import StiffnessError, bifurcation_sweep, detect_oscillation, integrate, model_rhs
 from .sim_eps import (
     _COMPONENTS,
     BlowUpError,
@@ -52,13 +43,7 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "main", "entry"]
 
 OUTPUT_ROOT_ENV = "FASTSIGNAL_OUTPUT_ROOT"
 
-_PARAM_KEYS = [
-    "d1", "d2", "d3", "chi1", "chi2", "chi31", "chi32",
-    "alpha1", "alpha2", "beta1", "beta2", "m1", "m2", "eta1", "eta2",
-    "gamma1", "gamma2", "k", "l",
-    "lambda1", "lambda2", "lambda3", "mu1", "mu2", "mu3",
-    "zeta1", "zeta2", "zeta3",
-]
+_PARAM_KEYS = [f.name for f in fields(ModelParams)]
 
 
 def _float_list(raw: str) -> tuple:
@@ -251,14 +236,14 @@ def _write_echo(outdir: Path, cfg: RunConfig, subcommand: str, T: float) -> None
 
 
 def _write_snapshots(outdir: Path, traj) -> None:
-    x = traj.grid.centers
-    header = "x," + ",".join(_COMPONENTS)
-    row = ",".join(["{:.17g}"] * (len(_COMPONENTS) + 1))
+    # one %-template per run with the x column formatted in; a formatted
+    # float holds no "%", and "%.17g" of a Python float is f"{x:.17g}"
+    values = ",%.17g" * len(_COMPONENTS) + "\n"
+    table = "x," + ",".join(_COMPONENTS) + "\n" + "".join(
+        f"{x:.17g}{values}" for x in traj.grid.centers.tolist())
     for i, t in enumerate(traj.times):
-        # Python floats format faster than numpy scalars, to the same digits
-        table = np.column_stack((x, *traj.values[i])).tolist()
-        rows = [header] + [row.format(*r) for r in table]
-        (outdir / f"t{i}_{t:.6g}.csv").write_text("\n".join(rows) + "\n")
+        rows = table % tuple(traj.values[i].T.ravel().tolist())
+        (outdir / f"t{i}_{t:.6g}.csv").write_text(rows)
 
 
 def _cmd_simulate(cfg: RunConfig, T: float, limit: bool = False):

@@ -134,13 +134,6 @@ def _as_batch(x) -> np.ndarray:
     return x if x.ndim == 3 else x[None]
 
 
-def _grad_max(values: np.ndarray, dx: float) -> np.ndarray:
-    # largest |difference| along the last axis, per leading index
-    if values.shape[-1] < 2:
-        return np.zeros(values.shape[:-1])
-    return np.abs(np.diff(values)).max(-1) / dx
-
-
 def _reaction_rate_bounds(p: ModelParams, m1, m2, m3):
     lam1 = p.alpha1 * (1.0 + 2.0 * m1 + p.beta1 * m2) + p.m1 * m3 / p.eta1
     lam2 = p.alpha2 * (1.0 + 2.0 * m2 + p.beta2 * m1) + p.m2 * m3 / p.eta2
@@ -148,27 +141,29 @@ def _reaction_rate_bounds(p: ModelParams, m1, m2, m3):
     return lam1, lam2, lam3
 
 
-def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float):
+def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float, dv=None,
+                      batch_wide: bool = False):
     """Stable step of each member of a (B, 3, n) batch, shape (B,); a scalar
-    for one (3, n) state.  Each member's bound is evaluated on Python floats,
-    whose arithmetic is numpy's elementwise arithmetic."""
+    for one (3, n) state, and for the batch_wide bound at the batch's largest
+    densities and differences, which is no member's bound above (coefficients
+    are >= 0; float +, *, / and max are monotone).  dv is v's face difference
+    if given.  Bounds are evaluated on Python floats, whose arithmetic is
+    numpy's elementwise arithmetic."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
     u = np.asarray(u, dtype=float)
-    m = u.max(-1).reshape(-1, 3).tolist()
-    g = _grad_max(np.asarray(v, dtype=float), dx).reshape(-1, 3).tolist()
+    dv = np.diff(np.asarray(v, dtype=float)) if dv is None else dv
+    axis = (0, -1) if batch_wide else -1
+    m = u.max(axis).reshape(-1, 3).tolist()
+    g = (np.abs(dv).max(axis) / dx).reshape(-1, 3).tolist()
     dts = []
     for (m1, m2, m3), (g1, g2, g3) in zip(m, g):
         r1, r2, r3 = _reaction_rate_bounds(p, m1, m2, m3)
         den1 = 2.0 * p.d1 + 2.0 * p.chi1 * g3 * dx + dx * dx * r1
         den2 = 2.0 * p.d2 + 2.0 * p.chi2 * g3 * dx + dx * dx * r2
-        den3 = (
-            2.0 * p.d3
-            + 2.0 * (p.chi31 * g1 + p.chi32 * g2) * dx
-            + dx * dx * r3
-        )
+        den3 = 2.0 * p.d3 + 2.0 * (p.chi31 * g1 + p.chi32 * g2) * dx + dx * dx * r3
         dts.append(cfl * dx * dx / max(den1, den2, den3))
-    return np.array(dts) if u.ndim == 3 else np.float64(dts[0])
+    return np.array(dts) if u.ndim == 3 and not batch_wide else np.float64(dts[0])
 
 
 def stable_dt(s, p: ModelParams, cfl: float) -> float:
@@ -216,11 +211,12 @@ def _species_rates(u, c: dict, p: ModelParams) -> np.ndarray:
     return f
 
 
-def _heun_species(u, v, p: ModelParams, dx: float, dt, c: dict):
+def _heun_species(u, v, p: ModelParams, dx: float, dt, c: dict, dv=None):
     """One SSP-RK2 step of the species subsystem with frozen chemicals.
 
     u and v are (B, 3, n); dt is a float or a (B, 1, 1) column of per-member
-    steps; c holds _species_planes(p, B, n, dx).  Returns the pre-clip update
+    steps; c holds _species_planes(p, B, n, dx); dv, if given, is v's face
+    difference v[..., 1:] - v[..., :-1].  Returns the pre-clip update
     and the time-centred (B, 3) reaction mass rate per species (transport
     contributes exactly zero total mass).  Works on species-major (3, B, n)
     copies.  A stage's transport is the divergence of one face flux per
@@ -230,8 +226,9 @@ def _heun_species(u, v, p: ModelParams, dx: float, dt, c: dict):
     us = np.ascontiguousarray(np.transpose(u, (1, 0, 2)), dtype=float)
     if np.ndim(dt):
         dt = np.reshape(dt, (1, -1, 1))
-    vs = np.transpose(v, (1, 0, 2))
-    cg = c["chi"] * (vs[..., 1:] - vs[..., :-1])[[2, 2, 0, 1]]
+    if dv is None:
+        dv = v[..., 1:] - v[..., :-1]
+    cg = c["chi"] * np.transpose(dv, (1, 0, 2))[[2, 2, 0, 1]]
     up, down = np.maximum(cg, 0.0), np.minimum(cg, 0.0)
     a, bm = up[:3] + c["d"], down[:3] - c["d"]
     a[2] += up[3]
@@ -355,37 +352,42 @@ class _Stepper:
             label = self.member_label(np.arange(len(self.eps))[members][b])
             raise BlowUpError(f"{prefix}{i + 1} ({label})", t_new)
 
-    def step(self, t, u, v, dt, members=slice(None)):
+    def step(self, t, u, v, dt, members=slice(None), dv=None, mass=None):
         """Advance ``members`` of the batch (slice(None) for all, or an index
         array), whose species and chemicals are (u, v), from their times t by
         their steps dt.
 
-        t and dt are each one value or an array of one value per member.
+        t and dt are each one value or an array of one value per member; dv
+        and mass, if given, are v's face difference and u.sum(-1) * dx.
         Returns the new (B, 3, n) species and chemicals and the (B,)
-        mass-balance residuals of the stepped members.
+        mass-balance residuals of the stepped members, and sets ``self.mass``
+        to the new species' mass, or None if the step clipped some of it.
         """
         u, v = _as_batch(u), _as_batch(v)
         per_member = isinstance(dt, np.ndarray)
         dt_col = dt[:, None] if per_member else dt
         dx = self.grid.dx
-        mass_old = u.sum(-1) * dx
+        mass_old = u.sum(-1) * dx if mass is None else mass
         if len(u) not in self._planes:
             self._planes[len(u)] = _species_planes(self.p, len(u), self.grid.n, dx)
         with np.errstate(over="ignore", invalid="ignore"):
             new_u, reaction_rate = _heun_species(
                 u, v, self.p, dx, dt_col[..., None] if per_member else dt,
-                self._planes[len(u)])
-        self._check_finite(new_u, "u", t, dt, members)
-        mass_pre = new_u.sum(-1) * dx
+                self._planes[len(u)], dv)
+            mass_pre = new_u.sum(-1) * dx
+        # a non-finite density makes its member's mass non-finite
+        if not np.isfinite(mass_pre).all():
+            self._check_finite(new_u, "u", t, dt, members)
         scale = np.maximum(np.abs(mass_old), 1.0)
-        residual = np.max(np.abs((mass_pre - mass_old) / dt_col - reaction_rate) / scale,
-                          axis=-1)
+        residual = (np.abs((mass_pre - mass_old) / dt_col - reaction_rate) / scale).max(-1)
+        self.mass = mass_pre
         neg = new_u < 0.0
         if neg.any():
             ids = np.arange(len(self.eps))[members]
             for b, i in zip(*np.nonzero(neg.any(-1))):
                 self.clipped[ids[b], i] += -dx * new_u[b, i][neg[b, i]].sum()
             new_u = np.where(neg, 0.0, new_u)
+            self.mass = None
         new_v = self.advance_chemicals(u, new_u, v, dt, members)
         self._check_finite(new_v, "v", t, dt, members)
         return new_u, new_v, residual
@@ -415,10 +417,12 @@ def step(s: State, p: ModelParams, dt: float, *, chemical_mode: str = "mixed") -
 def _normalise_output_times(T: float, output_times) -> np.ndarray:
     if output_times is None:
         output_times = np.linspace(0.0, T, 64) if T > 0 else np.array([0.0])
-    times = np.unique(np.asarray(output_times, dtype=float))
+    # sorted and deduplicated as np.unique does, which would import numpy.ma
+    times = np.sort(np.asarray(output_times, dtype=float), axis=None)
     if (times.size == 0 or not np.isfinite(times).all() or times[0] < 0
             or times[-1] > T + 1e-12 * max(T, 1.0)):
         raise ValueError("output times must lie inside [0, T]")
+    times = times[np.append(True, times[1:] != times[:-1])]
     if times[0] > 0.0:
         times = np.concatenate([[0.0], times])
     return times
@@ -452,6 +456,7 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
     t = [0.0] * n_members
     n_steps = [0] * n_members
     max_residual = [0.0] * n_members
+    mass = None  # the species' mass after an unclipped step of the whole batch
 
     for k, target in enumerate(times[1:].tolist(), 1):
         while True:
@@ -459,18 +464,23 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
             if not rows:
                 break
             # a slice takes views: a step of the whole batch copies nothing
-            members = slice(None) if len(rows) == n_members else np.array(rows)
+            whole = len(rows) == n_members
+            members = slice(None) if whole else np.array(rows)
             ua, va = u[members], v[members]
+            dv = va[..., 1:] - va[..., :-1]
             if dt_fixed is None:
-                nominal = _stable_dt_values(ua, va, p, dx, cfl).tolist()
+                nominal = _stable_dt_values(ua, va, p, dx, cfl, dv).tolist()
             else:
                 nominal = [dt_fixed[b] for b in rows]
-                cap = _stable_dt_values(ua, va, p, dx, 1.0).tolist()
-                for b, h, c in zip(rows, nominal, cap):
-                    if h > c * (1.0 + 1e-9):
-                        raise StabilityError(
-                            f"fixed dt {h:.3e} exceeds the stability bound {c:.3e} "
-                            f"of the {stepper.member_label(b)} at t={t[b]:.6g}")
+                # only a step over the batch-wide bound needs the members' own
+                floor = float(_stable_dt_values(ua, va, p, dx, 1.0, dv, batch_wide=True))
+                if max(nominal) > floor * (1.0 + 1e-9):
+                    cap = _stable_dt_values(ua, va, p, dx, 1.0, dv).tolist()
+                    for b, h, c in zip(rows, nominal, cap):
+                        if h > c * (1.0 + 1e-9):
+                            raise StabilityError(
+                                f"fixed dt {h:.3e} exceeds the stability bound {c:.3e} "
+                                f"of the {stepper.member_label(b)} at t={t[b]:.6g}")
             for b, h in zip(rows, nominal):
                 # h is below half an ulp of the target, so reaching it would
                 # take more than ~2**52 steps
@@ -485,8 +495,9 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
             # shares goes in as a plain float
             step_dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts)
             new_u, new_v, residual = stepper.step([t[b] for b in rows], ua, va, step_dt,
-                                                  members)
-            if isinstance(members, slice):
+                                                  members, dv, mass if whole else None)
+            mass = stepper.mass if whole else None
+            if whole:
                 u, v = new_u, new_v
             else:
                 u[members], v[members] = new_u, new_v

@@ -437,6 +437,8 @@ assert main(["manifold-distance", *flags, "--outdir", out + "/md"]) == 0
 assert main(["verify"]) == 0
 assert not loaded("scipy", "multiprocessing"), loaded("scipy", "multiprocessing")
 assert "concurrent.futures.process" not in sys.modules
+# np.unique imports numpy.ma on its first call; the output times are deduplicated without it
+assert "numpy.ma" not in sys.modules
 """
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fastsignal import sim_eps
 from fastsignal.analysis import (
     InitialLayerSpec,
     compare_trajectories,
@@ -27,8 +28,9 @@ from fastsignal.sim_eps import (
     BlowUpError,
     StabilityError,
     State,
-    _grad_max,
     _heun_species,
+    _integrate,
+    _normalise_output_times,
     _reaction_rate_bounds,
     _run_members,
     _species_planes,
@@ -462,6 +464,238 @@ def test_batch_member_over_its_cap_raises():
         int(np.ceil(1e-3 / (0.5 * c) - 1e-9)) for c in (cap_calm, cap_steep, cap_calm)]
 
 
+def _normalise_output_times_reference(T, output_times):
+    """_normalise_output_times as it was, deduplicating with np.unique."""
+    if output_times is None:
+        output_times = np.linspace(0.0, T, 64) if T > 0 else np.array([0.0])
+    times = np.unique(np.asarray(output_times, dtype=float))
+    if (times.size == 0 or not np.isfinite(times).all() or times[0] < 0
+            or times[-1] > T + 1e-12 * max(T, 1.0)):
+        raise ValueError("output times must lie inside [0, T]")
+    if times[0] > 0.0:
+        times = np.concatenate([[0.0], times])
+    return times
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(0.0, 10.0), data=st.data())
+def test_output_times_are_np_unique_of_the_request(T, data):
+    """Sorting plus a neighbour mask is np.unique's dedupe, -0.0 and 0.0
+    included; nan, inf, negative times and times past T are rejected."""
+    inside = st.one_of(st.sampled_from([0.0, -0.0, T]), st.floats(0.0, T))
+    outside = st.sampled_from([np.nan, np.inf, -np.inf, -1e-3, T + 1.0])
+    request = data.draw(st.lists(st.one_of(inside, outside) if data.draw(st.booleans())
+                                 else inside, max_size=12))
+    request += data.draw(st.lists(st.sampled_from(request), max_size=4)) if request else []
+    request = np.reshape(request, data.draw(st.sampled_from([(-1,), (1, -1)])))
+    if not all(0.0 <= x <= T for x in request.ravel().tolist()) or not request.size:
+        with pytest.raises(ValueError, match=r"output times must lie inside \[0, T\]"):
+            _normalise_output_times(T, request)
+        return
+    want = _normalise_output_times_reference(T, request)
+    assert _normalise_output_times(T, request).tobytes() == want.tobytes()
+
+
+def _step_reference(stepper, t, u, v, dt, members):
+    """_Stepper.step as it was before it took v's face difference and the
+    species' mass from its caller: every step sums the old species and scans
+    the new ones for non-finite values."""
+    per_member = isinstance(dt, np.ndarray)
+    dt_col = dt[:, None] if per_member else dt
+    dx = stepper.grid.dx
+    mass_old = u.sum(-1) * dx
+    planes = _species_planes(stepper.p, len(u), stepper.grid.n, dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_u, reaction_rate = sim_eps._heun_species(
+            u, v, stepper.p, dx, dt_col[..., None] if per_member else dt, planes)
+    stepper._check_finite(new_u, "u", t, dt, members)
+    mass_pre = new_u.sum(-1) * dx
+    scale = np.maximum(np.abs(mass_old), 1.0)
+    residual = np.max(np.abs((mass_pre - mass_old) / dt_col - reaction_rate) / scale, axis=-1)
+    neg = new_u < 0.0
+    if neg.any():
+        ids = np.arange(len(stepper.eps))[members]
+        for b, i in zip(*np.nonzero(neg.any(-1))):
+            stepper.clipped[ids[b], i] += -dx * new_u[b, i][neg[b, i]].sum()
+        new_u = np.where(neg, 0.0, new_u)
+    new_v = stepper.advance_chemicals(u, new_u, v, dt, members)
+    stepper._check_finite(new_v, "v", t, dt, members)
+    return new_u, new_v, residual
+
+
+def _integrate_reference(stepper, u, v, T, output_times, *, cfl, dt_fixed=None):
+    """_integrate as it was: each member's bound checked on its own at every
+    fixed-schedule step, and every step through _step_reference."""
+    times = _normalise_output_times_reference(T, output_times)
+    dx = stepper.grid.dx
+    p = stepper.p
+    n_members = u.shape[0]
+    if dt_fixed is not None:
+        dt_fixed = np.broadcast_to(np.asarray(dt_fixed, dtype=float), (n_members,)).tolist()
+    snaps = np.empty((n_members, times.size, 6, u.shape[-1]))
+    snaps[:, 0, :3], snaps[:, 0, 3:] = u, v
+    t = [0.0] * n_members
+    n_steps = [0] * n_members
+    max_residual = [0.0] * n_members
+    for k, target in enumerate(times[1:].tolist(), 1):
+        while True:
+            rows = [b for b in range(n_members) if t[b] < target]
+            if not rows:
+                break
+            members = slice(None) if len(rows) == n_members else np.array(rows)
+            ua, va = u[members], v[members]
+            if dt_fixed is None:
+                nominal = _stable_dt_values(ua, va, p, dx, cfl).tolist()
+            else:
+                nominal = [dt_fixed[b] for b in rows]
+                cap = _stable_dt_values(ua, va, p, dx, 1.0).tolist()
+                for b, h, c in zip(rows, nominal, cap):
+                    if h > c * (1.0 + 1e-9):
+                        raise StabilityError(
+                            f"fixed dt {h:.3e} exceeds the stability bound {c:.3e} "
+                            f"of the {stepper.member_label(b)} at t={t[b]:.6g}")
+            for b, h in zip(rows, nominal):
+                if target + h == target:
+                    raise StabilityError(
+                        f"step {h:.3e} of the {stepper.member_label(b)} at t={t[b]:.6g} "
+                        f"is too small to reach the output time {target:.6g}")
+            dts = [target - t[b] if target - t[b] <= h * (1.0 + 1e-9) else h
+                   for b, h in zip(rows, nominal)]
+            step_dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts)
+            new_u, new_v, residual = _step_reference(stepper, [t[b] for b in rows], ua, va,
+                                                     step_dt, members)
+            if isinstance(members, slice):
+                u, v = new_u, new_v
+            else:
+                u[members], v[members] = new_u, new_v
+            for b, h, r in zip(rows, dts, residual.tolist()):
+                t[b] += h
+                n_steps[b] += 1
+                max_residual[b] = max(max_residual[b], r)
+        t = [target] * n_members
+        snaps[:, k, :3], snaps[:, k, 3:] = u, v
+    return [(times, snaps[b], stepper.clipped[b].copy(), n_steps[b], max_residual[b])
+            for b in range(n_members)]
+
+
+@st.composite
+def step_loop_cases(draw):
+    """A batch at n = 4-24 from the default species data, with on-manifold or
+    gamma = 0.5 layer data, on one step schedule: each member's own stable
+    step, one fixed dt for all (up to 1.2 times the smallest initial bound,
+    so a member may be over its cap), or one fixed dt per member; a horizon
+    of 0 or 1-15 of the smallest step and up to four output times.  A fault
+    may replace one entry of one species update: a negative value, which
+    the step clips, or a non-finite one, which it reports."""
+    kind = draw(st.sampled_from(["adaptive", "shared", "per_member"]))
+    size = 1 if kind == "adaptive" and draw(st.booleans()) else draw(st.integers(1, 5))
+    members = draw(st.lists(st.sampled_from([None, 1e-1, 1e-2, 1e-3]),
+                            min_size=size, max_size=size))
+    n = draw(st.integers(4, 24))
+    grid = make_grid(1.0, n)
+    u0 = default_initial_fields(grid)
+    gamma = draw(st.sampled_from(["on_manifold", 0.5]))
+    data = [None if e is None else make_layer_data(u0[2], InitialLayerSpec(gamma, e), P)
+            for e in members]
+    caps = [initial_stable_dt(*u0, v30 if v30 is not None else Field(
+                _Stepper(grid, P).solve_elliptic(u0[2].values, 2), grid), P, 1.0)
+            for v30 in data]
+    cfl = draw(st.sampled_from([0.9, 0.45]))
+    if kind == "adaptive":
+        dt, smallest = None, cfl * min(caps)
+    elif kind == "shared":
+        dt = draw(st.floats(0.2, 1.2)) * min(caps)
+        smallest = dt
+    else:
+        dt = [draw(st.floats(0.2, 1.1)) * c for c in caps]
+        smallest = min(dt)
+    T = draw(st.one_of(st.just(0.0), st.floats(1.0, 15.0))) * smallest
+    times = draw(st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+    times = None if times is None else [T * f for f in times]
+    fault = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from([-1e-300, -1e-3, -1e-3, np.nan, np.inf]), st.integers(0, 3),
+        st.integers(0, 4), st.integers(0, 2), st.integers(0, n - 1))))
+    return grid, members, u0, data, T, times, cfl, dt, fault
+
+
+def _faulty(heun, fault):
+    """heun, with entry (b, i, j) of its species update set to value at its
+    call-th call.  The next cell takes up the difference, so that a negative
+    value leaves the step's mass change as it was and what the clip then
+    removes shows in the next step's residual."""
+    value, call, b, i, j = fault
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        new_u, rate = heun(*args, **kwargs)
+        if calls[0] == call:
+            row = new_u[min(b, len(new_u) - 1), i]
+            row[(j + 1) % row.size] += row[j] - value
+            row[j] = value
+        calls[0] += 1
+        return new_u, rate
+
+    return wrapped
+
+
+def _assert_step_loop_equals_reference(grid, members, u0, data, T, times, cfl, dt, fault):
+    """_integrate and _integrate_reference from the same batch give bitwise
+    the same snapshots, step counts, residuals and clipped mass, or the same
+    StabilityError or BlowUpError."""
+
+    def outcome(loop):
+        stepper = _Stepper(grid, P, eps=members)
+        u = np.repeat(np.stack([f.values for f in u0])[None], len(members), axis=0)
+        v = np.empty_like(u)
+        for i in range(3):
+            v[:, i] = stepper.solve_elliptic(u[:, i], i)
+        for b, v30 in enumerate(data):
+            if v30 is not None:
+                v[b, 2] = v30.values
+        heun = sim_eps._heun_species
+        if fault is not None:
+            sim_eps._heun_species = _faulty(heun, fault)
+        try:
+            return loop(stepper, u, v, T, times, cfl=cfl, dt_fixed=dt)
+        except (StabilityError, BlowUpError) as err:
+            return type(err), str(err)
+        finally:
+            sim_eps._heun_species = heun
+
+    want = outcome(_integrate_reference)
+    got = outcome(_integrate)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for traj, (times_ref, values, clipped, n_steps, residual) in zip(got, want):
+        assert traj.times.tobytes() == times_ref.tobytes()
+        assert traj.values.tobytes() == values.tobytes()
+        assert traj.clipped_mass.tobytes() == clipped.tobytes()
+        assert traj.n_steps == n_steps
+        assert traj.max_balance_residual == residual
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_loop_cases())
+def test_step_loop_equals_per_step_reference(case):
+    """_integrate, with its shared face difference, batch-wide cap check and
+    carried mass, is bitwise the loop that recomputed each per step."""
+    _assert_step_loop_equals_reference(*case)
+
+
+def test_step_loop_sums_the_species_again_after_a_clip():
+    """On-manifold style: four eps members and a limit member on one shared
+    dt, whose second step clips mass that the next step's residual shows."""
+    grid = make_grid(1.0, 16)
+    u0 = default_initial_fields(grid)
+    members = [1e-1, 1e-2, 1e-3, 1e-4, None]
+    data = [None if e is None else make_layer_data(u0[2], InitialLayerSpec("on_manifold", e), P)
+            for e in members]
+    _assert_step_loop_equals_reference(grid, members, u0, data, 1e-3, [0.0, 5e-4, 1e-3],
+                                       0.9, 1e-4, (-1e-3, 1, 0, 0, 5))
+
+
 @st.composite
 def species_batches(draw):
     """Members with random species and slow-chemical data; None marks a limit member."""
@@ -521,7 +755,7 @@ def test_per_member_dt_column_equals_one_member_steps(batch, mode, data):
 def _stable_dt_array_formula(u, v, p, dx, cfl):
     """The bound on (B,) arrays, as the stepper evaluated it before it moved
     to Python floats."""
-    g = _grad_max(np.asarray(v, dtype=float), dx)
+    g = np.abs(np.diff(np.asarray(v, dtype=float))).max(-1) / dx
     g1, g2, g3 = g[..., 0], g[..., 1], g[..., 2]
     m = np.asarray(u, dtype=float).max(-1)
     r1, r2, r3 = _reaction_rate_bounds(p, m[..., 0], m[..., 1], m[..., 2])
@@ -554,6 +788,26 @@ def test_stable_dt_values_equals_array_formula(p, b, n, single, cfl, data):
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the bound from v's face difference is the bound from v
+    from_dv = _stable_dt_values(u, None, p, dx, cfl, v[..., 1:] - v[..., :-1])
+    assert type(from_dv) is type(want)
+    assert np.asarray(from_dv).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=model_params(), b=st.integers(1, 8), n=st.integers(4, 64), cfl=st.floats(1e-3, 1.0),
+       data=st.data())
+def test_batch_wide_stable_dt_is_no_members_bound_above(p, b, n, cfl, data):
+    """The one bound at the batch's largest densities and differences is at
+    most every member's own bound, on non-negative states."""
+    u = data.draw(arrays(float, (b, 3, n), elements=st.floats(0.0, 10.0)))
+    v = data.draw(arrays(float, (b, 3, n), elements=st.floats(0.0, 100.0)))
+    dx = 1.0 / n
+    floor = _stable_dt_values(u, v, p, dx, cfl, batch_wide=True)
+    assert np.ndim(floor) == 0
+    assert (floor <= _stable_dt_values(u, v, p, dx, cfl)).all()
+    dv = v[..., 1:] - v[..., :-1]
+    assert _stable_dt_values(u, None, p, dx, cfl, dv, batch_wide=True) == floor
 
 
 @settings(max_examples=60, deadline=None)
