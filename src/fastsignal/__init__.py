@@ -47,6 +47,7 @@ from .sim_eps import (
     State,
     Trajectory,
     default_initial_fields,
+    run_batch,
     run_eps,
     stable_dt,
     step,

@@ -15,7 +15,7 @@ import numpy as np
 from .grid import Field, _laplacian
 from .linsolve import _mode_rates, _spectral_resolvent, from_modes, to_modes
 from .model import ModelParams
-from .sim_eps import Trajectory, _run_members, _Stepper, initial_stable_dt
+from .sim_eps import Trajectory, initial_stable_dt, run_batch
 
 __all__ = [
     "InitialLayerSpec",
@@ -141,8 +141,8 @@ def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | s
     if not eps:
         raise ValueError("eps_list must not be empty")
     v30s = [make_layer_data(u30, InitialLayerSpec(gamma, e), p) for e in eps]
-    st = _Stepper(u10.grid, p, eps=eps, chemical_mode=chemical_mode)
-    trajs = _run_members(st, (u10, u20, u30), v30s, T, output_times, cfl=cfl)
+    trajs = run_batch((u10, u20, u30), v30s, eps, T, p, output_times, cfl=cfl,
+                      chemical_mode=chemical_mode)
     # the (B, n_times, n) predator and slow-chemical rows of every snapshot
     u3, v3 = (np.array([tr.values[:, i] for tr in trajs]) for i in (2, 5))
     dist = _row_norms(_layer_residual(u3, v3, p, u10.grid.dx), u10.grid.dx, 0)
@@ -281,9 +281,8 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     else:
         # each eps run gets its own limit run, both at dt_eps
         limits, dts = [None] * k, [dt0 * float(np.sqrt(e / eps[0])) for e in eps] * 2
-    st = _Stepper(u10.grid, p, eps=[*eps, *limits], chemical_mode=chemical_mode)
-    trajs = _run_members(st, (u10, u20, u30), [*v30s, *limits], T,
-                         np.linspace(0.0, T, n_outputs), dt=dts)
+    trajs = run_batch((u10, u20, u30), [*v30s, *limits], [*eps, *limits], T, p,
+                      np.linspace(0.0, T, n_outputs), dt=dts, chemical_mode=chemical_mode)
 
     eps_in = np.array([initial_layer_size(u30, v30, p) for v30 in v30s])
     limit_runs = trajs[k:] * k if gamma == "on_manifold" else trajs[k:]

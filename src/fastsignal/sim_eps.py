@@ -36,6 +36,7 @@ __all__ = [
     "initial_stable_dt",
     "stable_dt",
     "step",
+    "run_batch",
     "run_eps",
 ]
 
@@ -513,17 +514,19 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
             for b in range(n_members)]
 
 
-def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
-                 cfl: float = 0.9, dt=None) -> list:
-    """Integrate every member of ``stepper``'s batch, each on its own step
-    schedule: the fixed dt (one value, or one per member) or, when dt is
-    None, the member's own stable step.
+def run_batch(u0, v30s, eps, T: float, p: ModelParams, output_times=None, *,
+              cfl: float = 0.9, dt=None, chemical_mode: str = "mixed") -> list:
+    """Integrate a batch of runs from t = 0 to T; one Trajectory per member,
+    each bitwise the member's own run.
 
-    All members start from the species data u0 = (u10, u20, u30), with the
-    fast chemicals at their elliptic solves.  v30s[b] is the slow-chemical
-    datum of eps member b and None for a limit member, whose v3 starts from
-    its elliptic solve too.  Returns one Trajectory per member.
+    Member b has relaxation parameter eps[b], None for a limit run.  All start
+    from the species data u0 = (u10, u20, u30) with the fast chemicals at their
+    elliptic solves; v3 starts from v30s[b], or for a limit member (None) from
+    its elliptic solve too.  Each member steps by the fixed dt (one value, or
+    one per member; shortened to land on output times) or its own stable step.
     """
+    # perfbench/child.py traces advance_chemicals on _EpsStepper
+    stepper = _EpsStepper(u0[0].grid, p, list(eps), chemical_mode=chemical_mode)
     if not 0.0 <= T < np.inf:
         raise ValueError("T must be finite and non-negative")
     if len(v30s) != len(stepper.eps):
@@ -548,13 +551,7 @@ def _run_members(stepper: _Stepper, u0, v30s, T: float, output_times, *,
 def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float,
             p: ModelParams, output_times=None, *, cfl: float = 0.9,
             dt: float | None = None, chemical_mode: str = "mixed") -> Trajectory:
-    """Integrate the relaxation-time system from t = 0 to T.
-
-    The elliptic chemicals are initialised from the species data; v30 is the
-    given datum for the slow chemical.  Passing ``dt`` forces a fixed step
-    schedule (still shortened to land exactly on output times), which lets a
-    paired limit run share the identical schedule.
-    """
-    st = _EpsStepper(u10.grid, p, eps, chemical_mode=chemical_mode)
-    return _run_members(st, (u10, u20, u30), [v30], T, output_times, cfl=cfl,
-                        dt=dt)[0]
+    """Integrate the relaxation-time system from t = 0 to T, with v30 the
+    slow chemical's datum: run_batch's one-member form."""
+    return run_batch((u10, u20, u30), [v30], [eps], T, p, output_times, cfl=cfl, dt=dt,
+                     chemical_mode=chemical_mode)[0]

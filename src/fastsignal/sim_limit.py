@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from .grid import Field
 from .model import ModelParams
-from .sim_eps import Trajectory, _LimitStepper, _run_members
+# _LimitStepper has no use here; perfbench/child.py binds sim_limit._LimitStepper
+from .sim_eps import Trajectory, _LimitStepper, run_batch
 
 __all__ = ["run_limit"]
 
@@ -25,6 +26,5 @@ def run_limit(u10: Field, u20: Field, u30: Field, T: float, p: ModelParams,
     All chemicals, including v3, start from elliptic solves at the species
     data, so the trajectory begins on the critical manifold.
     """
-    st = _LimitStepper(u10.grid, p)
-    return _run_members(st, (u10, u20, u30), [None], T, output_times, cfl=cfl,
-                        dt=dt)[0]
+    return run_batch((u10, u20, u30), [None], [None], T, p, output_times, cfl=cfl,
+                     dt=dt)[0]

@@ -212,18 +212,6 @@ def test_fit_slope_recovers_power_law():
         fit_slope(eps, np.full(4, 1e-12))
 
 
-def test_semigroup_identity_bound_random_fields():
-    rng = np.random.default_rng(17)
-    grid = make_grid(1.0, 64)
-    lam, mu = 1.0, 0.1
-    for muS in (1.0, 10.0, 40.0):
-        S = muS / mu
-        for _ in range(20):
-            f = Field(rng.standard_normal(grid.n), grid)
-            res = semigroup_identity_residual(f, lam, mu, S)
-            assert res <= np.exp(-mu * S) / mu * norm_l2(f) + 1e-14
-
-
 def test_semigroup_identity_single_mode_closed_form():
     grid = make_grid(1.0, 64)
     lam, mu, c = 1.0, 0.1, 0.7
@@ -266,18 +254,18 @@ def test_layer_study_is_one_batch_equal_to_per_pair_runs(monkeypatch):
     batch, each pair at its own dt_eps, and each member is bitwise the run of
     its pair alone."""
     from fastsignal import analysis
-    from fastsignal.sim_eps import _run_members, _Stepper, initial_stable_dt
+    from fastsignal.sim_eps import initial_stable_dt, run_batch
 
     grid = make_grid(1.0, 16)
     u0 = default_initial_fields(grid)
     gamma, eps_list, T, n_outputs = 0.5, (1e-2, 1e-3, 1e-4), 0.2, 5
     calls = []
 
-    def spy(stepper, *args, **kwargs):
-        calls.append((stepper.eps, _run_members(stepper, *args, **kwargs)))
+    def spy(u0, v30s, eps, *args, **kwargs):
+        calls.append((eps, run_batch(u0, v30s, eps, *args, **kwargs)))
         return calls[-1][1]
 
-    monkeypatch.setattr(analysis, "_run_members", spy)
+    monkeypatch.setattr(analysis, "run_batch", spy)
     report = rate_study(*u0, gamma, eps_list, T, P, n_outputs=n_outputs)
     assert len(calls) == 1
     members, batch = calls[0]
@@ -288,8 +276,7 @@ def test_layer_study_is_one_batch_equal_to_per_pair_runs(monkeypatch):
     dt0 = initial_stable_dt(*u0, v30s[0], P, 0.45)
     for i, (eps, v30) in enumerate(zip(eps_list, v30s)):
         dt = dt0 * float(np.sqrt(eps / eps_list[0]))
-        pair = _run_members(_Stepper(grid, P, eps=[eps, None]), u0, [v30, None], T, times,
-                            dt=dt)
+        pair = run_batch(u0, [v30, None], [eps, None], T, P, times, dt=dt)
         for got, ref in zip((batch[i], batch[len(eps_list) + i]), pair):
             assert got.n_steps == ref.n_steps
             assert np.array_equal(got.clipped_mass, ref.clipped_mass)

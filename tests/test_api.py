@@ -18,7 +18,7 @@ EXPORTS = {
     "kinetics_jacobian", "make_grid", "make_layer_data", "manifold_distance",
     "manifold_distance_study", "manifold_projection", "model_rhs", "neumann_modes",
     "norm_h1", "norm_h2_proxy", "norm_l2", "ode_rhs_3pop", "ode_rhs_pp", "rate_study",
-    "run_eps", "run_limit", "semigroup_identity_residual", "stable_dt", "step",
+    "run_batch", "run_eps", "run_limit", "semigroup_identity_residual", "stable_dt", "step",
 }
 
 TRAJECTORY_ATTRIBUTES = {

@@ -65,7 +65,8 @@ def test_traced_smoke_operation_reaches_its_layers(tmp_path, workload):
     if workload == "ode_sweep":
         assert calls["ode.integrate"] > 0
     else:
-        for name in ("sim_eps.step", "sim_eps.stable_dt", "linsolve.exp_factors"):
+        for name in ("sim_eps.step", "sim_eps.stable_dt", "sim_eps.advance_chemicals",
+                     "linsolve.exp_factors"):
             assert calls[name] > 0, name
         # every step's dt is checked against, or set by, a traced bound
         assert calls["sim_eps.stable_dt"] >= calls["sim_eps.step"]

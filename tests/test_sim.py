@@ -32,13 +32,13 @@ from fastsignal.sim_eps import (
     _integrate,
     _normalise_output_times,
     _reaction_rate_bounds,
-    _run_members,
     _species_planes,
     _species_rates,
     _stable_dt_values,
     _Stepper,
     default_initial_fields,
     initial_stable_dt,
+    run_batch,
     run_eps,
     stable_dt,
     step,
@@ -129,20 +129,6 @@ def test_run_eps_zero_horizon_single_snapshot():
     s = traj.states[0]
     op1 = HelmholtzOperator(P.lambda1, P.mu1, grid)
     assert np.max(np.abs(op1.apply(s.v1.values) - P.zeta1 * u10.values)) <= 1e-9
-
-
-def test_homogeneous_runs_track_ode():
-    grid = make_grid(1.0, 16)
-    c = (1.0, 1.0, 0.5)
-    u = [Field.constant(grid, ci) for ci in c]
-    v30 = Field.constant(grid, c[2] * P.zeta3 / P.mu3)
-    times = np.linspace(0.0, 10.0, 21)
-    ref = integrate(lambda y: ode_rhs_3pop(y, P), np.array(c), 10.0,
-                    rtol=1e-12, atol=1e-14, t_eval=times)
-    eps_traj = run_eps(*u, v30, 1e-3, 10.0, P, times, dt=1e-3)
-    lim_traj = run_limit(*u, 10.0, P, times, dt=1e-3)
-    assert np.max(np.abs(eps_traj.spatial_means() - ref.states)) <= 1e-6
-    assert np.max(np.abs(lim_traj.spatial_means() - ref.states)) <= 1e-6
 
 
 def test_mass_balance_and_positivity():
@@ -367,8 +353,7 @@ def test_fixed_dt_must_be_finite_and_positive(dt):
         run_limit(u10, u20, u30, 0.1, P, dt=dt)
     # per member: one bad step among good ones is enough
     with pytest.raises(ValueError, match="finite and positive"):
-        _run_members(_Stepper(grid, P, eps=[1e-3, None]), (u10, u20, u30), [v30, None],
-                     0.1, None, dt=[1e-4, dt])
+        run_batch((u10, u20, u30), [v30, None], [1e-3, None], 0.1, P, dt=[1e-4, dt])
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
@@ -425,8 +410,8 @@ def test_batch_matches_separate_runs(mode):
     v30s = [make_layer_data(u0[2], InitialLayerSpec(0.5, e), P) for e in eps_list]
     T, dt = 0.3, 7e-4
     times = np.linspace(0.0, T, 7)
-    st_batch = _Stepper(grid, P, eps=[*eps_list, None], chemical_mode=mode)
-    batch = _run_members(st_batch, u0, [*v30s, None], T, times, dt=dt)
+    batch = run_batch(u0, [*v30s, None], [*eps_list, None], T, P, times, dt=dt,
+                      chemical_mode=mode)
     separate = [run_eps(*u0, v30, e, T, P, times, dt=dt, chemical_mode=mode)
                 for e, v30 in zip(eps_list, v30s)]
     separate.append(run_limit(*u0, T, P, times, dt=dt))
@@ -452,14 +437,13 @@ def test_batch_member_over_its_cap_raises():
     members, data, times = [1e-2, 1e-3, None], [calm, steep, None], [0.0, 0.1]
     shared = np.sqrt(cap_calm * cap_steep)
     with pytest.raises(StabilityError, match="eps=0.001 run"):
-        _run_members(_Stepper(grid, P, eps=members), u0, data, 0.1, times, dt=shared)
+        run_batch(u0, data, members, 0.1, P, times, dt=shared)
     # per-member steps: only the member over its own cap is named
     dts = [1.5 * cap_calm, 0.5 * cap_steep, 0.5 * cap_calm]
     with pytest.raises(StabilityError, match=r"of the eps=0\.01 run"):
-        _run_members(_Stepper(grid, P, eps=members), u0, data, 0.1, times, dt=dts)
+        run_batch(u0, data, members, 0.1, P, times, dt=dts)
     dts = [0.5 * cap_calm, 0.5 * cap_steep, 0.5 * cap_calm]
-    trajs = _run_members(_Stepper(grid, P, eps=members), u0, data, 1e-3, [0.0, 1e-3],
-                         dt=dts)
+    trajs = run_batch(u0, data, members, 1e-3, P, [0.0, 1e-3], dt=dts)
     assert [t.n_steps for t in trajs] == [
         int(np.ceil(1e-3 / (0.5 * c) - 1e-9)) for c in (cap_calm, cap_steep, cap_calm)]
 
@@ -1068,7 +1052,7 @@ def test_snapshot_array_consumers_equal_per_state_loops(members, n, n_times, gam
         return [None if e is None else make_layer_data(u0[2], InitialLayerSpec(gamma, e), P)
                 for e in eps_list]
 
-    trajs = _run_members(_Stepper(grid, P, eps=members), u0, layer_data(members), T, times)
+    trajs = run_batch(u0, layer_data(members), members, T, P, times)
     for traj in trajs:
         states = traj.states
         assert all(np.shares_memory(s.u1.values, traj.values) for s in states)
@@ -1087,7 +1071,6 @@ def test_snapshot_array_consumers_equal_per_state_loops(members, n, n_times, gam
     eps_list = [e for e in members if e is not None]
     if eps_list:
         _, dist, _ = manifold_distance_study(*u0, gamma, eps_list, T, P, times)
-        ref = _run_members(_Stepper(grid, P, eps=eps_list), u0, layer_data(eps_list), T,
-                           times, cfl=0.45)
+        ref = run_batch(u0, layer_data(eps_list), eps_list, T, P, times, cfl=0.45)
         want = [[manifold_distance(s, P) for s in tr.states] for tr in ref]
         assert dist.tobytes() == np.array(want).tobytes()
