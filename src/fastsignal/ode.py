@@ -11,6 +11,7 @@ non-negative equilibrium is stable.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,25 +21,15 @@ import numpy as np
 from .model import ModelParams, kinetics, kinetics_jacobian
 
 __all__ = [
-    "OdeTrajectory",
-    "OscillationRecord",
-    "BranchPoint",
-    "StiffnessError",
-    "ode_rhs_3pop",
-    "ode_rhs_pp",
-    "ode_jacobian_3pop",
-    "ode_jacobian_pp",
-    "model_rhs",
-    "integrate",
-    "find_equilibria",
-    "classify_stability",
-    "detect_oscillation",
+    "OdeTrajectory", "OscillationRecord", "BranchPoint", "StiffnessError",
+    "ode_rhs_3pop", "ode_rhs_pp", "ode_jacobian_3pop", "ode_jacobian_pp", "model_rhs",
+    "integrate", "find_equilibria", "classify_stability", "detect_oscillation",
     "bifurcation_sweep",
 ]
 
 
 class StiffnessError(RuntimeError):
-    """Step size underflowed; the problem is too stiff for the explicit pair."""
+    """The step underflowed, or so many steps are left that T is out of reach."""
 
 
 @dataclass
@@ -140,6 +131,7 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+_MAX_PROJECTED_STEPS = 1e9  # integrate's ceiling on (T - t) / h, far above any run's
 
 
 def _rms(num, den) -> float:
@@ -151,6 +143,39 @@ def _rms(num, den) -> float:
     return math.sqrt(acc / len(num))
 
 
+@functools.cache
+def _dp54_code(dim: int):
+    """``attempt(fn, p, h, *y, *f, atol, rtol)``, which returns the error
+    norm, the solution ``s6`` and its derivative ``k6``, and the Hermite fill
+    ``hermite(s, h, *y, *f, *y5, *f_new)``: straight-line code on ``dim``
+    Python floats, generated from the tableau as ``namedtuple`` generates its
+    methods.  Stage j is one ``fn(*s{j}, p)`` call, into ``k{j}_*``.
+    """
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(dim))
+
+    def weighted(weights, i):  # w0 * k0_i + w1 * k1_i + ..., zero weights left out
+        return " + ".join(f"{w!r} * k{m}_{i}" for m, w in enumerate(weights) if w)
+
+    lines = [f"def attempt(fn, p, h, {names('y')}, {names('k0_')}, atol, rtol):"]
+    for j, row in enumerate(_A[1:] + (_B5,), 1):
+        lines += [f"    s{j}_{i} = y{i} + h * ({weighted(row, i)})" for i in range(dim)]
+        lines.append(f"    {names(f'k{j}_')}, = fn({names(f's{j}_')}, p)")
+    lines += [f"    q{i} = h * ({weighted(_ERR, i)}) / (atol + rtol * max(abs(y{i}), abs(s6_{i})))"
+              for i in range(dim)]
+    norm = f"sqrt(({' + '.join(f'q{i} * q{i}' for i in range(dim))}) / {dim})"
+    fill = ", ".join(f"h00 * y{i} + h10 * h * f{i} + h01 * z{i} + h11 * h * g{i}"
+                     for i in range(dim))
+    lines += [f"    return {norm}, [{names('s6_')}], [{names('k6_')}]",
+              f"def hermite(s, h, {names('y')}, {names('f')}, {names('z')}, {names('g')}):",
+              "    h00, h10 = (1 + 2 * s) * (1 - s) ** 2, s * (1 - s) ** 2",
+              "    h01, h11 = s * s * (3 - 2 * s), s * s * (s - 1)",
+              f"    return [{fill}]"]
+    namespace = {"sqrt": math.sqrt}
+    exec("\n".join(lines), namespace)
+    return namespace["attempt"], namespace["hermite"]
+
+
 def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
               t_eval=None) -> OdeTrajectory:
     """Adaptive Dormand-Prince 5(4) with cubic Hermite dense output.
@@ -158,15 +183,17 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     Steps are accepted when the embedded error estimate stays below
     rtol * |state| + atol componentwise (RMS-scaled); requested output times
     (finite, non-decreasing, inside [0, T]) are filled by Hermite
-    interpolation on the accepted steps.
+    interpolation on the accepted steps.  Every 4 096 accepted steps the
+    steps left, (T - t) / h, are projected; past 1e9 ``StiffnessError`` is
+    raised, as the step stays bounded near an equilibrium.
 
-    ``rhs`` maps a (dim,) ndarray state to its (dim,) derivative.  The
-    states are short, so each attempt runs on Python floats: every stage
-    and weighted sum is a per-component sum in the tableau's left-to-right
-    order, with the zero-weight stages left out, so the bits do not depend
-    on the BLAS build.  A right-hand side from ``model_rhs`` is evaluated
-    on those floats directly; any other is called with an ndarray and must
-    return dim values.
+    ``rhs`` maps a (dim,) ndarray state to its (dim,) derivative.  Each
+    attempt is one straight-line function on Python floats, generated from
+    the tableau once per ``dim`` (``_dp54_code``), so the bits do not depend
+    on the BLAS build.  A right-hand side from ``model_rhs`` is evaluated on
+    those floats directly; any other is called with an ndarray and must
+    return dim values.  A float attempt that divides by zero (a pole) is
+    re-run with the ndarray route's inf or nan for each stage that does.
     """
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
@@ -179,9 +206,7 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     dim = len(y)
 
     if t_eval is None:
-        eval_times = None
-        out_t = [0.0]
-        out_y = [y]
+        eval_times, out_t, out_y = None, [0.0], [y]
     else:
         eval_times = np.asarray(t_eval, dtype=float)
         if eval_times.ndim != 1 or not np.all(np.isfinite(eval_times)):
@@ -191,29 +216,26 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         if eval_times.size and (eval_times[0] < 0 or eval_times[-1] > T * (1 + 1e-12) + 1e-300):
             raise ValueError("t_eval must lie inside [0, T]")
         eval_times = eval_times.tolist()
-        out_t = []
-        out_y = []
-        next_eval = 0
+        out_t, out_y, next_eval = [], [], 0
 
+    attempt, hermite = _dp54_code(dim)
     if isinstance(rhs, _FloatRhs):
         fn, p = rhs.fn, rhs.p
 
-        def stage(state):
+        def guarded(*args):
             try:
-                return fn(*state, p)
+                return fn(*args)
             except ZeroDivisionError:  # at a pole, the ndarray route's inf or nan
-                return rhs(np.array(state)).tolist()
+                return rhs(np.array(args[:-1])).tolist()
     else:
-        def stage(state):
-            vals = np.asarray(rhs(np.array(state)), dtype=float)
+        def fn(*args):  # fn(*state, p) on the ndarray rhs
+            vals = np.asarray(rhs(np.array(args[:-1])), dtype=float)
             if vals.shape != (dim,):
                 raise ValueError(f"rhs returned shape {vals.shape}, expected ({dim},)")
             return vals.tolist()
-
-    f = stage(y)
-    t = 0.0
-    n_steps = 0
-    n_rejected = 0
+        p, guarded = None, fn
+    f = guarded(*y, p)
+    t, n_steps, n_rejected = 0.0, 0, 0
 
     if eval_times is not None:
         while next_eval < len(eval_times) and eval_times[next_eval] <= 0.0:
@@ -223,15 +245,9 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
 
     # initial step from the scale of the data
     scale = [atol + rtol * abs(a) for a in y]
-    d0 = _rms(y, scale)
-    d1 = _rms(f, scale)
-    h0 = 0.01 * d0 / d1 if (d0 > 1e-12 and d1 > 1e-12) else 1e-3
-    h = min(T, h0)
+    d0, d1 = _rms(y, scale), _rms(f, scale)
+    h = min(T, 0.01 * d0 / d1 if (d0 > 1e-12 and d1 > 1e-12) else 1e-3)
 
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A[1:]
-    b1, _, b3, b4, b5, b6, _ = _B5
-    e1, _, e3, e4, e5, e6, e7 = _ERR
     while t < T:
         if T - t <= 1e-12 * max(1.0, T):
             t = T
@@ -239,36 +255,16 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         h = min(h, T - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow at t={t:.6g}")
-        # stage sums unrolled in the tableau's left-to-right order
-        k1 = stage([a + h * (a21 * c0) for a, c0 in zip(y, f)])
-        k2 = stage([a + h * (a31 * c0 + a32 * c1) for a, c0, c1 in zip(y, f, k1)])
-        k3 = stage([a + h * (a41 * c0 + a42 * c1 + a43 * c2)
-                    for a, c0, c1, c2 in zip(y, f, k1, k2)])
-        k4 = stage([a + h * (a51 * c0 + a52 * c1 + a53 * c2 + a54 * c3)
-                    for a, c0, c1, c2, c3 in zip(y, f, k1, k2, k3)])
-        k5 = stage([a + h * (a61 * c0 + a62 * c1 + a63 * c2 + a64 * c3 + a65 * c4)
-                    for a, c0, c1, c2, c3, c4 in zip(y, f, k1, k2, k3, k4)])
-        y5 = [a + h * (b1 * c0 + b3 * c2 + b4 * c3 + b5 * c4 + b6 * c5)
-              for a, c0, c2, c3, c4, c5 in zip(y, f, k2, k3, k4, k5)]
-        f_new = stage(y5)
-        acc = 0.0  # the error norm, _rms fused with its two operands
-        for a, b, c0, c2, c3, c4, c5, c6 in zip(y, y5, f, k2, k3, k4, k5, f_new):
-            q = (h * (e1 * c0 + e3 * c2 + e4 * c3 + e5 * c4 + e6 * c5 + e7 * c6)
-                 / (atol + rtol * max(abs(a), abs(b))))
-            acc += q * q
-        err = math.sqrt(acc / dim)
+        try:
+            err, y5, f_new = attempt(fn, p, h, *y, *f, atol, rtol)
+        except ZeroDivisionError:  # a pole: re-run the attempt with every stage guarded
+            err, y5, f_new = attempt(guarded, p, h, *y, *f, atol, rtol)
         if err <= 1.0:
             t_new = t + h
             if eval_times is not None:
                 while next_eval < len(eval_times) and eval_times[next_eval] <= t_new + 1e-14:
-                    s = (eval_times[next_eval] - t) / h
-                    # cubic Hermite on (y, f) at both step ends
-                    h00 = (1 + 2 * s) * (1 - s) ** 2
-                    h10 = s * (1 - s) ** 2
-                    h01 = s * s * (3 - 2 * s)
-                    h11 = s * s * (s - 1)
-                    out_y.append([h00 * a + h10 * h * fa + h01 * b + h11 * h * fb
-                                  for a, fa, b, fb in zip(y, f, y5, f_new)])
+                    s = (eval_times[next_eval] - t) / h  # fraction of the step
+                    out_y.append(hermite(s, h, *y, *f, *y5, *f_new))
                     out_t.append(eval_times[next_eval])
                     next_eval += 1
             else:
@@ -277,6 +273,9 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
             t, y, f = t_new, y5, f_new
             n_steps += 1
             h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 1e-12 else 5.0))
+            if n_steps % 4096 == 0 and (T - t) / h > _MAX_PROJECTED_STEPS:
+                raise StiffnessError(f"{(T - t) / h:.3g} steps projected from t={t:.6g} to "
+                                     f"T={T:.6g}, past the ceiling of {_MAX_PROJECTED_STEPS:.0e}")
         else:
             n_rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -629,3 +630,20 @@ def test_subnormal_eps_runs_without_overflow_warning(tmp_path):
     assert not caught, [str(w.message) for w in caught]
     for f in tmp_path.glob("t*.csv"):
         assert np.isfinite(np.loadtxt(f, delimiter=",", skiprows=1)).all()
+
+
+def test_ode_simulate_past_the_projected_step_ceiling_fails_fast(tmp_path, capsys):
+    # DP54's step stays bounded near the stable equilibrium, so T = 1e300
+    # would take ~1e299 steps; the projection after 4 096 of them stops it
+    start = time.perf_counter()
+    rc = main(["ode-simulate", "--ode_model", "pp", "--T", "1e300",
+               "--outdir", str(tmp_path / "out")])
+    assert time.perf_counter() - start <= 1.0
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=numerical msg="')
+    assert "steps projected" in err[0] and "T=1e+300" in err[0]
+    assert "status=" not in captured.out
+    assert not (tmp_path / "out").exists()

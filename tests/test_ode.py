@@ -701,3 +701,73 @@ def test_model_rhs_is_an_ndarray_rhs():
             assert np.array_equal(model_rhs(model, P)(state), rhs_of(state, P))
     with pytest.raises(ValueError):
         model_rhs("2pop", P)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 4, 7]), data=st.data(), T=st.floats(0.0, 20.0),
+       rtol=st.floats(1e-10, 1e-5), atol=st.floats(1e-13, 1e-8))
+def test_generated_attempt_equals_numpy_loop_for_other_dims(dim, data, T, rtol, atol):
+    """The attempt generated for dims 1, 4 and 7, on a generic ndarray rhs.
+
+    Below 8 terms numpy's sum adds left to right, so the reference's norms
+    are the generated code's sums."""
+    A = data.draw(arrays(float, (dim, dim), elements=st.floats(-1.0, 1.0)))
+    rhs = lambda y: A @ y - y * y * y
+    y0 = data.draw(arrays(float, dim, elements=st.floats(-2.0, 2.0)))
+    t_eval = data.draw(st.one_of(
+        st.none(),
+        st.integers(1, 60).map(lambda n: np.linspace(0.0, T, n)),
+        st.lists(st.floats(0.0, T), max_size=30).map(sorted),
+    ))
+    ref = dp54_numpy_reference(rhs, y0, T, rtol, atol, t_eval)
+    got = integrate(rhs, y0, T, rtol=rtol, atol=atol, t_eval=t_eval)
+    assert (got.n_steps, got.n_rejected) == (ref.n_steps, ref.n_rejected)
+    for a, b in ((got.times, ref.times), (got.states, ref.states)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def counting(fn):
+    """``fn`` and a one-item list that counts its calls."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+    return counted, calls
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_dp54_makes_six_rhs_calls_per_attempt(model):
+    """First same as last: one call for the initial derivative, then six per
+    attempt, rejected attempts included, on the float and the ndarray route."""
+    rhs_of, _, dim = MODELS[model]
+    p = P.with_updates(eta1=0.2, eta2=0.2, m1=0.6)  # oscillating, with rejections
+    float_fn, float_calls = counting(ode._pp_kinetics if model == "pp" else kinetics)
+    array_fn, array_calls = counting(lambda y: rhs_of(y, p))
+    for route, calls in ((ode._FloatRhs(float_fn, p), float_calls), (array_fn, array_calls)):
+        traj = integrate(route, ode._SWEEP_Y0[model], 50.0, t_eval=np.linspace(0.0, 50.0, 101))
+        assert traj.n_rejected > 0
+        assert calls[0] == 6 * (traj.n_steps + traj.n_rejected) + 1
+
+
+def test_a_pole_reruns_its_attempt():
+    """A ZeroDivisionError re-runs that one attempt with every stage guarded.
+
+    So a pole attempt costs the calls it made up to the pole (here 2: its
+    first stage and the raising one), then its six, plus one more call on
+    numpy values (``_FloatRhs.__call__``) for each stage that divides by zero
+    again (none here).  The re-run takes the values the attempt would have
+    had."""
+    calls = []
+
+    def fn(u, p):
+        calls.append(u)
+        if len(calls) == 3:  # the second stage of the first attempt
+            raise ZeroDivisionError
+        return (p * u,)
+    traj = integrate(ode._FloatRhs(fn, -1.0), [1.0], 5.0)
+    assert len(calls) == 6 * (traj.n_steps + traj.n_rejected) + 1 + 2
+    calm = integrate(ode._FloatRhs(lambda u, p: (p * u,), -1.0), [1.0], 5.0)
+    assert (traj.n_steps, traj.n_rejected) == (calm.n_steps, calm.n_rejected)
+    assert np.array_equal(traj.states, calm.states)
