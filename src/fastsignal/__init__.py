@@ -18,7 +18,7 @@ from .analysis import (
     rate_study,
     semigroup_identity_residual,
 )
-from .grid import Field, Grid, make_grid, neumann_modes
+from .grid import Field, Grid, make_grid
 from .linsolve import (
     HelmholtzOperator,
     SolverConvergenceError,
@@ -49,9 +49,9 @@ from .sim_eps import (
     default_initial_fields,
     run_batch,
     run_eps,
+    run_limit,
     stable_dt,
     step,
 )
-from .sim_limit import run_limit
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, _laplacian
-from .linsolve import _mode_rates, _spectral_resolvent, from_modes, to_modes
+from .linsolve import _mode_rates, _source_resolvent, from_modes, to_modes
 from .model import ModelParams
 from .sim_eps import Trajectory, initial_stable_dt, run_batch
 
@@ -77,15 +77,15 @@ class InitialLayerSpec:
         if isinstance(self.gamma, str):
             if self.gamma != "on_manifold":
                 raise ValueError(f"unknown layer symbol {self.gamma!r}")
-        elif self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        elif not self.gamma >= 0:  # nan as well
+            raise ValueError(f"gamma must be non-negative, got {self.gamma!r}")
         if not 0.0 < self.eps < np.inf:
             raise ValueError("eps must be finite and positive")
 
 
 def manifold_projection(u: Field, p: ModelParams) -> Field:
     """Chemical v with (u, v) on the discrete critical manifold."""
-    return Field(_spectral_resolvent(p.lambda3, p.mu3, u.grid, p.zeta3 * u.values), u.grid)
+    return Field(_source_resolvent(p.lambda3, p.mu3, p.zeta3, u.grid, u.values, 3), u.grid)
 
 
 def _layer_residual(u3: np.ndarray, v3: np.ndarray, p: ModelParams, dx: float) -> np.ndarray:

@@ -37,8 +37,8 @@ from .sim_eps import (
     default_initial_fields,
     run_batch,
     run_eps,
+    run_limit,
 )
-from .sim_limit import run_limit
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "main", "entry"]
 
@@ -566,3 +566,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

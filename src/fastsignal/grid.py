@@ -16,7 +16,6 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
-    "neumann_modes",
 ]
 
 
@@ -115,13 +114,3 @@ def mode_eigenvalues(grid: Grid) -> np.ndarray:
 
 def mode_vector(grid: Grid, k: int) -> np.ndarray:
     return np.cos(k * np.pi * (np.arange(grid.n) + 0.5) / grid.n)
-
-
-def neumann_modes(g: Grid) -> list[tuple[float, Field]]:
-    """All discrete Neumann eigenpairs (a_k, phi_k), k = 0..n-1.
-
-    phi_0 is the constant mode with a_0 = 0; the modes are pairwise
-    orthogonal under the weighted inner product dx * sum(f * g).
-    """
-    eigs = mode_eigenvalues(g)
-    return [(float(eigs[k]), Field(mode_vector(g, k), g)) for k in range(g.n)]

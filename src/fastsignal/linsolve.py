@@ -265,7 +265,8 @@ def _mode_rates(lam: float, mu: float, L: float, n: int) -> np.ndarray:
     """b_k = mu - lam a_k, the per-mode rates of A = -lam Lap + mu.  A decay
     lost in the round-off of the largest rate (A singular in floating point)
     is rejected, not turned into inf or noise by the solves that divide."""
-    b = mu - lam * mode_eigenvalues(Grid(L, n))
+    with np.errstate(over="ignore"):  # an infinite rate is rejected below
+        b = mu - lam * mode_eigenvalues(Grid(L, n))
     if b[-1] > 2.0**53 * mu:  # b_k grows with k
         raise ValueError(f"decay mu={mu:g} is lost in the round-off of the largest mode "
                          f"rate {b[-1]:.3g} of lam={lam:g} on n={n} cells")
@@ -276,6 +277,18 @@ def _mode_rates(lam: float, mu: float, L: float, n: int) -> np.ndarray:
 def _spectral_resolvent(lam: float, mu: float, grid: Grid, rhs: np.ndarray) -> np.ndarray:
     """Solve (-lam Lap + mu) v = rhs along the last axis, mode by mode."""
     return from_modes(to_modes(rhs) / _mode_rates(lam, mu, grid.L, grid.n))
+
+
+def _source_resolvent(lam: float, mu: float, zeta: float, grid: Grid, u: np.ndarray,
+                      i: int) -> np.ndarray:
+    """Chemical i's elliptic solve (-lam Lap + mu) v = zeta * u along the last
+    axis; a source or solution that overflows is a ValueError naming zeta<i>."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _spectral_resolvent(lam, mu, grid, zeta * u)
+    if not np.isfinite(v).all():
+        raise ValueError(f"zeta{i}={zeta:g} makes the elliptic solve of v{i} overflow "
+                         f"(mu{i}={mu:g})")
+    return v
 
 
 def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):

@@ -108,8 +108,9 @@ def kinetics_jacobian(u1, u2, u3, p: ModelParams) -> np.ndarray:
     s2 = p.eta2 + u2
     h1 = p.m1 * u1 / s1
     h2 = p.m2 * u2 / s2
-    dh1 = p.m1 * p.eta1 / (s1 * s1)
-    dh2 = p.m2 * p.eta2 / (s2 * s2)
+    with np.errstate(over="ignore"):  # s * s = inf gives dh = 0, its limit
+        dh1 = p.m1 * p.eta1 / (s1 * s1)
+        dh2 = p.m2 * p.eta2 / (s2 * s2)
     J = np.array(
         [
             [

@@ -14,7 +14,7 @@ import copy
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -353,7 +353,7 @@ def _line_search(rhs, args, y, f, fnorm, live, step):
     return pending
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton(rhs, jac, y0, args=()):
     """Damped Newton on every row of an ``(N, dim)`` stack at once.
 
@@ -362,9 +362,10 @@ def _newton(rhs, jac, y0, args=()):
     max |rhs| <= 1e-12; otherwise try the steps lam = 1, 1/2, ..., 2^-39
     (40 candidates, 39 halvings) and take the first whose max |rhs| is
     smaller; give up on a singular Jacobian, a failed line search or after
-    60 steps.  Only the rows still iterating are evaluated; an overflow
-    leaves a row no step or a candidate that is not better (nan compares
-    false).  Returns the final states and a converged mask.
+    60 steps.  Only the rows still iterating are evaluated; an overflow or
+    a pole (a division by zero) leaves a row no step or a candidate that is
+    not better (inf is not smaller, and nan compares false).  Returns the
+    final states and a converged mask.
 
     The line search is blocked: every live row tries lam = 1 in one ``rhs``
     call, and the rows still pending then try the next
@@ -552,6 +553,8 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
         rhs_of, jac_of, dim = ode_rhs_pp, ode_jacobian_pp, 2
     else:
         raise ValueError(f"unknown model {model!r}")
+    if param not in {f.name for f in fields(ModelParams)}:
+        raise ValueError(f"unknown model parameter {param!r}")
 
     values = np.asarray(values, dtype=float)
     params = [p.with_updates(**{param: float(val)}) for val in values]  # validates

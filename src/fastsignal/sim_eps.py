@@ -1,6 +1,6 @@
-"""Time integrator for the relaxation-time system: three parabolic species
+"""Time integrator for the relaxation-time system (three parabolic species
 equations with chemotaxis, two elliptic chemicals, and one slow-evolution
-parabolic chemical.
+parabolic chemical) and for its limiting parabolic-elliptic system.
 
 One step applies a first-order splitting: an explicit Heun (SSP-RK2) update of
 the species reaction + transport, one donor-cell face flux per species, then
@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .grid import Field, Grid
-from .linsolve import _exp_factors, _mode_rates, _spectral_resolvent, from_modes, to_modes
+from .linsolve import _exp_factors, _mode_rates, _source_resolvent, from_modes, to_modes
 from .model import ModelParams
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "step",
     "run_batch",
     "run_eps",
+    "run_limit",
 ]
 
 
@@ -182,8 +183,8 @@ def initial_stable_dt(u10: Field, u20: Field, u30: Field, v30: Field,
     """stable_dt of the state a run starts from: the species data, v30, and
     the fast chemicals at their elliptic solves from the species data."""
     grid = u10.grid
-    v1 = _spectral_resolvent(p.lambda1, p.mu1, grid, p.zeta1 * u10.values)
-    v2 = _spectral_resolvent(p.lambda2, p.mu2, grid, p.zeta2 * u20.values)
+    v1 = _source_resolvent(p.lambda1, p.mu1, p.zeta1, grid, u10.values, 1)
+    v2 = _source_resolvent(p.lambda2, p.mu2, p.zeta2, grid, u20.values, 2)
     return float(_stable_dt_values((u10.values, u20.values, u30.values),
                                    (v1, v2, v30.values), p, grid.dx, cfl))
 
@@ -267,7 +268,7 @@ class _Stepper:
     exponential update otherwise.
     """
 
-    def __init__(self, grid: Grid, p: ModelParams, *, eps=None,
+    def __init__(self, grid: Grid, p: ModelParams, eps=None, *,
                  chemical_mode: str = "mixed"):
         if chemical_mode not in ("mixed", "fully_parabolic"):
             raise ValueError(f"unknown chemical_mode {chemical_mode!r}")
@@ -313,8 +314,8 @@ class _Stepper:
 
     def solve_elliptic(self, u: np.ndarray, which: int) -> np.ndarray:
         """Resolvent of chemical ``which`` for (n,) or (B, n) densities."""
-        return _spectral_resolvent(self._lam[which], self._mu[which], self.grid,
-                                   self._zeta[which] * u)
+        return _source_resolvent(self._lam[which], self._mu[which], self._zeta[which, 0],
+                                 self.grid, u, which + 1)
 
     def advance_chemicals(self, u_old, u_new, v, dt, members=slice(None)) -> np.ndarray:
         """Chemicals (B, 3, n) of ``members`` after their species moved from
@@ -394,14 +395,8 @@ class _Stepper:
         return new_u, new_v, residual
 
 
-class _EpsStepper(_Stepper):
-    def __init__(self, grid, p, eps, **kw):
-        super().__init__(grid, p, eps=eps, **kw)
-
-
-class _LimitStepper(_Stepper):
-    def __init__(self, grid, p, **kw):
-        super().__init__(grid, p, eps=None, **kw)
+# the names perfbench/child.py builds steppers by, as (grid, p, eps) and (grid, p)
+_EpsStepper = _LimitStepper = _Stepper
 
 
 def step(s: State, p: ModelParams, dt: float, *, chemical_mode: str = "mixed") -> State:
@@ -409,7 +404,7 @@ def step(s: State, p: ModelParams, dt: float, *, chemical_mode: str = "mixed") -
     system when s.eps is None."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive")
-    st = _Stepper(s.grid, p, eps=s.eps, chemical_mode=chemical_mode)
+    st = _Stepper(s.grid, p, s.eps, chemical_mode=chemical_mode)
     x = np.array([getattr(s, c).values for c in _COMPONENTS])
     u, v, _ = st.step(s.t, x[:3], x[3:], dt)
     return _state(s.t + dt, s.eps, (*u[0], *v[0]), s.grid)
@@ -491,9 +486,10 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
                         f"is too small to reach the output time {target:.6g}")
             dts = [target - t[b] if target - t[b] <= h * (1.0 + 1e-9) else h
                    for b, h in zip(rows, nominal)]
-            # the benchmark's tracer (perfbench/child.py) sums step's dt
-            # argument into a JSON float, so a dt that every stepping member
-            # shares goes in as a plain float
+            # a dt shared by every stepping member goes in as a plain float:
+            # perfbench/child.py's tracer sums step's dt into a JSON float, and
+            # it is step's faster path, bitwise the same (no per-member column:
+            # 1-2 us of a ~100 us step at n = 256, B = 1 and n = 64, B = 5)
             step_dt = dts[0] if dts.count(dts[0]) == len(dts) else np.array(dts)
             new_u, new_v, residual = stepper.step([t[b] for b in rows], ua, va, step_dt,
                                                   members, dv, mass if whole else None)
@@ -525,8 +521,7 @@ def run_batch(u0, v30s, eps, T: float, p: ModelParams, output_times=None, *,
     its elliptic solve too.  Each member steps by the fixed dt (one value, or
     one per member; shortened to land on output times) or its own stable step.
     """
-    # perfbench/child.py traces advance_chemicals on _EpsStepper
-    stepper = _EpsStepper(u0[0].grid, p, list(eps), chemical_mode=chemical_mode)
+    stepper = _Stepper(u0[0].grid, p, list(eps), chemical_mode=chemical_mode)
     if not 0.0 <= T < np.inf:
         raise ValueError("T must be finite and non-negative")
     if len(v30s) != len(stepper.eps):
@@ -555,3 +550,10 @@ def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float
     slow chemical's datum: run_batch's one-member form."""
     return run_batch((u10, u20, u30), [v30], [eps], T, p, output_times, cfl=cfl, dt=dt,
                      chemical_mode=chemical_mode)[0]
+
+
+def run_limit(u10: Field, u20: Field, u30: Field, T: float, p: ModelParams,
+              output_times=None, *, cfl: float = 0.9, dt: float | None = None) -> Trajectory:
+    """Integrate the limiting system from t = 0 to T, every chemical starting at
+    its elliptic solve (on the critical manifold): run_batch's one-member form."""
+    return run_batch((u10, u20, u30), [None], [None], T, p, output_times, cfl=cfl, dt=dt)[0]

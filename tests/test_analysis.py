@@ -21,8 +21,7 @@ from fastsignal.analysis import (
 )
 from fastsignal.grid import Field, make_grid, mode_eigenvalues, mode_vector
 from fastsignal.model import default_params
-from fastsignal.sim_eps import State, Trajectory, default_initial_fields
-from fastsignal.sim_limit import run_limit
+from fastsignal.sim_eps import State, Trajectory, default_initial_fields, run_limit
 
 P = default_params()
 GRID = make_grid(1.0, 256)
@@ -110,6 +109,12 @@ def test_make_layer_data_on_manifold_and_errors():
     tiny = P.with_updates(lambda3=1e-170, mu3=1e-170)
     with pytest.raises(ValueError, match="zero operator image"):
         make_layer_data(u30, InitialLayerSpec(1.0, 1e-2), tiny)
+
+
+def test_layer_spec_rejects_nan_gamma():
+    # nan < 0 is false: accepted, it made a non-finite datum in make_layer_data
+    with pytest.raises(ValueError, match="gamma must be non-negative, got nan"):
+        InitialLayerSpec(float("nan"), 1e-2)
 
 
 def test_manifold_distance_at_t0_equals_layer_size():

@@ -23,8 +23,7 @@ from fastsignal.analysis import (
 from fastsignal.cli import ConfigError, _write_snapshots, main, parse_config
 from fastsignal.grid import make_grid
 from fastsignal.model import default_params
-from fastsignal.sim_eps import default_initial_fields, run_eps
-from fastsignal.sim_limit import run_limit
+from fastsignal.sim_eps import default_initial_fields, run_eps, run_limit
 
 FAST_RATE_FLAGS = [
     "--n", "16", "--T", "0.1", "--output_count", "3",
@@ -647,3 +646,54 @@ def test_ode_simulate_past_the_projected_step_ceiling_fails_fast(tmp_path, capsy
     assert "steps projected" in err[0] and "T=1e+300" in err[0]
     assert "status=" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+_SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,1e-3,1e-4"]
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    # kinetics_jacobian's s1 * s1 overflows at an equilibrium: dh1 = 0, its limit
+    (["ode-bifurcation", "--sweep_count", "3", "--t_osc", "5", "--eta1", "1e300"], 0, ""),
+    # a line-search candidate of the Newton solve sits on a pole of the kinetics
+    (["ode-bifurcation", "--sweep_count", "3", "--t_osc", "5", "--l", "1e300"], 2,
+     "step size underflow"),
+    # the mode rates overflow before _mode_rates rejects them
+    (["simulate-eps", *_SHORT, "--lambda3", "1.7e308"], 1, "lam=1.7e+308"),
+    # an initial elliptic solve overflows
+    (["simulate-eps", *_SHORT, "--zeta1", "1.7e308"], 1, "zeta1=1.7e+308"),
+    (["simulate-eps", *_SHORT, "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308"),
+    (["rate-study", *_SHORT, "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308"),
+    (["simulate-limit", *_SHORT, "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308"),
+])
+def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
+        tmp_path, capsys, argv, code, named):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--outdir", str(tmp_path / "out")])
+    assert not caught, [str(w.message) for w in caught]
+    assert rc == code
+    captured = capsys.readouterr()
+    status = [line for line in (captured.out + captured.err).splitlines() if "status=" in line]
+    assert len(status) == 1
+    kind = {0: "status=ok", 1: "kind=validation", 2: "kind=numerical"}[code]
+    assert kind in status[0] and named in status[0]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(fastsignal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", *args],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    # without a __main__ guard, running the module would exit 0 and run nothing
+    result = run("fastsignal.cli", "simulate-eps", "--n", "2")
+    assert result.returncode == 1
+    assert (result.stdout + result.stderr).count("status=") == 1
+    assert 'status=error kind=validation msg="cell count' in result.stderr
+    result = run("fastsignal", "--help")
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: fastsignal")

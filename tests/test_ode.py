@@ -271,6 +271,14 @@ def test_bifurcation_sweep_rejects_unknown_model():
         bifurcation_sweep("2pop", "m1", [0.1], P)
 
 
+def test_bifurcation_sweep_rejects_unknown_parameter():
+    # the name is checked before any value: ModelParams would raise TypeError,
+    # and an empty sweep would build no ModelParams at all
+    for values in ([0.1], []):
+        with pytest.raises(ValueError, match="unknown model parameter 'foo'"):
+            bifurcation_sweep("pp", "foo", values, P)
+
+
 def test_integrate_reports_stiffness_failure():
     # finite-time derivative blow-up: y' = -1/y^2 reaches y = 0 at t = 1/3
     with pytest.raises(StiffnessError):

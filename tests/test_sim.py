@@ -40,10 +40,10 @@ from fastsignal.sim_eps import (
     initial_stable_dt,
     run_batch,
     run_eps,
+    run_limit,
     stable_dt,
     step,
 )
-from fastsignal.sim_limit import run_limit
 
 P = default_params()
 
