@@ -249,12 +249,14 @@ def gmres(
         x = x + V[:j_used].T @ y
 
 
-def _ramp_weight(z: np.ndarray, em1: np.ndarray) -> np.ndarray:
-    """psi(z) = 1 - (1 - e^-z)/z, series-evaluated for small z; em1 is
-    expm1(-z)."""
+def _ramp_weight(mz: np.ndarray, em1: np.ndarray) -> np.ndarray:
+    """psi(z) = 1 - (1 - e^-z)/z = 1 - em1 / mz of mz = -z, series-evaluated
+    for small z; em1 is expm1(mz).  z grows along the last axis (b_k grows
+    with k), so a row has a small z only if its first one is."""
+    if np.maximum.reduce(mz[..., :1], None) <= -1e-3:
+        return 1.0 - em1 / mz
+    z = -mz
     small = z < 1e-3
-    if not small.any():
-        return 1.0 + em1 / z
     zs = np.where(small, 1.0, z)
     series = z / 2.0 - z * z / 6.0 + z**3 / 24.0 - z**4 / 120.0
     return np.where(small, series, 1.0 + em1 / zs)
@@ -300,10 +302,11 @@ def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):
     per relaxation parameter.
     """
     b = _mode_rates(lam, mu, grid.L, grid.n)
+    nb = -b
     with np.errstate(over="ignore"):  # dt / eps = inf gives decay 0, the limit
-        z = b * (dt / eps)
-    em1 = np.expm1(-z)
-    return np.exp(-z), -em1 / b, _ramp_weight(z, em1) / b
+        mz = nb * (dt / eps)  # -z, exactly: negation commutes with rounding
+    em1 = np.expm1(mz)
+    return np.exp(mz), em1 / nb, _ramp_weight(mz, em1) / b
 
 
 def _exp_ramp_values(lam: float, mu: float, eps: float, dt: float, v: np.ndarray,

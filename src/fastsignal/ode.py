@@ -79,7 +79,8 @@ def ode_jacobian_pp(y, p: ModelParams) -> np.ndarray:
     u1, u3 = y[..., 0], y[..., 1]
     s1 = p.eta1 + u1
     h1 = p.m1 * u1 / s1
-    dh1 = p.m1 * p.eta1 / (s1 * s1)
+    with np.errstate(over="ignore"):  # s1 * s1 = inf gives dh1 = 0, its limit
+        dh1 = p.m1 * p.eta1 / (s1 * s1)
     J = np.array(
         [
             [p.alpha1 * (1.0 - 2.0 * u1) - dh1 * u3, -h1],
@@ -161,8 +162,10 @@ def _dp54_code(dim: int):
     for j, row in enumerate(_A[1:] + (_B5,), 1):
         lines += [f"    s{j}_{i} = y{i} + h * ({weighted(row, i)})" for i in range(dim)]
         lines.append(f"    {names(f'k{j}_')}, = fn({names(f's{j}_')}, p)")
-    lines += [f"    q{i} = h * ({weighted(_ERR, i)}) / (atol + rtol * max(abs(y{i}), abs(s6_{i})))"
-              for i in range(dim)]
+    # max(|y_i|, |s6_i|) without its call, written as integrate writes max
+    lines += [f"    a{i}, b{i} = abs(y{i}), abs(s6_{i})" for i in range(dim)]
+    lines += [f"    q{i} = h * ({weighted(_ERR, i)}) / (atol + rtol * "
+              f"(b{i} if b{i} > a{i} else a{i}))" for i in range(dim)]
     norm = f"sqrt(({' + '.join(f'q{i} * q{i}' for i in range(dim))}) / {dim})"
     fill = ", ".join(f"h00 * y{i} + h10 * h * f{i} + h01 * z{i} + h11 * h * g{i}"
                      for i in range(dim))
@@ -248,12 +251,16 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     d0, d1 = _rms(y, scale), _rms(f, scale)
     h = min(T, 0.01 * d0 / d1 if (d0 > 1e-12 and d1 > 1e-12) else 1e-3)
 
+    # the step control's max(a, b) and min(a, b), here and in the attempt, are
+    # written as the builtins return them, nan included, without their calls:
+    # b if b > a else a, and b if b < a else a
+    t_close = 1e-12 * (T if T > 1.0 else 1.0)
     while t < T:
-        if T - t <= 1e-12 * max(1.0, T):
+        if T - t <= t_close:
             t = T
             break
-        h = min(h, T - t)
-        if h < 1e-14 * max(1.0, abs(t)):
+        h = T - t if T - t < h else h
+        if h < 1e-14 * (abs(t) if abs(t) > 1.0 else 1.0):
             raise StiffnessError(f"step size underflow at t={t:.6g}")
         try:
             err, y5, f_new = attempt(fn, p, h, *y, *f, atol, rtol)
@@ -272,13 +279,16 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
                 out_y.append(y5)
             t, y, f = t_new, y5, f_new
             n_steps += 1
-            h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 1e-12 else 5.0))
+            grow = 0.9 * err ** -0.2 if err > 1e-12 else 5.0
+            grow = grow if grow > 0.2 else 0.2
+            h *= grow if grow < 5.0 else 5.0
             if n_steps % 4096 == 0 and (T - t) / h > _MAX_PROJECTED_STEPS:
                 raise StiffnessError(f"{(T - t) / h:.3g} steps projected from t={t:.6g} to "
                                      f"T={T:.6g}, past the ceiling of {_MAX_PROJECTED_STEPS:.0e}")
         else:
             n_rejected += 1
-            h *= max(0.2, 0.9 * err ** -0.2)
+            shrink = 0.9 * err ** -0.2
+            h *= shrink if shrink > 0.2 else 0.2
 
     if eval_times is not None:
         # times equal to T within round-off
@@ -453,8 +463,8 @@ def _eig_with_residual(J: np.ndarray):
                 v = np.array([lam - J[1, 1], J[1, 0]], dtype=complex)
             if np.max(np.abs(v)) < 1e-300:
                 v = np.array([1.0, 0.0], dtype=complex)
-            norm = np.linalg.norm(v)  # if it overflows: no eigenvector, nan residual
-            vecs.append(v / norm if np.isfinite(norm) else np.full(2, np.nan))
+            norm = np.linalg.norm(v)  # if it overflows or is 0: no eigenvector, nan residual
+            vecs.append(v / norm if 0.0 < norm < np.inf else np.full(2, np.nan))
         vecs = np.array(vecs).T
     else:
         lams, vecs = np.linalg.eig(J)

@@ -19,6 +19,7 @@ chemicals are elliptic.  Single runs are batches of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -156,10 +157,11 @@ def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float, dv=None,
     u = np.asarray(u, dtype=float)
     dv = np.diff(np.asarray(v, dtype=float)) if dv is None else dv
     axis = (0, -1) if batch_wide else -1
-    m = u.max(axis).reshape(-1, 3).tolist()
-    g = (np.abs(dv).max(axis) / dx).reshape(-1, 3).tolist()
+    m = np.maximum.reduce(u, axis).reshape(-1, 3).tolist()
+    g = np.maximum.reduce(np.absolute(dv), axis).reshape(-1, 3).tolist()
     dts = []
     for (m1, m2, m3), (g1, g2, g3) in zip(m, g):
+        g1, g2, g3 = g1 / dx, g2 / dx, g3 / dx
         r1, r2, r3 = _reaction_rate_bounds(p, m1, m2, m3)
         den1 = 2.0 * p.d1 + 2.0 * p.chi1 * g3 * dx + dx * dx * r1
         den2 = 2.0 * p.d2 + 2.0 * p.chi2 * g3 * dx + dx * dx * r2
@@ -192,28 +194,33 @@ def initial_stable_dt(u10: Field, u20: Field, u30: Field, v30: Field,
 def _species_planes(p: ModelParams, b: int, n: int, dx: float) -> dict:
     """Full-shape coefficient planes of a species-major batch: the prey pair's
     m, eta, alpha, beta and gamma as (2, b, n), and on the faces d / dx**2 per
-    species as (3, b, n - 1) and chi / dx**2 per drift as (4, b, n - 1)."""
+    species as (3, b, n - 1) and chi / dx**2 per drift as (4, b, n - 1).  The
+    step's scalar operands are 0-d arrays, which a ufunc takes faster than a
+    Python float, to the same bits."""
     rows = {k: [getattr(p, k + "1"), getattr(p, k + "2")]
             for k in ("m", "eta", "alpha", "beta", "gamma")}
     planes = {k: np.full((2, b, n), np.reshape(r, (-1, 1, 1))) for k, r in rows.items()}
     for k, r in (("d", [p.d1, p.d2, p.d3]), ("chi", [p.chi1, p.chi2, -p.chi31, -p.chi32])):
         planes[k] = np.full((len(r), b, n - 1), np.reshape(r, (-1, 1, 1)) / (dx * dx))
+    planes["up"] = np.array([2, 2, 0, 1])  # the chemical each drift goes up
+    scalars = {"zero": 0.0, "one": 1.0, "k": p.k, "l": p.l, "dx": dx, "half_dx": dx * 0.5}
+    planes.update((k, np.array(x)) for k, x in scalars.items())
     return planes
 
 
-def _species_rates(u, c: dict, p: ModelParams) -> np.ndarray:
+def _species_rates(u, c: dict) -> np.ndarray:
     """kinetics of species-major (3, ...) densities in its operation order,
     both prey rates as one plane with the coefficient planes c."""
     x, u3 = u[:2], u[2]
     h = c["m"] * x / (c["eta"] + x)
     f = np.empty_like(u)
-    np.subtract(c["alpha"] * x * (1.0 - x - c["beta"] * x[::-1]), h * u3, out=f[:2])
+    np.subtract(c["alpha"] * x * (c["one"] - x - c["beta"] * x[::-1]), h * u3, out=f[:2])
     gh = c["gamma"] * h
-    np.subtract((gh[0] + gh[1] - p.k) * u3, p.l * u3 * u3, out=f[2])
+    np.subtract((gh[0] + gh[1] - c["k"]) * u3, c["l"] * u3 * u3, out=f[2])
     return f
 
 
-def _heun_species(u, v, p: ModelParams, dx: float, dt, c: dict, dv=None):
+def _heun_species(u, v, dt, c: dict, dv=None):
     """One SSP-RK2 step of the species subsystem with frozen chemicals.
 
     u and v are (B, 3, n); dt is a float or a (B, 1, 1) column of per-member
@@ -225,20 +232,23 @@ def _heun_species(u, v, p: ModelParams, dx: float, dt, c: dict, dv=None):
     species, a * x[j + 1] + bm * x[j]: the donor-cell drifts up v3, v3, v1
     and v2, and the mirrored-ghost Laplacian as (d / dx**2)(x[j + 1] - x[j]).
     a >= 0 and bm <= 0 depend only on v, so both stages share them."""
-    us = np.ascontiguousarray(np.transpose(u, (1, 0, 2)), dtype=float)
-    if np.ndim(dt):
-        dt = np.reshape(dt, (1, -1, 1))
+    us = np.ascontiguousarray(u.transpose(1, 0, 2), dtype=float)
+    if isinstance(dt, np.ndarray):
+        dt = dt.reshape(1, -1, 1)
+        half_dt = 0.5 * dt
+    else:
+        dt, half_dt = np.array(dt), np.array(0.5 * dt)
     if dv is None:
         dv = v[..., 1:] - v[..., :-1]
-    cg = c["chi"] * np.transpose(dv, (1, 0, 2))[[2, 2, 0, 1]]
-    up, down = np.maximum(cg, 0.0), np.minimum(cg, 0.0)
+    cg = c["chi"] * dv.transpose(1, 0, 2).take(c["up"], axis=0)
+    up, down = np.maximum(cg, c["zero"]), np.minimum(cg, c["zero"])
     a, bm = up[:3] + c["d"], down[:3] - c["d"]
     a[2] += up[3]
     bm[2] += down[3]
 
     def rhs(x):
-        r = _species_rates(x, c, p)
-        f_mass = r.sum(-1)
+        r = _species_rates(x, c)
+        f_mass = np.add.reduce(r, -1)
         flux = a * x[..., 1:] + bm * x[..., :-1]
         r[..., :-1] += flux
         r[..., 1:] -= flux
@@ -246,8 +256,8 @@ def _heun_species(u, v, p: ModelParams, dx: float, dt, c: dict, dv=None):
 
     r, fa = rhs(us)
     q, fb = rhs(us + dt * r)
-    new = us + 0.5 * dt * (r + q)
-    reaction_rate = dx * 0.5 * (fa + fb)
+    new = us + half_dt * (r + q)
+    reaction_rate = c["half_dx"] * (fa + fb)
     return np.ascontiguousarray(new.transpose(1, 0, 2)), reaction_rate.T
 
 
@@ -365,33 +375,38 @@ class _Stepper:
         mass-balance residuals of the stepped members, and sets ``self.mass``
         to the new species' mass, or None if the step clipped some of it.
         """
-        u, v = _as_batch(u), _as_batch(v)
+        if not (isinstance(u, np.ndarray) and u.ndim == 3):
+            u, v = _as_batch(u), _as_batch(v)
         per_member = isinstance(dt, np.ndarray)
-        dt_col = dt[:, None] if per_member else dt
+        dt_col = dt[:, None] if per_member else np.array(dt)
         dx = self.grid.dx
-        mass_old = u.sum(-1) * dx if mass is None else mass
         if len(u) not in self._planes:
             self._planes[len(u)] = _species_planes(self.p, len(u), self.grid.n, dx)
+        c = self._planes[len(u)]
+        mass_old = np.add.reduce(u, -1) * c["dx"] if mass is None else mass
+        # one errstate for the step: its overflows are screened by the one-pass
+        # finiteness tests below and reported by _check_finite's full test
         with np.errstate(over="ignore", invalid="ignore"):
             new_u, reaction_rate = _heun_species(
-                u, v, self.p, dx, dt_col[..., None] if per_member else dt,
-                self._planes[len(u)], dv)
-            mass_pre = new_u.sum(-1) * dx
-        # a non-finite density makes its member's mass non-finite
-        if not np.isfinite(mass_pre).all():
-            self._check_finite(new_u, "u", t, dt, members)
-        scale = np.maximum(np.abs(mass_old), 1.0)
-        residual = (np.abs((mass_pre - mass_old) / dt_col - reaction_rate) / scale).max(-1)
-        self.mass = mass_pre
-        neg = new_u < 0.0
-        if neg.any():
-            ids = np.arange(len(self.eps))[members]
-            for b, i in zip(*np.nonzero(neg.any(-1))):
-                self.clipped[ids[b], i] += -dx * new_u[b, i][neg[b, i]].sum()
-            new_u = np.where(neg, 0.0, new_u)
-            self.mass = None
-        new_v = self.advance_chemicals(u, new_u, v, dt, members)
-        self._check_finite(new_v, "v", t, dt, members)
+                u, v, dt_col[..., None] if per_member else dt, c, dv)
+            mass_pre = np.add.reduce(new_u, -1) * c["dx"]
+            scale = np.maximum(np.absolute(mass_old), c["one"])
+            residual = np.maximum.reduce(
+                np.absolute((mass_pre - mass_old) / dt_col - reaction_rate) / scale, -1)
+            # a non-finite density makes its member's mass, so its residual, non-finite
+            if not math.isfinite(np.add.reduce(residual)):
+                self._check_finite(new_u, "u", t, dt, members)
+            self.mass = mass_pre
+            if np.minimum.reduce(new_u, None) < 0.0:
+                neg = new_u < 0.0
+                ids = np.arange(len(self.eps))[members]
+                for b, i in zip(*np.nonzero(neg.any(-1))):
+                    self.clipped[ids[b], i] += -dx * new_u[b, i][neg[b, i]].sum()
+                new_u = np.where(neg, 0.0, new_u)
+                self.mass = None
+            new_v = self.advance_chemicals(u, new_u, v, dt, members)
+            if not math.isfinite(np.add.reduce(new_v, None)):
+                self._check_finite(new_v, "v", t, dt, members)
         return new_u, new_v, residual
 
 

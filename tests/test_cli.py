@@ -664,6 +664,9 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
     (["simulate-eps", *_SHORT, "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308"),
     (["rate-study", *_SHORT, "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308"),
     (["simulate-limit", *_SHORT, "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308"),
+    # ode_jacobian_pp's s1 * s1 overflows too, and an eigenvector's norm underflows to 0
+    (["ode-bifurcation", "--sweep_count", "3", "--t_osc", "5", "--ode_model", "pp",
+      "--eta1", "1e300"], 0, ""),
 ])
 def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
         tmp_path, capsys, argv, code, named):

@@ -508,4 +508,4 @@ def test_exp_factors_equal_reference_formula(n, lam, mu, eps, log_ratio, column)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
     z = (mu - lam * mode_eigenvalues(grid)) * (dt_arg / eps_arg)
-    assert _ramp_weight(z, np.expm1(-z)).tobytes() == _ramp_weight_reference(z).tobytes()
+    assert _ramp_weight(-z, np.expm1(-z)).tobytes() == _ramp_weight_reference(z).tobytes()

@@ -759,6 +759,26 @@ def test_dp54_makes_six_rhs_calls_per_attempt(model):
         assert calls[0] == 6 * (traj.n_steps + traj.n_rejected) + 1
 
 
+def test_nan_rhs_shrinks_the_step_to_underflow():
+    """A nan error norm rejects the attempt and shrinks h by the floor 0.2,
+    as max(0.2, nan) = 0.2 does: from the initial 1e-3 (a nan derivative has
+    no scale) the 16th rejection takes h below 1e-14, so the run fails after
+    the initial call and 16 attempts of six, on both routes."""
+    def nan_or_stop(value):
+        def fn(*args):
+            # a nan step size would never underflow: end the run instead
+            assert float_calls[0] + array_calls[0] <= 1000, "h never underflowed"
+            return value
+        return fn
+
+    nan_fn, float_calls = counting(nan_or_stop((np.nan, np.nan)))
+    nan_rhs, array_calls = counting(nan_or_stop(np.full(2, np.nan)))
+    for route, calls in ((ode._FloatRhs(nan_fn, P), float_calls), (nan_rhs, array_calls)):
+        with pytest.raises(StiffnessError, match="step size underflow at t=0"):
+            integrate(route, [1.0, 0.5], 1.0)
+        assert calls[0] == 1 + 6 * 16
+
+
 def test_a_pole_reruns_its_attempt():
     """A ZeroDivisionError re-runs that one attempt with every stage guarded.
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fastsignal import sim_eps
@@ -241,26 +241,38 @@ def test_fully_parabolic_mode_runs_and_matches_ode():
     assert np.max(np.abs(traj.spatial_means() - ref.states)) <= 1e-6
 
 
-def test_run_memory_does_not_grow_with_step_count():
-    """Nothing is kept per step: a run ten times longer, with the same
-    snapshot count, peaks at the same traced memory."""
-    grid = make_grid(1.0, 16)
-    u0 = default_initial_fields(grid)
-
+def _assert_memory_flat(run, T):
+    """run(T, output_times) -> trajectories: a run ten times longer, with the
+    same snapshot count, peaks at the same traced memory."""
     def traced_peak(T):
         tracemalloc.start()
         try:
-            traj = run_limit(*u0, T, P, np.linspace(0.0, T, 5), dt=1e-3)
-            return tracemalloc.get_traced_memory()[1], traj.n_steps
+            trajs = run(T, np.linspace(0.0, T, 5))
+            return tracemalloc.get_traced_memory()[1], trajs[0].n_steps
         finally:
             tracemalloc.stop()
 
-    run_limit(*u0, 0.01, P, dt=1e-3)  # fill the solver caches outside the trace
-    short_peak, short_steps = traced_peak(0.5)
-    long_peak, long_steps = traced_peak(5.0)
+    run(0.01, None)  # fill the solver caches outside the trace
+    short_peak, short_steps = traced_peak(T)
+    long_peak, long_steps = traced_peak(10 * T)
     assert long_steps >= 9 * short_steps
-    # per-step records of ~300 B/step would add ~1.3 MB here
+    # per-step records of ~300 B/step would add ~0.5-1.3 MB here
     assert long_peak - short_peak <= 32 * 1024
+
+
+def test_run_memory_does_not_grow_with_step_count():
+    """Nothing is kept per step."""
+    u0 = default_initial_fields(make_grid(1.0, 16))
+    _assert_memory_flat(lambda T, times: [run_limit(*u0, T, P, times, dt=1e-3)], 0.5)
+
+
+def test_per_member_dt_batch_memory_does_not_grow_with_step_count():
+    """Nor for a layer-study style batch whose members step by their own dt,
+    one subset at a time."""
+    u0 = default_initial_fields(make_grid(1.0, 16))
+    v30s = [make_layer_data(u0[2], InitialLayerSpec(0.5, e), P) for e in (1e-1, 1e-2)]
+    _assert_memory_flat(lambda T, times: run_batch(
+        u0, [*v30s, None], [1e-1, 1e-2, None], T, P, times, dt=[2e-3, 1e-3, 2e-3]), 0.2)
 
 
 def test_fixed_dt_above_stability_bound_raises():
@@ -491,7 +503,7 @@ def _step_reference(stepper, t, u, v, dt, members):
     planes = _species_planes(stepper.p, len(u), stepper.grid.n, dx)
     with np.errstate(over="ignore", invalid="ignore"):
         new_u, reaction_rate = sim_eps._heun_species(
-            u, v, stepper.p, dx, dt_col[..., None] if per_member else dt, planes)
+            u, v, dt_col[..., None] if per_member else dt, planes)
     stepper._check_finite(new_u, "u", t, dt, members)
     mass_pre = new_u.sum(-1) * dx
     scale = np.maximum(np.abs(mass_old), 1.0)
@@ -570,7 +582,8 @@ def step_loop_cases(draw):
     so a member may be over its cap), or one fixed dt per member; a horizon
     of 0 or 1-15 of the smallest step and up to four output times.  A fault
     may replace one entry of one species update: a negative value, which
-    the step clips, or a non-finite one, which it reports."""
+    the step clips, or a non-finite one, which it reports; or one entry of
+    one chemical update by a non-finite value, which it reports too."""
     kind = draw(st.sampled_from(["adaptive", "shared", "per_member"]))
     size = 1 if kind == "adaptive" and draw(st.booleans()) else draw(st.integers(1, 5))
     members = draw(st.lists(st.sampled_from([None, 1e-1, 1e-2, 1e-3]),
@@ -596,28 +609,33 @@ def step_loop_cases(draw):
     T = draw(st.one_of(st.just(0.0), st.floats(1.0, 15.0))) * smallest
     times = draw(st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
     times = None if times is None else [T * f for f in times]
-    fault = draw(st.one_of(st.none(), st.tuples(
-        st.sampled_from([-1e-300, -1e-3, -1e-3, np.nan, np.inf]), st.integers(0, 3),
-        st.integers(0, 4), st.integers(0, 2), st.integers(0, n - 1))))
+    at = (st.integers(0, 3), st.integers(0, 4), st.integers(0, 2), st.integers(0, n - 1))
+    fault = draw(st.one_of(
+        st.none(),
+        st.tuples(st.just("species"),
+                  st.sampled_from([-1e-300, -1e-3, -1e-3, np.nan, np.inf]), *at),
+        st.tuples(st.just("chemicals"), st.sampled_from([np.nan, np.inf, -np.inf]), *at)))
     return grid, members, u0, data, T, times, cfl, dt, fault
 
 
-def _faulty(heun, fault):
-    """heun, with entry (b, i, j) of its species update set to value at its
-    call-th call.  The next cell takes up the difference, so that a negative
-    value leaves the step's mass change as it was and what the clip then
-    removes shows in the next step's residual."""
+def _faulty(update, fault):
+    """update (_heun_species or advance_chemicals), with entry (b, i, j) of
+    the (B, 3, n) array it returns set to value at its call-th call.  The
+    next cell takes up the difference, so that a negative value leaves the
+    step's mass change as it was and what the clip then removes shows in the
+    next step's residual."""
     value, call, b, i, j = fault
     calls = [0]
 
     def wrapped(*args, **kwargs):
-        new_u, rate = heun(*args, **kwargs)
+        out = update(*args, **kwargs)
         if calls[0] == call:
-            row = new_u[min(b, len(new_u) - 1), i]
+            new = out[0] if isinstance(out, tuple) else out
+            row = new[min(b, len(new) - 1), i]
             row[(j + 1) % row.size] += row[j] - value
             row[j] = value
         calls[0] += 1
-        return new_u, rate
+        return out
 
     return wrapped
 
@@ -637,8 +655,10 @@ def _assert_step_loop_equals_reference(grid, members, u0, data, T, times, cfl, d
             if v30 is not None:
                 v[b, 2] = v30.values
         heun = sim_eps._heun_species
-        if fault is not None:
-            sim_eps._heun_species = _faulty(heun, fault)
+        if fault is not None and fault[0] == "species":
+            sim_eps._heun_species = _faulty(heun, fault[1:])
+        elif fault is not None:
+            stepper.advance_chemicals = _faulty(stepper.advance_chemicals, fault[1:])
         try:
             return loop(stepper, u, v, T, times, cfl=cfl, dt_fixed=dt)
         except (StabilityError, BlowUpError) as err:
@@ -660,8 +680,16 @@ def _assert_step_loop_equals_reference(grid, members, u0, data, T, times, cfl, d
         assert traj.max_balance_residual == residual
 
 
+def _blow_up_case(fault):
+    """An adaptive eps = 1e-2 run at n = 8 whose second step has fault."""
+    grid = make_grid(1.0, 8)
+    return grid, [1e-2], default_initial_fields(grid), [None], 0.01, None, 0.9, None, fault
+
+
 @settings(max_examples=150, deadline=None)
 @given(step_loop_cases())
+@example(_blow_up_case(("species", np.nan, 1, 0, 0, 3)))
+@example(_blow_up_case(("chemicals", -np.inf, 1, 0, 2, 3)))
 def test_step_loop_equals_per_step_reference(case):
     """_integrate, with its shared face difference, batch-wide cap check and
     carried mass, is bitwise the loop that recomputed each per step."""
@@ -677,7 +705,25 @@ def test_step_loop_sums_the_species_again_after_a_clip():
     data = [None if e is None else make_layer_data(u0[2], InitialLayerSpec("on_manifold", e), P)
             for e in members]
     _assert_step_loop_equals_reference(grid, members, u0, data, 1e-3, [0.0, 5e-4, 1e-3],
-                                       0.9, 1e-4, (-1e-3, 1, 0, 0, 5))
+                                       0.9, 1e-4, ("species", -1e-3, 1, 0, 0, 5))
+
+
+@pytest.mark.parametrize("update", ["_heun_species", "advance_chemicals"])
+def test_finite_fields_whose_sum_overflows_do_not_raise(monkeypatch, update):
+    """The step screens its species and chemicals for non-finite values with
+    one sum each; a sum that overflows on finite values is no blow-up."""
+    grid = make_grid(1.0, 8)
+    stepper = _Stepper(grid, P, 1e-3)
+    u = np.stack([f.values for f in default_initial_fields(grid)])[None]
+    v = np.stack([stepper.solve_elliptic(u[:, i], i) for i in range(3)], axis=1)
+    huge = np.full_like(u, 1e308)
+    if update == "_heun_species":
+        monkeypatch.setattr(sim_eps, update, lambda u, *args: (huge, np.zeros((1, 3))))
+    monkeypatch.setattr(stepper, "advance_chemicals", lambda *args: huge)
+    new_u, new_v, residual = stepper.step(0.0, u, v, 1e-4)
+    assert new_v is huge
+    assert (new_u is huge) == (update == "_heun_species")
+    assert np.isinf(residual).all() == (update == "_heun_species")
 
 
 @st.composite
@@ -944,7 +990,7 @@ def test_heun_species_equals_batch_major_reference(inputs):
         want_u = u + 0.5 * dt * (r + q)
         want_rate = dx * 0.5 * (fa.sum(-1) + fb.sum(-1))
         assume(np.isfinite(want_u).all() and np.isfinite(want_rate).all())
-        got_u, got_rate = _heun_species(u, v, p, dx, dt, _species_planes(p, b, n, dx))
+        got_u, got_rate = _heun_species(u, v, dt, _species_planes(p, b, n, dx))
     assert got_u.shape == want_u.shape and got_rate.shape == want_rate.shape
     assert got_u.tobytes() == want_u.tobytes()
     assert np.ascontiguousarray(got_rate).tobytes() == want_rate.tobytes()
@@ -1000,7 +1046,7 @@ def test_heun_species_is_the_old_form_within_round_off(inputs):
     p, u, v, dx, dt = inputs
     b, _, n = u.shape
     with np.errstate(all="ignore"):
-        got_u, _ = _heun_species(u, v, p, dx, dt, _species_planes(p, b, n, dx))
+        got_u, _ = _heun_species(u, v, dt, _species_planes(p, b, n, dx))
         y, r, q, _, _ = _heun_stages(lambda x: _one_flux_rhs_reference(x, v, p, dx), u, dt)
         r_old, _ = _old_form_rhs(u, v, p, dx)
         q_old, _ = _old_form_rhs(y, v, p, dx)
@@ -1028,7 +1074,7 @@ def test_species_rates_equal_kinetics(p, b, n, data):
     with np.errstate(all="ignore"):
         want = np.stack(kinetics(u[0], u[1], u[2], p))
         assume(np.isfinite(want).all())
-        got = _species_rates(u, _species_planes(p, b, n, 1.0 / n), p)
+        got = _species_rates(u, _species_planes(p, b, n, 1.0 / n))
     assert got.tobytes() == want.tobytes()
 
 
