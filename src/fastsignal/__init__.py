@@ -50,8 +50,6 @@ from .sim_eps import (
     run_batch,
     run_eps,
     run_limit,
-    stable_dt,
-    step,
 )
 
 __version__ = "0.1.0"

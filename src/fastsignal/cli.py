@@ -2,8 +2,9 @@
 
 Subcommands: simulate-eps, simulate-limit, rate-study, manifold-distance,
 ode-simulate, ode-bifurcation, verify.  Exit codes: 0 success, 1 validation
-error, 2 numerical failure, 3 verification-gate failure.  Every output
-directory receives a config echo sufficient to re-run the experiment.
+error (kind=validation) or a run out of memory (kind=memory), 2 numerical
+failure, 3 verification-gate failure.  Every output directory receives a
+config echo sufficient to re-run the experiment.
 """
 
 from __future__ import annotations
@@ -94,6 +95,25 @@ _SUBCOMMAND_T = {
 
 class ConfigError(ValueError):
     """Configuration file or flag rejected; message carries key and location."""
+
+
+# Ceiling on the bytes of the arrays a command projects from the keys that size
+# them (output_count, sweep_count, n), checked before any is allocated.  The
+# largest default run projects 22 MB (ode-bifurcation's 200-value 3pop sweep).
+_MAX_PROJECTED_BYTES = 2**31
+
+
+def _check_bytes(keys: str, nbytes: int) -> None:
+    if nbytes > _MAX_PROJECTED_BYTES:
+        raise ConfigError(f"{keys}: {nbytes / 2**30:.3g} GiB of arrays projected, past "
+                          f"the ceiling of {_MAX_PROJECTED_BYTES / 2**30:g} GiB")
+
+
+def _check_pde_bytes(cfg: RunConfig, runs: int) -> None:
+    # per run: output_count snapshots of 6 rows of n, and about 64 rows of n
+    # for the coefficient planes and a step's temporaries
+    _check_bytes(f"output_count={cfg.output_count} and n={cfg.n}",
+                 runs * (6 * cfg.output_count + 64) * cfg.n * 8)
 
 
 def _coerce(key: str, raw, where: str):
@@ -248,6 +268,7 @@ def _write_snapshots(outdir: Path, traj) -> None:
 
 
 def _cmd_simulate(cfg: RunConfig, T: float, limit: bool = False):
+    _check_pde_bytes(cfg, 1)
     p = cfg.model_params()
     u10, u20, u30 = default_initial_fields(cfg.make_grid())
     times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
@@ -271,6 +292,7 @@ def _cmd_simulate(cfg: RunConfig, T: float, limit: bool = False):
 
 
 def _cmd_rate_study(cfg: RunConfig, T: float):
+    _check_pde_bytes(cfg, 2 * len(cfg.eps_list))  # at most one limit run per eps run
     report = rate_study(
         *default_initial_fields(cfg.make_grid()), cfg.gamma, cfg.eps_list, T,
         cfg.model_params(), n_outputs=cfg.output_count, cfl=min(0.45, cfg.cfl),
@@ -288,6 +310,7 @@ def _cmd_rate_study(cfg: RunConfig, T: float):
 
 
 def _cmd_manifold_distance(cfg: RunConfig, T: float):
+    _check_pde_bytes(cfg, len(cfg.eps_list))
     times, dist, eps_in = manifold_distance_study(
         *default_initial_fields(cfg.make_grid()), cfg.gamma, cfg.eps_list, T,
         cfg.model_params(), np.linspace(0.0, T, cfg.output_count),
@@ -326,6 +349,8 @@ def _cmd_ode_simulate(cfg: RunConfig, T: float):
         y0 = np.array([1.0, 0.5])
         columns = ("u1", "u3")
     n_eval = max(cfg.output_count, 2001)
+    # about 64 floats per output time: t_eval, the states and their CSV rows
+    _check_bytes(f"output_count={cfg.output_count}", n_eval * 64 * 8)
     traj = integrate(model_rhs(cfg.ode_model, cfg.model_params()), y0, T,
                      rtol=cfg.ode_rtol, atol=cfg.ode_atol,
                      t_eval=np.linspace(0.0, T, n_eval))
@@ -348,6 +373,10 @@ def _cmd_ode_simulate(cfg: RunConfig, T: float):
 
 
 def _cmd_ode_bifurcation(cfg: RunConfig, T: float):
+    # about 64 floats per Newton row, one row per value and point of the
+    # 6**dim guess lattice
+    dim = 3 if cfg.ode_model == "3pop" else 2
+    _check_bytes(f"sweep_count={cfg.sweep_count}", cfg.sweep_count * 6**dim * 64 * 8)
     values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_count)
     points = bifurcation_sweep(
         cfg.ode_model, cfg.sweep_param, values, cfg.model_params(), T_osc=T,
@@ -550,6 +579,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:  # ConfigError included
         _error("validation", exc)
+        return 1
+    except MemoryError as exc:  # a last resort: the projections above bound every array
+        _error("memory", exc if str(exc) else "out of memory")
         return 1
     if write is not None:
         out = Path(cfg.outdir)

@@ -299,12 +299,12 @@ def _exp_factors(lam: float, mu: float, eps, dt: float, grid: Grid):
     The gain is evaluated with expm1 so small arguments do not cancel.
 
     eps may be an array of shape (B, 1), which gives (B, n) factors, one row
-    per relaxation parameter.
+    per relaxation parameter.  dt / eps = inf gives decay 0, the limit; its
+    overflow is the caller's to ignore, once per step in a stepper.
     """
     b = _mode_rates(lam, mu, grid.L, grid.n)
     nb = -b
-    with np.errstate(over="ignore"):  # dt / eps = inf gives decay 0, the limit
-        mz = nb * (dt / eps)  # -z, exactly: negation commutes with rounding
+    mz = nb * (dt / eps)  # -z, exactly: negation commutes with rounding
     em1 = np.expm1(mz)
     return np.exp(mz), em1 / nb, _ramp_weight(mz, em1) / b
 
@@ -325,6 +325,7 @@ def _exp_ramp_values(lam: float, mu: float, eps: float, dt: float, v: np.ndarray
         raise ValueError("eps must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    decay, gain, ramp = _exp_factors(lam, mu, eps, dt, grid)
+    with np.errstate(over="ignore"):  # dt / eps = inf gives decay 0, the limit
+        decay, gain, ramp = _exp_factors(lam, mu, eps, dt, grid)
     c, s0, s1 = to_modes(np.stack([v, source_start, source_end]))
     return from_modes(decay * c + gain * s0 + ramp * (s1 - s0))

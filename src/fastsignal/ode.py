@@ -132,7 +132,7 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-_MAX_PROJECTED_STEPS = 1e9  # integrate's ceiling on (T - t) / h, far above any run's
+_MAX_PROJECTED_STEPS = 1e9  # ceiling on a run's projected steps (here and sim_eps)
 
 
 def _rms(num, den) -> float:

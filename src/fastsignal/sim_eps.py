@@ -7,8 +7,8 @@ the species reaction + transport, one donor-cell face flux per species, then
 the chemicals in the cosine modes of the grid, which diagonalise their
 operators: the elliptic ones solved at the new densities, and the slow one
 updated exponentially, exactly per mode for a source varying linearly over the
-step.  Species stay non-negative under the stable_dt bound; negative round-off
-is clipped and accounted.
+step.  Species stay non-negative under the stable step bound; negative
+round-off is clipped and accounted.
 
 The stepping kernel is batch-native: one step advances B members, each by its
 own dt, held as (B, 3, n) species and chemical arrays.  A member is either a
@@ -27,6 +27,7 @@ import numpy as np
 from .grid import Field, Grid
 from .linsolve import _exp_factors, _mode_rates, _source_resolvent, from_modes, to_modes
 from .model import ModelParams
+from .ode import _MAX_PROJECTED_STEPS
 
 __all__ = [
     "State",
@@ -35,8 +36,6 @@ __all__ = [
     "StabilityError",
     "default_initial_fields",
     "initial_stable_dt",
-    "stable_dt",
-    "step",
     "run_batch",
     "run_eps",
     "run_limit",
@@ -81,11 +80,6 @@ class State:
 _COMPONENTS = tuple(f.name for f in fields(State))[2:]
 
 
-def _state(t: float, eps, rows, grid: Grid) -> State:
-    """The State whose Fields wrap the six (n,) rows of a snapshot, without copies."""
-    return State(t, eps, *(Field(x, grid) for x in rows))
-
-
 @dataclass
 class Trajectory:
     """Snapshots of one run at the requested output times plus stepping diagnostics.
@@ -107,7 +101,7 @@ class Trajectory:
 
     @property
     def states(self) -> list:
-        return [_state(t, self.eps, rows, self.grid)
+        return [State(t, self.eps, *(Field(x, self.grid) for x in rows))
                 for t, rows in zip(self.times.tolist(), self.values)]
 
     @property
@@ -132,7 +126,8 @@ def default_initial_fields(grid: Grid) -> tuple[Field, Field, Field]:
 
 
 def _as_batch(x) -> np.ndarray:
-    """(B, 3, n) array of a batch; a (3, n) array or three (n,) arrays are a batch of one."""
+    """(B, 3, n) array of a batch; a (3, n) array or three (n,) arrays, as
+    perfbench/child.py's kernel table passes them, are a batch of one."""
     x = np.asarray(x, dtype=float)
     return x if x.ndim == 3 else x[None]
 
@@ -170,19 +165,9 @@ def _stable_dt_values(u, v, p: ModelParams, dx: float, cfl: float, dv=None,
     return np.array(dts) if u.ndim == 3 and not batch_wide else np.float64(dts[0])
 
 
-def stable_dt(s, p: ModelParams, cfl: float) -> float:
-    """Largest explicit step for the species update, scaled by cfl.
-
-    Bounds diffusion, the upwind chemotactic drift from the current chemical
-    gradients, and a local Lipschitz estimate of the reaction terms.
-    """
-    x = np.array([getattr(s, c).values for c in _COMPONENTS])
-    return float(_stable_dt_values(x[:3], x[3:], p, s.grid.dx, cfl))
-
-
 def initial_stable_dt(u10: Field, u20: Field, u30: Field, v30: Field,
                       p: ModelParams, cfl: float) -> float:
-    """stable_dt of the state a run starts from: the species data, v30, and
+    """Stable step of the state a run starts from: the species data, v30, and
     the fast chemicals at their elliptic solves from the species data."""
     grid = u10.grid
     v1 = _source_resolvent(p.lambda1, p.mu1, p.zeta1, grid, u10.values, 1)
@@ -414,17 +399,6 @@ class _Stepper:
 _EpsStepper = _LimitStepper = _Stepper
 
 
-def step(s: State, p: ModelParams, dt: float, *, chemical_mode: str = "mixed") -> State:
-    """One split step of the relaxation-time system, or of the limiting
-    system when s.eps is None."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be finite and positive")
-    st = _Stepper(s.grid, p, s.eps, chemical_mode=chemical_mode)
-    x = np.array([getattr(s, c).values for c in _COMPONENTS])
-    u, v, _ = st.step(s.t, x[:3], x[3:], dt)
-    return _state(s.t + dt, s.eps, (*u[0], *v[0]), s.grid)
-
-
 def _normalise_output_times(T: float, output_times) -> np.ndarray:
     if output_times is None:
         output_times = np.linspace(0.0, T, 64) if T > 0 else np.array([0.0])
@@ -441,7 +415,7 @@ def _normalise_output_times(T: float, output_times) -> np.ndarray:
 
 def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
                dt_fixed=None) -> list:
-    """Step every member of the batch (u, v) from t = 0 to T.
+    """Step every member of the (B, 3, n) batch (u, v) from t = 0 to T.
 
     Returns one Trajectory per member, whose values are its slice of one
     (B, n_times, 6, n) snapshot array.  Each member keeps its own clock and
@@ -449,9 +423,9 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
     member), checked against its own stability bound, or its own stable step.
     Each member shortens its last step to land on each output time and then
     waits until every member has landed there.  A step too small to move the
-    output time it heads for raises StabilityError instead of stepping forever.
+    output time it heads for raises StabilityError instead of stepping forever,
+    and so does a first step that projects a run past _MAX_PROJECTED_STEPS.
     """
-    u, v = _as_batch(u), _as_batch(v)
     times = _normalise_output_times(T, output_times)
     dx = stepper.grid.dx
     p = stepper.p
@@ -499,6 +473,16 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
                     raise StabilityError(
                         f"step {h:.3e} of the {stepper.member_label(b)} at t={t[b]:.6g} "
                         f"is too small to reach the output time {target:.6g}")
+            if not n_steps[0]:
+                # before the first step: each member's step count at this step,
+                # one landing step per output interval included
+                for b, h in zip(rows, nominal):
+                    steps = T / h + (times.size - 1)
+                    if steps > _MAX_PROJECTED_STEPS:
+                        raise StabilityError(
+                            f"{steps:.3g} steps projected for the {stepper.member_label(b)} "
+                            f"to T={T:.6g} at dt={h:.3e}, past the ceiling of "
+                            f"{_MAX_PROJECTED_STEPS:.0e}")
             dts = [target - t[b] if target - t[b] <= h * (1.0 + 1e-9) else h
                    for b, h in zip(rows, nominal)]
             # a dt shared by every stepping member goes in as a plain float:

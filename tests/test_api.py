@@ -2,6 +2,8 @@
 a Trajectory.  A change that removes a public name fails here."""
 
 import dataclasses
+import importlib
+import pkgutil
 import types
 
 import fastsignal
@@ -18,7 +20,7 @@ EXPORTS = {
     "kinetics_jacobian", "make_grid", "make_layer_data", "manifold_distance",
     "manifold_distance_study", "manifold_projection", "model_rhs",
     "norm_h1", "norm_h2_proxy", "norm_l2", "ode_rhs_3pop", "ode_rhs_pp", "rate_study",
-    "run_batch", "run_eps", "run_limit", "semigroup_identity_residual", "stable_dt", "step",
+    "run_batch", "run_eps", "run_limit", "semigroup_identity_residual",
 }
 
 TRAJECTORY_ATTRIBUTES = {
@@ -32,6 +34,15 @@ def test_package_exports_exactly_its_public_names():
     names = {name for name, value in vars(fastsignal).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == EXPORTS
+
+
+def test_every_module_all_names_resolve():
+    # a stale __all__ entry makes `from fastsignal.<module> import *` fail
+    for info in pkgutil.iter_modules(fastsignal.__path__):
+        module = importlib.import_module(f"fastsignal.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
 
 
 def test_trajectory_public_attributes():

@@ -12,6 +12,7 @@ import pytest
 
 import fastsignal
 import fastsignal.analysis as analysis
+import fastsignal.cli as cli
 from fastsignal.analysis import (
     InitialLayerSpec,
     fit_slope,
@@ -667,6 +668,16 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
     # ode_jacobian_pp's s1 * s1 overflows too, and an eigenvector's norm underflows to 0
     (["ode-bifurcation", "--sweep_count", "3", "--t_osc", "5", "--ode_model", "pp",
       "--eta1", "1e300"], 0, ""),
+    # about 6e10 steps, projected before the first one
+    (["simulate-limit", "--n", "16", "--T", "1e9"], 2, "steps projected"),
+    # 71.5 GiB of snapshots, 745 GiB of output times and of swept values:
+    # each projected and rejected before it is allocated
+    (["simulate-eps", "--n", "16", "--T", "0.05", "--output_count", "100000000"], 1,
+     "output_count=100000000 "),
+    (["ode-simulate", "--T", "1", "--output_count", "100000000000"], 1,
+     "output_count=100000000000:"),
+    (["ode-bifurcation", "--t_osc", "5", "--sweep_count", "100000000000"], 1,
+     "sweep_count=100000000000:"),
 ])
 def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
         tmp_path, capsys, argv, code, named):
@@ -680,6 +691,17 @@ def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
     assert len(status) == 1
     kind = {0: "status=ok", 1: "kind=validation", 2: "kind=numerical"}[code]
     assert kind in status[0] and named in status[0]
+
+
+def test_memory_error_ends_in_one_status_line(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg, T):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", exhausted)
+    assert main(["verify", "--outdir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'fastsignal: status=error kind=memory msg="out of memory"\n'
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
