@@ -8,7 +8,7 @@ which round-off dominates are excluded from the fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -168,15 +168,7 @@ class TrajectoryComparison:
     err_v3_l2h2: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "err_u1": self.err_u1,
-            "err_u2": self.err_u2,
-            "err_u3": self.err_u3,
-            "err_v1": self.err_v1,
-            "err_v2": self.err_v2,
-            "err_v3_h1": self.err_v3_h1,
-            "err_v3_l2h2": self.err_v3_l2h2,
-        }
+        return asdict(self)
 
 
 def compare_trajectories(A: Trajectory, B: Trajectory) -> TrajectoryComparison:
@@ -227,7 +219,7 @@ class RateReport:
     slopes: dict[str, tuple[float, float, int]]
     gamma: float | str
 
-    COLUMNS = ("err_u1", "err_u2", "err_u3", "err_v1", "err_v2", "err_v3_h1", "err_v3_l2h2")
+    COLUMNS = tuple(f.name for f in fields(TrajectoryComparison))
 
     def to_csv(self) -> str:
         lines = ["eps,eps_in," + ",".join(self.COLUMNS)]

@@ -2,9 +2,12 @@
 
 Subcommands: simulate-eps, simulate-limit, rate-study, manifold-distance,
 ode-simulate, ode-bifurcation, verify.  Exit codes: 0 success, 1 validation
-error (kind=validation) or a run out of memory (kind=memory), 2 numerical
-failure, 3 verification-gate failure.  Every output directory receives a
-config echo sufficient to re-run the experiment.
+error (kind=validation), a run out of memory (kind=memory) or a failed write
+of the output files (kind=io), 2 numerical failure, 3 verification-gate
+failure.  An outdir that cannot be a directory, or arrays or files projected
+past the ceilings below, are validation errors before the run starts.  Every
+output directory receives a config echo sufficient to re-run the experiment,
+and every CSV this module formats comes from one %-template (``_table``).
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .analysis import (
 from .grid import Field, make_grid, mode_vector
 from .linsolve import HelmholtzOperator, SolverConvergenceError, helmholtz_solve
 from .model import ModelParams, default_params
-from .ode import StiffnessError, bifurcation_sweep, detect_oscillation, integrate, model_rhs
+from .ode import (MODELS, StiffnessError, bifurcation_sweep, detect_oscillation, integrate,
+                  model_rhs)
 from .sim_eps import (
     _COMPONENTS,
     BlowUpError,
@@ -72,7 +76,7 @@ _REGISTRY: dict[str, tuple[object, object]] = {
     "chemical_mode": (("mixed", "fully_parabolic"), "mixed"),
     "seed": (int, 0),
     "outdir": (str, "out"),
-    "ode_model": (("3pop", "pp"), "3pop"),
+    "ode_model": (tuple(MODELS), "3pop"),
     "ode_rtol": (float, 1e-8),
     "ode_atol": (float, 1e-11),
     "sweep_param": (str, "m1"),
@@ -97,23 +101,33 @@ class ConfigError(ValueError):
     """Configuration file or flag rejected; message carries key and location."""
 
 
-# Ceiling on the bytes of the arrays a command projects from the keys that size
-# them (output_count, sweep_count, n), checked before any is allocated.  The
-# largest default run projects 22 MB (ode-bifurcation's 200-value 3pop sweep).
+# Ceilings on what a command projects from the keys that size it (output_count,
+# sweep_count, n), checked before it allocates any array: the bytes of its
+# arrays, the bytes of its files, and the number of its files.  A CSV value
+# takes at most 25 bytes, "%.17g" and its separator.  Of the default runs,
+# ode-bifurcation's 200-value 3pop sweep projects the most bytes (22 MB of
+# arrays, 9.7 MB of files) and simulate-eps the most files (66).
 _MAX_PROJECTED_BYTES = 2**31
+_MAX_OUTPUT_FILES = 10_000
+_CSV_VALUE_BYTES = 25
 
 
-def _check_bytes(keys: str, nbytes: int) -> None:
-    if nbytes > _MAX_PROJECTED_BYTES:
-        raise ConfigError(f"{keys}: {nbytes / 2**30:.3g} GiB of arrays projected, past "
-                          f"the ceiling of {_MAX_PROJECTED_BYTES / 2**30:g} GiB")
+def _check_projection(keys: str, nbytes: int, files: int, values: int) -> None:
+    # nbytes of arrays; files files that hold values CSV values
+    for what, size in (("arrays", nbytes), ("files", values * _CSV_VALUE_BYTES)):
+        if size > _MAX_PROJECTED_BYTES:
+            raise ConfigError(f"{keys}: {size / 2**30:.3g} GiB of {what} projected, past "
+                              f"the ceiling of {_MAX_PROJECTED_BYTES / 2**30:g} GiB")
+    if files > _MAX_OUTPUT_FILES:
+        raise ConfigError(f"{keys}: {files} files projected, past the ceiling of "
+                          f"{_MAX_OUTPUT_FILES}")
 
 
-def _check_pde_bytes(cfg: RunConfig, runs: int) -> None:
+def _check_pde_projection(cfg: RunConfig, runs: int, files: int, values: int) -> None:
     # per run: output_count snapshots of 6 rows of n, and about 64 rows of n
     # for the coefficient planes and a step's temporaries
-    _check_bytes(f"output_count={cfg.output_count} and n={cfg.n}",
-                 runs * (6 * cfg.output_count + 64) * cfg.n * 8)
+    _check_projection(f"output_count={cfg.output_count} and n={cfg.n}",
+                      runs * (6 * cfg.output_count + 64) * cfg.n * 8, files, values)
 
 
 def _coerce(key: str, raw, where: str):
@@ -256,19 +270,24 @@ def _write_echo(outdir: Path, cfg: RunConfig, subcommand: str, T: float) -> None
     (outdir / "config_echo.txt").write_text("\n".join(lines) + "\n")
 
 
+def _table(columns, leads) -> str:
+    # a CSV's %-template: the header, then per row its leading value formatted in (it
+    # holds no "%") and "%.17g" for each other one (f"{v:.17g}" of a float or 0/1 int)
+    values = ",%.17g" * (len(columns) - 1) + "\n"
+    return ",".join(columns) + "\n" + "".join(f"{x:.17g}{values}" for x in leads)
+
+
 def _write_snapshots(outdir: Path, traj) -> None:
-    # one %-template per run with the x column formatted in; a formatted
-    # float holds no "%", and "%.17g" of a Python float is f"{x:.17g}"
-    values = ",%.17g" * len(_COMPONENTS) + "\n"
-    table = "x," + ",".join(_COMPONENTS) + "\n" + "".join(
-        f"{x:.17g}{values}" for x in traj.grid.centers.tolist())
+    # one template per run, with the x column formatted in once
+    table = _table(("x", *_COMPONENTS), traj.grid.centers.tolist())
     for i, t in enumerate(traj.times):
         rows = table % tuple(traj.values[i].T.ravel().tolist())
         (outdir / f"t{i}_{t:.6g}.csv").write_text(rows)
 
 
 def _cmd_simulate(cfg: RunConfig, T: float, limit: bool = False):
-    _check_pde_bytes(cfg, 1)
+    # output_count snapshots of n rows and 7 columns, a summary and the echo
+    _check_pde_projection(cfg, 1, cfg.output_count + 2, cfg.output_count * cfg.n * 7)
     p = cfg.model_params()
     u10, u20, u30 = default_initial_fields(cfg.make_grid())
     times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
@@ -292,7 +311,8 @@ def _cmd_simulate(cfg: RunConfig, T: float, limit: bool = False):
 
 
 def _cmd_rate_study(cfg: RunConfig, T: float):
-    _check_pde_bytes(cfg, 2 * len(cfg.eps_list))  # at most one limit run per eps run
+    # at most one limit run per eps run; one report row of 9 columns per eps
+    _check_pde_projection(cfg, 2 * len(cfg.eps_list), 3, 9 * len(cfg.eps_list))
     report = rate_study(
         *default_initial_fields(cfg.make_grid()), cfg.gamma, cfg.eps_list, T,
         cfg.model_params(), n_outputs=cfg.output_count, cfl=min(0.45, cfg.cfl),
@@ -310,15 +330,14 @@ def _cmd_rate_study(cfg: RunConfig, T: float):
 
 
 def _cmd_manifold_distance(cfg: RunConfig, T: float):
-    _check_pde_bytes(cfg, len(cfg.eps_list))
+    _check_pde_projection(cfg, len(cfg.eps_list), 3, 3 * len(cfg.eps_list) * cfg.output_count)
     times, dist, eps_in = manifold_distance_study(
         *default_initial_fields(cfg.make_grid()), cfg.gamma, cfg.eps_list, T,
         cfg.model_params(), np.linspace(0.0, T, cfg.output_count),
         cfl=min(0.45, cfg.cfl), chemical_mode=cfg.chemical_mode,
     )
-    rows = ["eps,t,eps_t"]
-    for eps, d in zip(cfg.eps_list, dist):
-        rows += [f"{eps:.17g},{t:.17g},{x:.17g}" for t, x in zip(times, d)]
+    table = _table(("eps", "t", "eps_t"), [e for e in cfg.eps_list for _ in times]) % tuple(
+        np.stack(np.broadcast_arrays(times, dist), axis=-1).ravel().tolist())
     sup_late = dist[:, times >= 0.1 * T].max(axis=1)
     ratios = dist.max(axis=1) / np.maximum(eps_in, 1e-300)
     lines = [
@@ -335,32 +354,27 @@ def _cmd_manifold_distance(cfg: RunConfig, T: float):
         lines.append(f"late_distance_slope = unavailable ({exc})")
 
     def write(out: Path) -> None:
-        (out / "manifold_distance.csv").write_text("\n".join(rows) + "\n")
+        (out / "manifold_distance.csv").write_text(table)
         (out / "summary.txt").write_text("\n".join(lines) + "\n")
 
     return write, status
 
 
 def _cmd_ode_simulate(cfg: RunConfig, T: float):
-    if cfg.ode_model == "3pop":
-        y0 = np.array([1.0, 1.0, 0.5])
-        columns = ("u1", "u2", "u3")
-    else:
-        y0 = np.array([1.0, 0.5])
-        columns = ("u1", "u3")
+    y0, columns = MODELS[cfg.ode_model]
     n_eval = max(cfg.output_count, 2001)
-    # about 64 floats per output time: t_eval, the states and their CSV rows
-    _check_bytes(f"output_count={cfg.output_count}", n_eval * 64 * 8)
+    # about 64 floats per output time: t_eval, the states and their CSV rows;
+    # ode.csv, a summary and the echo
+    _check_projection(f"output_count={cfg.output_count}", n_eval * 64 * 8, 3,
+                      n_eval * (1 + len(y0)))
     traj = integrate(model_rhs(cfg.ode_model, cfg.model_params()), y0, T,
                      rtol=cfg.ode_rtol, atol=cfg.ode_atol,
                      t_eval=np.linspace(0.0, T, n_eval))
     osc = detect_oscillation(traj)
 
     def write(out: Path) -> None:
-        rows = ["t," + ",".join(columns)]
-        for t, y in zip(traj.times, traj.states):
-            rows.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in y]))
-        (out / "ode.csv").write_text("\n".join(rows) + "\n")
+        (out / "ode.csv").write_text(_table(("t", *columns), traj.times.tolist())
+                                     % tuple(traj.states.ravel().tolist()))
         (out / "summary.txt").write_text(
             f"model = {cfg.ode_model}\n"
             f"steps = {traj.n_steps}\nrejected = {traj.n_rejected}\n"
@@ -373,36 +387,32 @@ def _cmd_ode_simulate(cfg: RunConfig, T: float):
 
 
 def _cmd_ode_bifurcation(cfg: RunConfig, T: float):
+    columns = ("param", "u1", "u2", "u3", "re_lambda_max", "stable", "oscillating",
+               "amplitude_u1", "period")
     # about 64 floats per Newton row, one row per value and point of the
-    # 6**dim guess lattice
-    dim = 3 if cfg.ode_model == "3pop" else 2
-    _check_bytes(f"sweep_count={cfg.sweep_count}", cfg.sweep_count * 6**dim * 64 * 8)
+    # 6**dim guess lattice; at most one branch.csv row per Newton row, and
+    # the echo
+    rows = cfg.sweep_count * 6 ** len(MODELS[cfg.ode_model][0])
+    _check_projection(f"sweep_count={cfg.sweep_count}", rows * 64 * 8, 2, rows * len(columns))
     values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_count)
     points = bifurcation_sweep(
         cfg.ode_model, cfg.sweep_param, values, cfg.model_params(), T_osc=T,
         rtol=cfg.ode_rtol, atol=cfg.ode_atol,
     )
-    rows = ["param,u1,u2,u3,re_lambda_max,stable,oscillating,amplitude_u1,period"]
-    n_osc = 0
+    cells, n_osc = [], 0
     for bp in points:
-        if cfg.ode_model == "3pop":
-            u1, u2, u3 = bp.state
-        else:
-            u1, u3 = bp.state
-            u2 = float("nan")
+        state = dict(zip(MODELS[cfg.ode_model][1], bp.state.tolist()))
         osc = bp.oscillation
-        oscillating = 1 if (osc is not None and osc.detected) else 0
+        oscillating = int(osc is not None and osc.detected)
         n_osc += oscillating
-        amp = osc.amplitude[0] if osc is not None else float("nan")
-        period = osc.period if (osc is not None and osc.period is not None) else float("nan")
-        rows.append(
-            f"{bp.param_value:.17g},{u1:.17g},{u2:.17g},{u3:.17g},"
-            f"{bp.eigenvalues.real.max():.17g},{int(bp.stable)},{oscillating},"
-            f"{amp:.17g},{period:.17g}"
-        )
+        amp = osc.amplitude[0] if osc is not None else math.nan
+        period = osc.period if (osc is not None and osc.period is not None) else math.nan
+        cells += [*(state.get(c, math.nan) for c in columns[1:4]),
+                  bp.eigenvalues.real.max(), int(bp.stable), oscillating, amp, period]
+    table = _table(columns, [bp.param_value for bp in points]) % tuple(cells)
 
     def write(out: Path) -> None:
-        (out / "branch.csv").write_text("\n".join(rows) + "\n")
+        (out / "branch.csv").write_text(table)
 
     return write, f" points={len(points)} oscillating_points={n_osc}"
 
@@ -477,7 +487,7 @@ def _verify_homogeneous(p: ModelParams, L: float) -> tuple[float, list[str]]:
     failures = []
     worst = 0.0
     T = 10.0
-    c = (1.0, 1.0, 0.5)
+    c = MODELS["3pop"][0]
     for n, dt, n_times in ((16, 1e-3, 41), (32, None, 21)):
         grid = make_grid(L, n)
         times = np.linspace(0.0, T, n_times)
@@ -551,6 +561,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_dir(cfg: RunConfig) -> Path:
+    """The outdir, rooted at $FASTSIGNAL_OUTPUT_ROOT when relative; a
+    validation error unless it is a directory or one can be made there."""
+    out = Path(cfg.outdir)
+    root = os.environ.get(OUTPUT_ROOT_ENV)
+    if root and not out.is_absolute():
+        out = Path(root) / out
+    for existing in (out, *out.parents):  # the nearest that exists must be a directory
+        if os.path.exists(existing):
+            if not existing.is_dir():
+                raise ConfigError(f"key 'outdir': cannot make {out}, {existing} exists "
+                                  "and is not a directory")
+            break
+    return out
+
+
 def _error(kind: str, exc: Exception) -> None:
     print(f'fastsignal: status=error kind={kind} msg="{exc}"', file=sys.stderr)
 
@@ -570,6 +596,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, overrides)
         T = cfg.resolve_T(sub)
+        out = _output_dir(cfg) if sub != "verify" else None  # verify writes no files
         write, status = _COMMANDS[sub](cfg, T)
     except _GateFailure as exc:
         print(f'fastsignal: status=error kind=verify msg="{exc}"')
@@ -584,13 +611,13 @@ def main(argv=None) -> int:
         _error("memory", exc if str(exc) else "out of memory")
         return 1
     if write is not None:
-        out = Path(cfg.outdir)
-        root = os.environ.get(OUTPUT_ROOT_ENV)
-        if root and not out.is_absolute():
-            out = Path(root) / out
-        out.mkdir(parents=True, exist_ok=True)
-        _write_echo(out, cfg, sub, T)
-        write(out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            _write_echo(out, cfg, sub, T)
+            write(out)
+        except OSError as exc:
+            _error("io", exc)
+            return 1
         status += f" outdir={out}"
     print(f"fastsignal: status=ok cmd={sub}{status}")
     return 0

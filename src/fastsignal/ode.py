@@ -24,8 +24,12 @@ __all__ = [
     "OdeTrajectory", "OscillationRecord", "BranchPoint", "StiffnessError",
     "ode_rhs_3pop", "ode_rhs_pp", "ode_jacobian_3pop", "ode_jacobian_pp", "model_rhs",
     "integrate", "find_equilibria", "classify_stability", "detect_oscillation",
-    "bifurcation_sweep",
+    "bifurcation_sweep", "MODELS",
 ]
+
+# model -> (the start state of ode-simulate and of a sweep's integrations,
+# the names of its components)
+MODELS = {"3pop": ((1.0, 1.0, 0.5), ("u1", "u2", "u3")), "pp": ((1.0, 0.5), ("u1", "u3"))}
 
 
 class StiffnessError(RuntimeError):
@@ -500,28 +504,27 @@ def classify_stability(eq, jacobian) -> tuple[np.ndarray, bool, float]:
     return lams, bool(np.max(lams.real) < -1e-10), res
 
 
-# an oscillation has at least this many peaks, a larger peak-to-trough
-# amplitude, and last three inter-peak gaps that agree within this fraction
+# after this leading fraction of the time span, an oscillation has at least
+# this many peaks, a larger peak-to-trough amplitude, and last three
+# inter-peak gaps that agree within this fraction
+_OSC_TRANSIENT = 0.5
 _OSC_MIN_PEAKS = 5
 _OSC_MIN_AMPLITUDE = 1e-3
 _OSC_PERIOD_TOL = 0.2
 
 
-def detect_oscillation(traj: OdeTrajectory, transient_fraction: float = 0.5
-                       ) -> OscillationRecord:
+def detect_oscillation(traj: OdeTrajectory) -> OscillationRecord:
     """Peak-based oscillation detector on the first component.
 
-    The leading transient is discarded; oscillation requires enough strict
-    local maxima, a minimum peak-to-trough amplitude, and agreement of the
-    last three inter-peak intervals.
+    The first half of the time span is discarded as transient; oscillation
+    requires enough strict local maxima, a minimum peak-to-trough amplitude,
+    and agreement of the last three inter-peak intervals.
     """
-    if not 0.0 <= transient_fraction < 1.0:
-        raise ValueError("transient_fraction must lie in [0, 1)")
     t = traj.times
     y = traj.states
     if t.size == 0:
         raise ValueError("cannot detect oscillation on an empty trajectory")
-    keep = t >= t[0] + transient_fraction * (t[-1] - t[0])
+    keep = t >= t[0] + _OSC_TRANSIENT * (t[-1] - t[0])
     t = t[keep]
     y = y[keep]
     amplitude = y.max(axis=0) - y.min(axis=0)
@@ -547,9 +550,6 @@ def _row_params(p: ModelParams, param: str, column: np.ndarray) -> ModelParams:
     q = copy.copy(p)
     object.__setattr__(q, param, column)
     return q
-
-
-_SWEEP_Y0 = {"3pop": np.array([1.0, 1.0, 0.5]), "pp": np.array([1.0, 0.5])}
 
 
 def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
@@ -593,7 +593,7 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
             branch.append(BranchPoint(float(val), eq, lams, stable, res))
         record = None
         if not any_stable:
-            traj = integrate(model_rhs(model, pv), _SWEEP_Y0[model], T_osc, rtol=rtol,
+            traj = integrate(model_rhs(model, pv), MODELS[model][0], T_osc, rtol=rtol,
                              atol=atol, t_eval=np.linspace(0.0, T_osc, 4001))
             record = detect_oscillation(traj)
         for bp in branch:

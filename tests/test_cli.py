@@ -507,6 +507,7 @@ _CLI_GOLDEN_CASES = {
     "manifold_distance": ["manifold-distance", "--n", "16", "--T", "0.2",
                           "--output_count", "5"],
     "ode_simulate_pp": ["ode-simulate", "--ode_model", "pp", "--T", "50"],
+    "ode_simulate_3pop": ["ode-simulate", "--ode_model", "3pop", "--T", "50"],
     # the echo holds T = t_osc
     "ode_bifurcation_pp": ["ode-bifurcation", "--ode_model", "pp", "--sweep_min", "0.5",
                            "--sweep_max", "0.8", "--sweep_count", "4", "--eta1", "1.0",
@@ -691,6 +692,71 @@ def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
     assert len(status) == 1
     kind = {0: "status=ok", 1: "kind=validation", 2: "kind=numerical"}[code]
     assert kind in status[0] and named in status[0]
+
+
+@pytest.mark.parametrize("outdir, root", [
+    ("F", None),  # an existing file
+    ("F/sub", None),  # below an existing file
+    ("sub", "F"),  # relative, rooted at a file by FASTSIGNAL_OUTPUT_ROOT
+], ids=["file", "below-file", "root-file"])
+def test_outdir_that_cannot_be_a_directory_fails_before_the_run(
+        tmp_path, monkeypatch, capsys, outdir, root):
+    # unchecked, the run finished and then mkdir raised a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("kept\n")
+    if root is None:
+        monkeypatch.delenv("FASTSIGNAL_OUTPUT_ROOT", raising=False)
+    else:
+        monkeypatch.setenv("FASTSIGNAL_OUTPUT_ROOT", str(tmp_path / root))
+    ran = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: ran.append(a))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["ode-simulate", "--ode_model", "pp", "--T", "1", "--outdir", outdir])
+    assert not caught, [str(w.message) for w in caught]
+    assert rc == 1
+    assert not ran
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="key \'outdir\'')
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["F"]
+    assert (tmp_path / "F").read_text() == "kept\n"
+
+
+def test_failed_write_ends_in_one_io_status_line(tmp_path, monkeypatch, capsys):
+    def full(out):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setitem(cli._COMMANDS, "ode-simulate", lambda cfg, T: (full, ""))
+    assert main(["ode-simulate", "--outdir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('fastsignal: status=error kind=io '
+                            'msg="[Errno 28] No space left on device"\n')
+
+
+@pytest.mark.parametrize("argv, named", [
+    # 20 002 files of 16 rows, under the byte ceilings
+    (["simulate-eps", "--n", "16", "--output_count", "20000"],
+     "output_count=20000 and n=16: 20002 files projected"),
+    # 2 002 files of 2.7 GiB, with 0.74 GiB of arrays
+    (["simulate-limit", "--n", "8192", "--output_count", "2000"],
+     "output_count=2000 and n=8192: 2.67 GiB of files projected"),
+], ids=["count", "bytes"])
+def test_files_past_their_ceilings_fail_before_the_first_step(tmp_path, capsys, argv, named):
+    start = time.perf_counter()
+    rc = main([*argv, "--T", "0.05", "--outdir", str(tmp_path / "out")])
+    assert time.perf_counter() - start <= 1.0
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith('fastsignal: status=error kind=validation msg="')
+    assert named in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_memory_error_ends_in_one_status_line(tmp_path, monkeypatch, capsys):

@@ -754,7 +754,7 @@ def test_dp54_makes_six_rhs_calls_per_attempt(model):
     float_fn, float_calls = counting(ode._pp_kinetics if model == "pp" else kinetics)
     array_fn, array_calls = counting(lambda y: rhs_of(y, p))
     for route, calls in ((ode._FloatRhs(float_fn, p), float_calls), (array_fn, array_calls)):
-        traj = integrate(route, ode._SWEEP_Y0[model], 50.0, t_eval=np.linspace(0.0, 50.0, 101))
+        traj = integrate(route, ode.MODELS[model][0], 50.0, t_eval=np.linspace(0.0, 50.0, 101))
         assert traj.n_rejected > 0
         assert calls[0] == 6 * (traj.n_steps + traj.n_rejected) + 1
 
