@@ -83,17 +83,16 @@ _REGISTRY: dict[str, tuple[object, object]] = {
     "sweep_min": (float, 0.05),
     "sweep_max": (float, 1.5),
     "sweep_count": (int, 200),
-    "t_osc": (float, 2000.0),
 }
 
-# default horizon T per subcommand; ode-bifurcation integrates over t_osc
+# default horizon T per subcommand; verify integrates to its own horizons
 _SUBCOMMAND_T = {
     "simulate-eps": 500.0,
     "simulate-limit": 500.0,
     "rate-study": 2.0,
     "manifold-distance": 2.0,
     "ode-simulate": 2000.0,
-    "verify": 10.0,
+    "ode-bifurcation": 2000.0,
 }
 
 
@@ -168,11 +167,6 @@ class RunConfig:
     def make_grid(self):
         return make_grid(self.L, self.n)
 
-    def resolve_T(self, subcommand: str) -> float:
-        if subcommand == "ode-bifurcation":
-            return self.t_osc
-        return self.T if self.T is not None else _SUBCOMMAND_T[subcommand]
-
 
 def _read_config_file(path: str) -> dict:
     raw = {}
@@ -231,9 +225,6 @@ def _validate(values: dict) -> None:
         )
     if values["ode_rtol"] <= 0 or values["ode_atol"] <= 0:
         raise ConfigError("ODE tolerances must be positive")
-    if values["t_osc"] <= 0:
-        # t_osc = 0 would report oscillating=0 for values never integrated
-        raise ConfigError("key 't_osc' must be positive")
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -290,7 +281,7 @@ def _cmd_simulate(cfg: RunConfig, T: float, limit: bool = False):
     _check_pde_projection(cfg, 1, cfg.output_count + 2, cfg.output_count * cfg.n * 7)
     p = cfg.model_params()
     u10, u20, u30 = default_initial_fields(cfg.make_grid())
-    times = np.linspace(0.0, T, cfg.output_count) if T > 0 else None
+    times = np.linspace(0.0, T, cfg.output_count)
     if limit:
         traj = run_limit(u10, u20, u30, T, p, times, cfl=cfg.cfl)
     else:
@@ -387,6 +378,9 @@ def _cmd_ode_simulate(cfg: RunConfig, T: float):
 
 
 def _cmd_ode_bifurcation(cfg: RunConfig, T: float):
+    if T <= 0:
+        # T = 0 would report oscillating=0 for values never integrated
+        raise ConfigError("key 'T' must be positive for ode-bifurcation")
     columns = ("param", "u1", "u2", "u3", "re_lambda_max", "stable", "oscillating",
                "amplitude_u1", "period")
     # about 64 floats per Newton row, one row per value and point of the
@@ -550,7 +544,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="fastsignal",
+        prog="fastsignal", allow_abbrev=False,
         description="Numerical laboratory for a chemotaxis system and its "
                     "fast signal diffusion limit",
     )
@@ -595,7 +589,7 @@ def main(argv=None) -> int:
     sub = args.subcommand
     try:
         cfg = parse_config(args.config, overrides)
-        T = cfg.resolve_T(sub)
+        T = cfg.T if cfg.T is not None else _SUBCOMMAND_T.get(sub)
         out = _output_dir(cfg) if sub != "verify" else None  # verify writes no files
         write, status = _COMMANDS[sub](cfg, T)
     except _GateFailure as exc:

@@ -33,7 +33,8 @@ MODELS = {"3pop": ((1.0, 1.0, 0.5), ("u1", "u2", "u3")), "pp": ((1.0, 0.5), ("u1
 
 
 class StiffnessError(RuntimeError):
-    """The step underflowed, or so many steps are left that T is out of reach."""
+    """The step underflowed, the start state is a pole, or so many steps are
+    left that T is out of reach."""
 
 
 @dataclass
@@ -110,6 +111,17 @@ class _FloatRhs:
         return np.array(self.fn(*np.asarray(y, dtype=float).T, self.p)).T
 
 
+def _model(model: str):
+    """The float kinetics, stacked right-hand side and stacked Jacobian of
+    ``model`` ("3pop" or "pp").  They are named as module globals on each
+    call, so a function substituted for one of them is the one used."""
+    if model == "3pop":
+        return kinetics, ode_rhs_3pop, ode_jacobian_3pop
+    if model == "pp":
+        return _pp_kinetics, ode_rhs_pp, ode_jacobian_pp
+    raise ValueError(f"unknown model {model!r}")
+
+
 def model_rhs(model: str, p: ModelParams) -> _FloatRhs:
     """Right-hand side of ``model`` ("3pop" or "pp") at ``p`` for ``integrate``.
 
@@ -117,11 +129,7 @@ def model_rhs(model: str, p: ModelParams) -> _FloatRhs:
     evaluates it on Python floats, to the same bits at a fraction of the
     cost of a numpy call per stage.
     """
-    if model == "3pop":
-        return _FloatRhs(kinetics, p)
-    if model == "pp":
-        return _FloatRhs(_pp_kinetics, p)
-    raise ValueError(f"unknown model {model!r}")
+    return _FloatRhs(_model(model)[0], p)
 
 
 # Dormand-Prince 5(4) coefficients
@@ -199,8 +207,9 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     the tableau once per ``dim`` (``_dp54_code``), so the bits do not depend
     on the BLAS build.  A right-hand side from ``model_rhs`` is evaluated on
     those floats directly; any other is called with an ndarray and must
-    return dim values.  A float attempt that divides by zero (a pole) is
-    re-run with the ndarray route's inf or nan for each stage that does.
+    return dim values.  An attempt with a stage that divides by zero (a pole)
+    is rejected, as the ndarray route's inf or nan rejects it; a start state
+    at a pole raises ``StiffnessError``.
     """
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
@@ -228,20 +237,18 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     attempt, hermite = _dp54_code(dim)
     if isinstance(rhs, _FloatRhs):
         fn, p = rhs.fn, rhs.p
-
-        def guarded(*args):
-            try:
-                return fn(*args)
-            except ZeroDivisionError:  # at a pole, the ndarray route's inf or nan
-                return rhs(np.array(args[:-1])).tolist()
     else:
         def fn(*args):  # fn(*state, p) on the ndarray rhs
             vals = np.asarray(rhs(np.array(args[:-1])), dtype=float)
             if vals.shape != (dim,):
                 raise ValueError(f"rhs returned shape {vals.shape}, expected ({dim},)")
             return vals.tolist()
-        p, guarded = None, fn
-    f = guarded(*y, p)
+        p = None
+    try:
+        f = fn(*y, p)
+    except ZeroDivisionError:
+        raise StiffnessError("the start state is a pole of the right-hand side "
+                             "at t=0") from None
     t, n_steps, n_rejected = 0.0, 0, 0
 
     if eval_times is not None:
@@ -268,8 +275,8 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
             raise StiffnessError(f"step size underflow at t={t:.6g}")
         try:
             err, y5, f_new = attempt(fn, p, h, *y, *f, atol, rtol)
-        except ZeroDivisionError:  # a pole: re-run the attempt with every stage guarded
-            err, y5, f_new = attempt(guarded, p, h, *y, *f, atol, rtol)
+        except ZeroDivisionError:  # a stage at a pole: rejected, h shrinks by 0.2
+            err = math.inf
         if err <= 1.0:
             t_new = t + h
             if eval_times is not None:
@@ -452,32 +459,6 @@ def find_equilibria(rhs, jacobian, dim: int, args=None):
     return roots[0] if values is None else roots
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _eig_with_residual(J: np.ndarray):
-    if J.shape == (2, 2):
-        tr = J[0, 0] + J[1, 1]
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        disc = complex(tr * tr - 4.0 * det)
-        root = np.sqrt(disc)
-        lams = np.array([(tr + root) / 2.0, (tr - root) / 2.0])
-        vecs = []
-        for lam in lams:
-            v = np.array([J[0, 1], lam - J[0, 0]], dtype=complex)
-            if np.max(np.abs(v)) < 1e-300:
-                v = np.array([lam - J[1, 1], J[1, 0]], dtype=complex)
-            if np.max(np.abs(v)) < 1e-300:
-                v = np.array([1.0, 0.0], dtype=complex)
-            norm = np.linalg.norm(v)  # if it overflows or is 0: no eigenvector, nan residual
-            vecs.append(v / norm if 0.0 < norm < np.inf else np.full(2, np.nan))
-        vecs = np.array(vecs).T
-    else:
-        lams, vecs = np.linalg.eig(J)
-    res = np.max([np.linalg.norm(J @ vecs[:, i] - lams[i] * vecs[:, i])
-                  for i in range(lams.size)])
-    order = np.argsort(-lams.real)
-    return lams[order], float(res)
-
-
 @dataclass
 class OscillationRecord:
     detected: bool
@@ -499,9 +480,15 @@ class BranchPoint:
 
 
 def classify_stability(eq, jacobian) -> tuple[np.ndarray, bool, float]:
-    """Eigenvalues (descending real part), stability flag, eigenpair residual."""
-    lams, res = _eig_with_residual(np.asarray(jacobian(eq), dtype=float))
-    return lams, bool(np.max(lams.real) < -1e-10), res
+    """Eigenvalues (descending real part), stability flag, eigenpair residual.
+
+    LAPACK's ``geev`` (``np.linalg.eig``) solves the eigenproblem of either
+    model; the residual is the largest ``|J v - lam v|`` over its unit
+    eigenvectors."""
+    J = np.asarray(jacobian(eq), dtype=float)
+    lams, vecs = np.linalg.eig(J)
+    res = float(np.max(np.linalg.norm(J @ vecs - vecs * lams, axis=0)))
+    return lams[np.argsort(-lams.real)], bool(np.max(lams.real) < -1e-10), res
 
 
 # after this leading fraction of the time span, an oscillation has at least
@@ -557,12 +544,8 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
                       atol: float = 1e-11) -> list[BranchPoint]:
     """Equilibria + stability per parameter value, with long integrations and
     oscillation detection wherever no non-negative equilibrium is stable."""
-    if model == "3pop":
-        rhs_of, jac_of, dim = ode_rhs_3pop, ode_jacobian_3pop, 3
-    elif model == "pp":
-        rhs_of, jac_of, dim = ode_rhs_pp, ode_jacobian_pp, 2
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    _, rhs_of, jac_of = _model(model)
+    dim = len(MODELS[model][0])
     if param not in {f.name for f in fields(ModelParams)}:
         raise ValueError(f"unknown model parameter {param!r}")
 

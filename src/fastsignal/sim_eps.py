@@ -401,7 +401,7 @@ _EpsStepper = _LimitStepper = _Stepper
 
 def _normalise_output_times(T: float, output_times) -> np.ndarray:
     if output_times is None:
-        output_times = np.linspace(0.0, T, 64) if T > 0 else np.array([0.0])
+        output_times = np.linspace(0.0, T, 64)
     # sorted and deduplicated as np.unique does, which would import numpy.ma
     times = np.sort(np.asarray(output_times, dtype=float), axis=None)
     if (times.size == 0 or not np.isfinite(times).all() or times[0] < 0

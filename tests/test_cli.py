@@ -167,6 +167,14 @@ def test_config_echo_reparses(tmp_path):
     assert rc == 0
     cfg = parse_config(str(out / "config_echo.txt"))
     assert cfg.n == 16 and cfg.T == 0.0
+    # every golden echo parses back to the config that writes it, byte for byte
+    goldens = sorted((Path(__file__).parent / "data" / "golden" / "cli").glob("*/config_echo.txt"))
+    assert len(goldens) == 9
+    for echo in goldens:
+        sub = echo.read_text().splitlines()[0].removeprefix("# fastsignal ")
+        cfg = parse_config(str(echo))
+        cli._write_echo(tmp_path, cfg, sub, cfg.T)
+        assert (tmp_path / "config_echo.txt").read_bytes() == echo.read_bytes(), echo
 
 
 def test_rate_study_deterministic_output(tmp_path):
@@ -364,21 +372,28 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     assert "too small" in lines[0]
 
 
-def test_unknown_flag_prints_validation_line(tmp_path, capsys):
+def test_unknown_flag_prints_validation_line(tmp_path, monkeypatch, capsys):
     # removed options: the exponential-update order, the stepper's elliptic
-    # solver choice (stepping always solves in the cosine modes), and the
-    # chemotactic flux (always the upwind donor-cell flux)
+    # solver choice (stepping always solves in the cosine modes), the
+    # chemotactic flux (always the upwind donor-cell flux) and the sweep
+    # horizon (ode-bifurcation integrates to T); and flags that abbreviate a
+    # key, which argparse would otherwise take for that key
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FASTSIGNAL_OUTPUT_ROOT", raising=False)
     for flag, value in (("--etd_order", "2"), ("--solver_method", "gmres"),
-                        ("--solver_tol", "1e-10"), ("--flux_scheme", "central")):
-        rc = main(["simulate-eps", flag, value])
+                        ("--solver_tol", "1e-10"), ("--flux_scheme", "central"),
+                        ("--t_osc", "5"), ("--outd", "o2"), ("--output_c", "5")):
+        rc = main(["ode-simulate", "--ode_model", "pp", "--T", "1", flag, value])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith('fastsignal: status=error kind=validation msg="')
         assert flag in err[0]
+        assert not any(tmp_path.iterdir())
     # so is an old config echo that still holds a removed key
     cfg = tmp_path / "config_echo.txt"
-    for key, value in (("solver_method", "tridiagonal"), ("flux_scheme", "upwind")):
+    for key, value in (("solver_method", "tridiagonal"), ("flux_scheme", "upwind"),
+                       ("t_osc", "2000.0")):
         cfg.write_text(f"n = 16\n{key} = {value}\n")
         rc = main(["simulate-eps", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
         assert rc == 1
@@ -394,12 +409,12 @@ def test_unknown_flag_prints_validation_line(tmp_path, capsys):
     [
         # unchecked, these print status=ok without an oscillation check, print
         # status=ok after zero steps, and (T = inf) never return
-        ["ode-bifurcation", "--ode_model", "pp", "--sweep_count", "2", "--t_osc", "nan"],
+        ["ode-bifurcation", "--ode_model", "pp", "--sweep_count", "2", "--T", "nan"],
         ["simulate-eps", "--T", "nan", "--n", "16"],
         ["simulate-limit", "--T", "inf", "--n", "16"],
         ["rate-study", "--n", "16", "--eps_list", "1e-2,nan"],
     ],
-    ids=["t_osc-nan", "T-nan", "T-inf", "eps_list-nan"],
+    ids=["ode-bifurcation-T-nan", "T-nan", "T-inf", "eps_list-nan"],
 )
 def test_non_finite_float_is_a_validation_error(tmp_path, capsys, argv):
     rc = main([*argv, "--outdir", str(tmp_path / "out")])
@@ -421,7 +436,7 @@ def loaded(*roots):
 out = sys.argv[1]
 assert main(["ode-bifurcation", "--ode_model", "pp", "--eta1", "0.2", "--eta2", "0.2",
              "--sweep_min", "0.6", "--sweep_max", "0.7", "--sweep_count", "2",
-             "--t_osc", "100", "--outdir", out + "/bif"]) == 0
+             "--T", "100", "--outdir", out + "/bif"]) == 0
 assert main(["ode-simulate", "--ode_model", "3pop", "--T", "20",
              "--outdir", out + "/sim"]) == 0
 # the PDE commands transform with numpy's FFT; a layer study is one batch in
@@ -508,10 +523,9 @@ _CLI_GOLDEN_CASES = {
                           "--output_count", "5"],
     "ode_simulate_pp": ["ode-simulate", "--ode_model", "pp", "--T", "50"],
     "ode_simulate_3pop": ["ode-simulate", "--ode_model", "3pop", "--T", "50"],
-    # the echo holds T = t_osc
     "ode_bifurcation_pp": ["ode-bifurcation", "--ode_model", "pp", "--sweep_min", "0.5",
                            "--sweep_max", "0.8", "--sweep_count", "4", "--eta1", "1.0",
-                           "--t_osc", "300"],
+                           "--T", "300"],
     "verify": ["verify"],
 }
 
@@ -568,20 +582,20 @@ _OSC_SWEEP = ["ode-bifurcation", "--ode_model", "pp", "--eta1", "0.2", "--eta2",
     [
         # unchecked, a sweep with a stable equilibrium at every value prints
         # status=ok; one without stops in integrate with a message naming 'T';
-        # and t_osc = 0 writes oscillating=0 for values it never integrated
-        ["ode-bifurcation", "--ode_model", "pp", "--sweep_count", "2", "--t_osc", "-1"],
-        [*_OSC_SWEEP, "--t_osc", "-1"],
-        [*_OSC_SWEEP, "--t_osc", "0"],
+        # and T = 0 writes oscillating=0 for values it never integrated
+        ["ode-bifurcation", "--ode_model", "pp", "--sweep_count", "2", "--T", "-1"],
+        [*_OSC_SWEEP, "--T", "-1"],
+        [*_OSC_SWEEP, "--T", "0"],
     ],
     ids=["negative-all-stable", "negative-unstable", "zero-unstable"],
 )
-def test_t_osc_not_positive_is_a_validation_error(tmp_path, capsys, argv):
+def test_sweep_horizon_not_positive_is_a_validation_error(tmp_path, capsys, argv):
     rc = main([*argv, "--outdir", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith('fastsignal: status=error kind=validation msg="key ')
-    assert "'t_osc'" in err[0]
+    assert "'T'" in err[0]
     assert not (tmp_path / "out").exists()
 
 
@@ -655,9 +669,9 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
 
 @pytest.mark.parametrize("argv, code, named", [
     # kinetics_jacobian's s1 * s1 overflows at an equilibrium: dh1 = 0, its limit
-    (["ode-bifurcation", "--sweep_count", "3", "--t_osc", "5", "--eta1", "1e300"], 0, ""),
+    (["ode-bifurcation", "--sweep_count", "3", "--T", "5", "--eta1", "1e300"], 0, ""),
     # a line-search candidate of the Newton solve sits on a pole of the kinetics
-    (["ode-bifurcation", "--sweep_count", "3", "--t_osc", "5", "--l", "1e300"], 2,
+    (["ode-bifurcation", "--sweep_count", "3", "--T", "5", "--l", "1e300"], 2,
      "step size underflow"),
     # the mode rates overflow before _mode_rates rejects them
     (["simulate-eps", *_SHORT, "--lambda3", "1.7e308"], 1, "lam=1.7e+308"),
@@ -666,8 +680,8 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
     (["simulate-eps", *_SHORT, "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308"),
     (["rate-study", *_SHORT, "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308"),
     (["simulate-limit", *_SHORT, "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308"),
-    # ode_jacobian_pp's s1 * s1 overflows too, and an eigenvector's norm underflows to 0
-    (["ode-bifurcation", "--sweep_count", "3", "--t_osc", "5", "--ode_model", "pp",
+    # ode_jacobian_pp's s1 * s1 overflows too
+    (["ode-bifurcation", "--sweep_count", "3", "--T", "5", "--ode_model", "pp",
       "--eta1", "1e300"], 0, ""),
     # about 6e10 steps, projected before the first one
     (["simulate-limit", "--n", "16", "--T", "1e9"], 2, "steps projected"),
@@ -677,7 +691,7 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
      "output_count=100000000 "),
     (["ode-simulate", "--T", "1", "--output_count", "100000000000"], 1,
      "output_count=100000000000:"),
-    (["ode-bifurcation", "--t_osc", "5", "--sweep_count", "100000000000"], 1,
+    (["ode-bifurcation", "--T", "5", "--sweep_count", "100000000000"], 1,
      "sweep_count=100000000000:"),
 ])
 def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(

@@ -211,6 +211,20 @@ def test_classify_stability_examples():
     assert res2 <= 1e-8
 
 
+def test_triangular_jacobian_eigenvalues_are_its_diagonal():
+    """At the prey-only equilibrium (u3 = 0) the pp Jacobian is triangular,
+    so its eigenvalues are its diagonal, to the bit.  The state is the one
+    the m1 = 0.6 sweep finds, whose u1 sits two ulps above 1."""
+    pv = P.with_updates(m1=0.6, eta1=1.0)
+    jac = lambda y: ode_jacobian_pp(y, pv)
+    eq = np.array([1.0000000000000004, 0.0])
+    J = jac(eq)
+    assert J[1, 0] == 0.0 and J[1, 1] > 0.0
+    lams, stable, _ = classify_stability(eq, jac)
+    assert np.array_equal(lams, sorted(np.diag(J), reverse=True))
+    assert not stable
+
+
 def test_detect_oscillation_rejects_flat_and_decaying():
     t = np.linspace(0.0, 100.0, 2001)
     flat = OdeTrajectory(t, np.ones((t.size, 2)), 0, 0)
@@ -539,9 +553,9 @@ def test_find_equilibria_over_values_matches_per_value_reference(model):
     "model, flags",
     [
         ("pp", ["--eta1", "0.2", "--eta2", "0.2", "--sweep_max", "0.8",
-                "--sweep_count", "4", "--t_osc", "800"]),
+                "--sweep_count", "4", "--T", "800"]),
         ("3pop", ["--eta2", "0.05", "--sweep_max", "1.5", "--sweep_count", "6",
-                  "--t_osc", "300"]),
+                  "--T", "300"]),
     ],
 )
 def test_branch_csv_matches_golden(tmp_path, model, flags):
@@ -692,8 +706,9 @@ def test_float_rhs_equals_stacked_rhs(model, data, params, eta1, eta2):
 
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_float_route_rejects_at_a_pole_like_the_ndarray_route(model):
-    """A stage exactly at u = -eta divides by zero: the float route falls back
-    to numpy's inf, so both routes fail the same way."""
+    """A start state exactly at u = -eta divides by zero: the float route
+    stops at once, the ndarray route once numpy's inf has underflowed the
+    step, both at t = 0."""
     rhs_of, _, dim = MODELS[model]
     y0 = [-P.eta1, 0.5] if model == "pp" else [-P.eta1, 1.0, 0.5]
     for route in (lambda y: rhs_of(y, P), model_rhs(model, P)):
@@ -779,14 +794,11 @@ def test_nan_rhs_shrinks_the_step_to_underflow():
         assert calls[0] == 1 + 6 * 16
 
 
-def test_a_pole_reruns_its_attempt():
-    """A ZeroDivisionError re-runs that one attempt with every stage guarded.
-
-    So a pole attempt costs the calls it made up to the pole (here 2: its
-    first stage and the raising one), then its six, plus one more call on
-    numpy values (``_FloatRhs.__call__``) for each stage that divides by zero
-    again (none here).  The re-run takes the values the attempt would have
-    had."""
+def test_a_pole_rejects_its_attempt():
+    """A ZeroDivisionError in a stage rejects that one attempt, as the
+    ndarray route's inf at the same stage does: h shrinks by the floor 0.2
+    and the run goes on from there.  The attempt costs the calls it made up
+    to the pole (here 2: its first stage and the raising one)."""
     calls = []
 
     def fn(u, p):
@@ -795,7 +807,17 @@ def test_a_pole_reruns_its_attempt():
             raise ZeroDivisionError
         return (p * u,)
     traj = integrate(ode._FloatRhs(fn, -1.0), [1.0], 5.0)
-    assert len(calls) == 6 * (traj.n_steps + traj.n_rejected) + 1 + 2
+    stages = []
+
+    def inf_at_the_same_stage(y):
+        stages.append(y)
+        return np.full(1, np.inf) if len(stages) == 3 else -y
+    ref = integrate(inf_at_the_same_stage, [1.0], 5.0)
+    assert (traj.n_steps, traj.n_rejected) == (ref.n_steps, ref.n_rejected)
+    assert np.array_equal(traj.times, ref.times) and np.array_equal(traj.states, ref.states)
     calm = integrate(ode._FloatRhs(lambda u, p: (p * u,), -1.0), [1.0], 5.0)
-    assert (traj.n_steps, traj.n_rejected) == (calm.n_steps, calm.n_rejected)
-    assert np.array_equal(traj.states, calm.states)
+    assert traj.n_rejected == calm.n_rejected + 1
+    assert len(calls) == 6 * (traj.n_steps + traj.n_rejected - 1) + 1 + 2
+    # both attempts start from y = 1, f = -1, so each first stage is 1 - h / 5:
+    # the second h is 0.2 times the first
+    assert 1.0 - calls[3] == pytest.approx(0.2 * (1.0 - calls[1]), rel=1e-12)
