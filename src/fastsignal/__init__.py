@@ -2,14 +2,12 @@
 fast signal diffusion limit."""
 
 from .analysis import (
-    InitialLayerSpec,
     RateReport,
     TrajectoryComparison,
     compare_trajectories,
     fit_slope,
     initial_layer_size,
     make_layer_data,
-    manifold_distance,
     manifold_distance_study,
     manifold_projection,
     norm_h1,

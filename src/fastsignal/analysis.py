@@ -8,6 +8,7 @@ which round-off dominates are excluded from the fits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -18,7 +19,6 @@ from .model import ModelParams
 from .sim_eps import Trajectory, initial_stable_dt, run_batch
 
 __all__ = [
-    "InitialLayerSpec",
     "RateReport",
     "TrajectoryComparison",
     "norm_l2",
@@ -27,7 +27,6 @@ __all__ = [
     "manifold_projection",
     "initial_layer_size",
     "make_layer_data",
-    "manifold_distance",
     "manifold_distance_study",
     "compare_trajectories",
     "rate_study",
@@ -36,6 +35,11 @@ __all__ = [
 ]
 
 ERROR_FLOOR = 1e-9
+# the studies' fraction of the stable step: rate_study sizes its fixed schedule
+# once, from the initial state, so it keeps half the default cfl 0.9 as a margin
+# for the bound to tighten as the state moves; manifold_distance_study steps at
+# the rate study's fraction
+STUDY_CFL = 0.45
 
 
 def norm_l2(f: Field) -> float:
@@ -65,24 +69,6 @@ def _row_norms(x: np.ndarray, dx: float, order: int) -> np.ndarray:
     return np.sqrt(sq)
 
 
-@dataclass(frozen=True)
-class InitialLayerSpec:
-    """Recipe for slow-chemical data at a prescribed distance eps**gamma from
-    the critical manifold; gamma="on_manifold" puts the datum exactly on it."""
-
-    gamma: float | str
-    eps: float
-
-    def __post_init__(self):
-        if isinstance(self.gamma, str):
-            if self.gamma != "on_manifold":
-                raise ValueError(f"unknown layer symbol {self.gamma!r}")
-        elif not self.gamma >= 0:  # nan as well
-            raise ValueError(f"gamma must be non-negative, got {self.gamma!r}")
-        if not 0.0 < self.eps < np.inf:
-            raise ValueError("eps must be finite and positive")
-
-
 def manifold_projection(u: Field, p: ModelParams) -> Field:
     """Chemical v with (u, v) on the discrete critical manifold."""
     return Field(_source_resolvent(p.lambda3, p.mu3, p.zeta3, u.grid, u.values, 3), u.grid)
@@ -101,16 +87,24 @@ def initial_layer_size(u30: Field, v30: Field, p: ModelParams) -> float:
     return float(_row_norms(_layer_residual(u30.values, v30.values, p, dx), dx, 0))
 
 
-def make_layer_data(u30: Field, spec: InitialLayerSpec, p: ModelParams) -> Field:
-    """Slow-chemical datum with layer size eps**gamma.
+def make_layer_data(u30: Field, gamma: float | str, eps: float, p: ModelParams) -> Field:
+    """Slow-chemical datum at layer size eps**gamma from the critical manifold;
+    gamma="on_manifold" puts it exactly on the manifold.
 
     The perturbation, the first cosine mode, is normalised so its image under
     lambda3*Lap - mu3*I has unit L2 norm, which makes the realised layer size
     exact up to the projection residual.
     """
+    if isinstance(gamma, str):
+        if gamma != "on_manifold":
+            raise ValueError(f"unknown layer symbol {gamma!r}")
+    elif not gamma >= 0:  # nan as well
+        raise ValueError(f"gamma must be non-negative, got {gamma!r}")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be finite and positive")
     grid = u30.grid
     base = manifold_projection(u30, p)
-    if spec.gamma == "on_manifold":
+    if gamma == "on_manifold":
         return base
     w = Field(np.cos(np.pi * grid.centers / grid.L), grid)
     image = p.lambda3 * _laplacian(w.values, grid.dx) - p.mu3 * w.values
@@ -118,18 +112,19 @@ def make_layer_data(u30: Field, spec: InitialLayerSpec, p: ModelParams) -> Field
     if scale == 0.0:  # the image's squares underflow
         raise ValueError(f"lambda3={p.lambda3:g} and mu3={p.mu3:g} give the layer "
                          "perturbation a zero operator image: its squares underflow")
-    delta = spec.eps ** spec.gamma
-    return Field(base.values + (delta / scale) * w.values, grid)
-
-
-def manifold_distance(s, p: ModelParams) -> float:
-    """Instantaneous distance of a state from the critical manifold."""
-    return initial_layer_size(s.u3, s.v3, p)
+    try:  # on Python floats, which raise where numpy scalars warn
+        amplitude = float(eps) ** float(gamma) / scale
+    except OverflowError:  # eps**gamma past the float range
+        amplitude = math.inf
+    if not math.isfinite(amplitude):
+        raise ValueError(f"eps={eps:g} and gamma={gamma:g} give a layer perturbation "
+                         "past the float range")
+    return Field(base.values + amplitude * w.values, grid)
 
 
 def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
                             eps_list, T: float, p: ModelParams, output_times, *,
-                            cfl: float = 0.45, chemical_mode: str = "mixed"):
+                            cfl: float = STUDY_CFL, chemical_mode: str = "mixed"):
     """Distance from the critical manifold at each output time, per eps.
 
     Each eps run starts from slow-chemical data at layer size eps**gamma.
@@ -140,7 +135,7 @@ def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | s
     eps = [float(e) for e in eps_list]
     if not eps:
         raise ValueError("eps_list must not be empty")
-    v30s = [make_layer_data(u30, InitialLayerSpec(gamma, e), p) for e in eps]
+    v30s = [make_layer_data(u30, gamma, e, p) for e in eps]
     trajs = run_batch((u10, u20, u30), v30s, eps, T, p, output_times, cfl=cfl,
                       chemical_mode=chemical_mode)
     # the (B, n_times, n) predator and slow-chemical rows of every snapshot
@@ -217,30 +212,13 @@ class RateReport:
     eps_in: np.ndarray
     errors: dict[str, np.ndarray]
     slopes: dict[str, tuple[float, float, int]]
-    gamma: float | str
 
     COLUMNS = tuple(f.name for f in fields(TrajectoryComparison))
-
-    def to_csv(self) -> str:
-        lines = ["eps,eps_in," + ",".join(self.COLUMNS)]
-        for i, e in enumerate(self.eps_list):
-            row = [f"{e:.17g}", f"{self.eps_in[i]:.17g}"]
-            row += [f"{self.errors[c][i]:.17g}" for c in self.COLUMNS]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def summary_text(self) -> str:
-        lines = [f"gamma = {self.gamma}", f"floor = {ERROR_FLOOR:g}", "fitted slopes:"]
-        for name, (slope, res, npts) in sorted(self.slopes.items()):
-            lines.append(
-                f"  {name}: slope = {slope:.4f}  residual = {res:.3e}  points = {npts}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
                eps_list, T: float, p: ModelParams, *, n_outputs: int = 64,
-               cfl: float = 0.45, chemical_mode: str = "mixed") -> RateReport:
+               cfl: float = STUDY_CFL, chemical_mode: str = "mixed") -> RateReport:
     """Sweep the relaxation parameter and fit per-component convergence rates.
 
     Each relaxation-time run and its paired limit run share one grid and one
@@ -263,7 +241,7 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     if not 0.0 < T < np.inf:
         raise ValueError("rate study needs a finite T > 0")
     eps = [float(e) for e in eps_list]
-    v30s = [make_layer_data(u30, InitialLayerSpec(gamma, e), p) for e in eps]
+    v30s = [make_layer_data(u30, gamma, e, p) for e in eps]
     # base fixed step, sized once from the initial state with a safety margin
     dt0 = initial_stable_dt(u10, u20, u30, v30s[0], p, cfl)
 
@@ -287,7 +265,7 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
             slopes[c] = fit_slope(eps_list, errors[c])
         except ValueError:
             pass
-    return RateReport(eps_list, eps_in, errors, slopes, gamma)
+    return RateReport(eps_list, eps_in, errors, slopes)
 
 
 def semigroup_identity_residual(f: Field, lam: float, mu: float, S: float) -> float:

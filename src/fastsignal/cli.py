@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    InitialLayerSpec,
+    ERROR_FLOOR,
+    STUDY_CFL,
+    RateReport,
     fit_slope,
     make_layer_data,
     manifold_distance_study,
@@ -77,8 +79,6 @@ _REGISTRY: dict[str, tuple[object, object]] = {
     "seed": (int, 0),
     "outdir": (str, "out"),
     "ode_model": (tuple(MODELS), "3pop"),
-    "ode_rtol": (float, 1e-8),
-    "ode_atol": (float, 1e-11),
     "sweep_param": (str, "m1"),
     "sweep_min": (float, 0.05),
     "sweep_max": (float, 1.5),
@@ -223,8 +223,6 @@ def _validate(values: dict) -> None:
         raise ConfigError(
             f"key 'sweep_param' must name a model parameter, got {values['sweep_param']!r}"
         )
-    if values["ode_rtol"] <= 0 or values["ode_atol"] <= 0:
-        raise ConfigError("ODE tolerances must be positive")
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -285,7 +283,7 @@ def _cmd_simulate(cfg: RunConfig, T: float, limit: bool = False):
     if limit:
         traj = run_limit(u10, u20, u30, T, p, times, cfl=cfg.cfl)
     else:
-        v30 = make_layer_data(u30, InitialLayerSpec(cfg.gamma, cfg.eps), p)
+        v30 = make_layer_data(u30, cfg.gamma, cfg.eps, p)
         traj = run_eps(u10, u20, u30, v30, cfg.eps, T, p, times, cfl=cfg.cfl,
                        chemical_mode=cfg.chemical_mode)
 
@@ -306,13 +304,19 @@ def _cmd_rate_study(cfg: RunConfig, T: float):
     _check_pde_projection(cfg, 2 * len(cfg.eps_list), 3, 9 * len(cfg.eps_list))
     report = rate_study(
         *default_initial_fields(cfg.make_grid()), cfg.gamma, cfg.eps_list, T,
-        cfg.model_params(), n_outputs=cfg.output_count, cfl=min(0.45, cfg.cfl),
+        cfg.model_params(), n_outputs=cfg.output_count, cfl=min(STUDY_CFL, cfg.cfl),
         chemical_mode=cfg.chemical_mode,
     )
+    table = _table(("eps", "eps_in", *RateReport.COLUMNS), cfg.eps_list) % tuple(
+        np.column_stack([report.eps_in, *(report.errors[c] for c in RateReport.COLUMNS)])
+        .ravel().tolist())
+    lines = [f"gamma = {cfg.gamma}", f"floor = {ERROR_FLOOR:g}", "fitted slopes:"]
+    lines += [f"  {name}: slope = {slope:.4f}  residual = {res:.3e}  points = {npts}"
+              for name, (slope, res, npts) in sorted(report.slopes.items())]
 
     def write(out: Path) -> None:
-        (out / "rate_report.csv").write_text(report.to_csv())
-        (out / "summary.txt").write_text(report.summary_text())
+        (out / "rate_report.csv").write_text(table)
+        (out / "summary.txt").write_text("\n".join(lines) + "\n")
 
     slopes = " ".join(
         f"{name}={slope:.3f}" for name, (slope, _, _) in sorted(report.slopes.items())
@@ -325,7 +329,7 @@ def _cmd_manifold_distance(cfg: RunConfig, T: float):
     times, dist, eps_in = manifold_distance_study(
         *default_initial_fields(cfg.make_grid()), cfg.gamma, cfg.eps_list, T,
         cfg.model_params(), np.linspace(0.0, T, cfg.output_count),
-        cfl=min(0.45, cfg.cfl), chemical_mode=cfg.chemical_mode,
+        cfl=min(STUDY_CFL, cfg.cfl), chemical_mode=cfg.chemical_mode,
     )
     table = _table(("eps", "t", "eps_t"), [e for e in cfg.eps_list for _ in times]) % tuple(
         np.stack(np.broadcast_arrays(times, dist), axis=-1).ravel().tolist())
@@ -353,13 +357,12 @@ def _cmd_manifold_distance(cfg: RunConfig, T: float):
 
 def _cmd_ode_simulate(cfg: RunConfig, T: float):
     y0, columns = MODELS[cfg.ode_model]
-    n_eval = max(cfg.output_count, 2001)
+    n_eval = max(cfg.output_count, 2001) if T > 0 else 1  # at T = 0 every time is t = 0
     # about 64 floats per output time: t_eval, the states and their CSV rows;
     # ode.csv, a summary and the echo
     _check_projection(f"output_count={cfg.output_count}", n_eval * 64 * 8, 3,
                       n_eval * (1 + len(y0)))
     traj = integrate(model_rhs(cfg.ode_model, cfg.model_params()), y0, T,
-                     rtol=cfg.ode_rtol, atol=cfg.ode_atol,
                      t_eval=np.linspace(0.0, T, n_eval))
     osc = detect_oscillation(traj)
 
@@ -390,9 +393,7 @@ def _cmd_ode_bifurcation(cfg: RunConfig, T: float):
     _check_projection(f"sweep_count={cfg.sweep_count}", rows * 64 * 8, 2, rows * len(columns))
     values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_count)
     points = bifurcation_sweep(
-        cfg.ode_model, cfg.sweep_param, values, cfg.model_params(), T_osc=T,
-        rtol=cfg.ode_rtol, atol=cfg.ode_atol,
-    )
+        cfg.ode_model, cfg.sweep_param, values, cfg.model_params(), T_osc=T)
     cells, n_osc = [], 0
     for bp in points:
         state = dict(zip(MODELS[cfg.ode_model][1], bp.state.tolist()))

@@ -540,8 +540,7 @@ def _row_params(p: ModelParams, param: str, column: np.ndarray) -> ModelParams:
 
 
 def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
-                      T_osc: float = 2000.0, rtol: float = 1e-8,
-                      atol: float = 1e-11) -> list[BranchPoint]:
+                      T_osc: float = 2000.0) -> list[BranchPoint]:
     """Equilibria + stability per parameter value, with long integrations and
     oscillation detection wherever no non-negative equilibrium is stable."""
     _, rhs_of, jac_of = _model(model)
@@ -576,8 +575,8 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
             branch.append(BranchPoint(float(val), eq, lams, stable, res))
         record = None
         if not any_stable:
-            traj = integrate(model_rhs(model, pv), MODELS[model][0], T_osc, rtol=rtol,
-                             atol=atol, t_eval=np.linspace(0.0, T_osc, 4001))
+            traj = integrate(model_rhs(model, pv), MODELS[model][0], T_osc,
+                             t_eval=np.linspace(0.0, T_osc, 4001))
             record = detect_oscillation(traj)
         for bp in branch:
             bp.oscillation = record

@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from fastsignal.analysis import (
-    InitialLayerSpec,
     compare_trajectories,
     fit_slope,
     initial_layer_size,
     make_layer_data,
-    manifold_distance,
     manifold_projection,
     rate_study,
 )
@@ -127,12 +125,11 @@ def test_criterion_4_manifold_distance():
     T = 2.0
     times = np.linspace(0.0, T, 33)
     # the on-manifold sweep and a gamma = 0 member at eps0 = 1e-3, as one batch
-    specs = [InitialLayerSpec("on_manifold", e) for e in EPS_SWEEP]
-    specs.append(InitialLayerSpec(0.0, 1e-3))
-    v30s = [make_layer_data(u30, spec, P) for spec in specs]
-    trajs = run_batch((u10, u20, u30), v30s, [spec.eps for spec in specs], T, P, times,
+    layers = [*(("on_manifold", e) for e in EPS_SWEEP), (0.0, 1e-3)]
+    v30s = [make_layer_data(u30, gamma, eps, P) for gamma, eps in layers]
+    trajs = run_batch((u10, u20, u30), v30s, [eps for _, eps in layers], T, P, times,
                       cfl=0.6)
-    dists = [np.array([manifold_distance(s, P) for s in traj.states]) for traj in trajs]
+    dists = [np.array([initial_layer_size(s.u3, s.v3, P) for s in traj.states]) for traj in trajs]
     sup_late = [dist[times >= 0.1 * T].max() for dist in dists[:-1]]
     slope, _, _ = fit_slope(np.array(EPS_SWEEP), np.array(sup_late))
 
@@ -163,7 +160,7 @@ def test_criterion_7_homogeneous_consistency():
 def test_criterion_8_conservation_positivity():
     grid = make_grid(1.0, 64)
     u10, u20, u30 = default_initial_fields(grid)
-    v30 = make_layer_data(u30, InitialLayerSpec("on_manifold", 1e-3), P)
+    v30 = make_layer_data(u30, "on_manifold", 1e-3, P)
     runs = run_batch((u10, u20, u30), [v30, None], [1e-3, None], 2.0, P,
                      np.linspace(0, 2, 9), cfl=0.9)
     worst_res = max(t.max_balance_residual for t in runs)

@@ -1,17 +1,17 @@
 """Tests for norms, layer construction, manifold distances and rate fitting."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fastsignal.analysis import (
-    InitialLayerSpec,
     compare_trajectories,
     fit_slope,
     initial_layer_size,
     make_layer_data,
-    manifold_distance,
     manifold_projection,
     norm_h1,
     norm_h2_proxy,
@@ -90,41 +90,40 @@ def test_make_layer_data_round_trip():
     _, _, u30 = default_initial_fields(GRID)
     for gamma in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5):
         for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-            v30 = make_layer_data(u30, InitialLayerSpec(gamma, eps), P)
+            v30 = make_layer_data(u30, gamma, eps, P)
             got = initial_layer_size(u30, v30, P)
             assert abs(got - eps**gamma) <= 1e-9 * eps**gamma + 1e-12
 
 
 def test_make_layer_data_on_manifold_and_errors():
     _, _, u30 = default_initial_fields(GRID)
-    v30 = make_layer_data(u30, InitialLayerSpec("on_manifold", 1e-3), P)
+    v30 = make_layer_data(u30, "on_manifold", 1e-3, P)
     assert initial_layer_size(u30, v30, P) <= 1e-9
     with pytest.raises(ValueError):
-        InitialLayerSpec("off_manifold", 1e-3)
+        make_layer_data(u30, "off_manifold", 1e-3, P)
     with pytest.raises(ValueError):
-        InitialLayerSpec(-0.5, 1e-3)
+        make_layer_data(u30, -0.5, 1e-3, P)
     with pytest.raises(ValueError):
-        InitialLayerSpec(1.0, 0.0)
+        make_layer_data(u30, 1.0, 0.0, P)
     # the cosine perturbation's operator image squares to 0
     tiny = P.with_updates(lambda3=1e-170, mu3=1e-170)
     with pytest.raises(ValueError, match="zero operator image"):
-        make_layer_data(u30, InitialLayerSpec(1.0, 1e-2), tiny)
+        make_layer_data(u30, 1.0, 1e-2, tiny)
+    # a layer past the float range: eps**gamma overflows (it raised
+    # OverflowError, or warned for a numpy eps), or eps**gamma is finite and
+    # the perturbation it scales is not
+    faint = P.with_updates(lambda3=1e-100, mu3=1e-100)
+    for gamma, eps, p in ((400.0, 10.0, P), (400.0, np.float64(10.0), P), (1e300, 2.0, P),
+                          (1.0, 1e300, faint)):
+        with pytest.raises(ValueError, match=re.escape(f"eps={eps:g} and gamma={gamma:g} ")):
+            make_layer_data(u30, gamma, eps, p)
 
 
 def test_layer_spec_rejects_nan_gamma():
     # nan < 0 is false: accepted, it made a non-finite datum in make_layer_data
+    _, _, u30 = default_initial_fields(GRID)
     with pytest.raises(ValueError, match="gamma must be non-negative, got nan"):
-        InitialLayerSpec(float("nan"), 1e-2)
-
-
-def test_manifold_distance_at_t0_equals_layer_size():
-    from fastsignal.sim_eps import State
-
-    u10, u20, u30 = default_initial_fields(GRID)
-    v30 = make_layer_data(u30, InitialLayerSpec(0.5, 1e-2), P)
-    s = State(0.0, 1e-2, u10, u20, u30, v30, v30, v30)
-    assert np.isclose(manifold_distance(s, P), initial_layer_size(u30, v30, P),
-                      rtol=1e-12)
+        make_layer_data(u30, float("nan"), 1e-2, P)
 
 
 def test_manifold_distance_limit_state_near_zero():
@@ -132,7 +131,7 @@ def test_manifold_distance_limit_state_near_zero():
     u10, u20, u30 = default_initial_fields(grid)
     traj = run_limit(u10, u20, u30, 0.5, P, np.linspace(0, 0.5, 5))
     for s in traj.states:
-        assert manifold_distance(s, P) <= 1e-9
+        assert initial_layer_size(s.u3, s.v3, P) <= 1e-9
 
 
 def test_compare_trajectories_identical_and_shifted():
@@ -277,7 +276,7 @@ def test_layer_study_is_one_batch_equal_to_per_pair_runs(monkeypatch):
     assert members == [*eps_list, None, None, None]
 
     times = np.linspace(0.0, T, n_outputs)
-    v30s = [make_layer_data(u0[2], InitialLayerSpec(gamma, e), P) for e in eps_list]
+    v30s = [make_layer_data(u0[2], gamma, e, P) for e in eps_list]
     dt0 = initial_stable_dt(*u0, v30s[0], P, 0.45)
     for i, (eps, v30) in enumerate(zip(eps_list, v30s)):
         dt = dt0 * float(np.sqrt(eps / eps_list[0]))
@@ -293,17 +292,6 @@ def test_layer_study_is_one_batch_equal_to_per_pair_runs(monkeypatch):
             assert report.errors[c][i] == val
     # each pair kept its own schedule
     assert len({traj.n_steps for traj in batch}) == len(eps_list)
-
-
-def test_rate_study_csv_and_summary_shapes():
-    grid = make_grid(1.0, 16)
-    u10, u20, u30 = default_initial_fields(grid)
-    report = rate_study(u10, u20, u30, 1.0, [1e-2, 1e-3, 1e-4], 0.2, P, n_outputs=5)
-    csv = report.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("eps,eps_in,err_u1")
-    assert len(lines) == 4
-    assert "fitted slopes" in report.summary_text()
 
 
 def test_rate_study_validation():

@@ -14,11 +14,10 @@ import fastsignal
 import fastsignal.analysis as analysis
 import fastsignal.cli as cli
 from fastsignal.analysis import (
-    InitialLayerSpec,
+    RateReport,
     fit_slope,
     initial_layer_size,
     make_layer_data,
-    manifold_distance,
     rate_study,
 )
 from fastsignal.cli import ConfigError, _write_snapshots, main, parse_config
@@ -218,17 +217,23 @@ def test_chemical_mode_reaches_rate_study_and_manifold_distance(tmp_path, mode):
     assert rc == 0
     ref = rate_study(*u0, 0.5, eps_list, 0.1, p, n_outputs=3, cfl=0.45,
                      chemical_mode=mode)
-    assert (tmp_path / "rate" / "rate_report.csv").read_text() == ref.to_csv()
+    # the report formatted one value at a time
+    lines = ["eps,eps_in," + ",".join(RateReport.COLUMNS)]
+    for i, e in enumerate(ref.eps_list):
+        row = [f"{e:.17g}", f"{ref.eps_in[i]:.17g}"]
+        row += [f"{ref.errors[c][i]:.17g}" for c in RateReport.COLUMNS]
+        lines.append(",".join(row))
+    assert (tmp_path / "rate" / "rate_report.csv").read_text() == "\n".join(lines) + "\n"
 
     rc = main(["manifold-distance", *FAST_RATE_FLAGS, "--chemical_mode", mode,
                "--outdir", str(tmp_path / "dist")])
     assert rc == 0
     rows = ["eps,t,eps_t"]
     for eps in eps_list:
-        v30 = make_layer_data(u0[2], InitialLayerSpec("on_manifold", eps), p)
+        v30 = make_layer_data(u0[2], "on_manifold", eps, p)
         traj = run_eps(*u0, v30, eps, 0.1, p, np.linspace(0.0, 0.1, 3), cfl=0.45,
                        chemical_mode=mode)
-        rows += [f"{eps:.17g},{t:.17g},{manifold_distance(s, p):.17g}"
+        rows += [f"{eps:.17g},{t:.17g},{initial_layer_size(s.u3, s.v3, p):.17g}"
                  for t, s in zip(traj.times, traj.states)]
     written = (tmp_path / "dist" / "manifold_distance.csv").read_text()
     assert written == "\n".join(rows) + "\n"
@@ -241,10 +246,10 @@ def manifold_distance_per_eps_files(eps_list, gamma, T, n, count):
     times = np.linspace(0.0, T, count)
     rows, sup_late, ratios = ["eps,t,eps_t"], [], []
     for eps in eps_list:
-        v30 = make_layer_data(u0[2], InitialLayerSpec(gamma, eps), p)
+        v30 = make_layer_data(u0[2], gamma, eps, p)
         eps_in = initial_layer_size(u0[2], v30, p)
         traj = run_eps(*u0, v30, eps, T, p, times, cfl=0.45)
-        dist = np.array([manifold_distance(s, p) for s in traj.states])
+        dist = np.array([initial_layer_size(s.u3, s.v3, p) for s in traj.states])
         rows += [f"{eps:.17g},{t:.17g},{d:.17g}" for t, d in zip(traj.times, dist)]
         sup_late.append(float(dist[traj.times >= 0.1 * T].max()))
         ratios.append(float(dist.max() / max(eps_in, 1e-300)))
@@ -337,6 +342,16 @@ def test_ode_simulate_pp(tmp_path):
     assert "oscillating" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("model", ["pp", "3pop"])
+def test_ode_simulate_zero_horizon_writes_one_row(tmp_path, model):
+    # as simulate-eps --T 0 writes one snapshot; it wrote 2 001 identical t = 0 rows
+    out = tmp_path / "ode"
+    assert main(["ode-simulate", "--ode_model", model, "--T", "0", "--outdir", str(out)]) == 0
+    y0, columns = fastsignal.ode.MODELS[model]
+    assert (out / "ode.csv").read_text() == (
+        f"t,{','.join(columns)}\n0,{','.join(f'{v:.17g}' for v in y0)}\n")
+
+
 def test_ode_bifurcation_small_sweep(tmp_path):
     out = tmp_path / "bif"
     rc = main(["ode-bifurcation", "--ode_model", "pp", "--sweep_min", "0.5",
@@ -375,14 +390,16 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
 def test_unknown_flag_prints_validation_line(tmp_path, monkeypatch, capsys):
     # removed options: the exponential-update order, the stepper's elliptic
     # solver choice (stepping always solves in the cosine modes), the
-    # chemotactic flux (always the upwind donor-cell flux) and the sweep
-    # horizon (ode-bifurcation integrates to T); and flags that abbreviate a
-    # key, which argparse would otherwise take for that key
+    # chemotactic flux (always the upwind donor-cell flux), the sweep
+    # horizon (ode-bifurcation integrates to T) and the ODE tolerances
+    # (integrate's own); and flags that abbreviate a key, which argparse
+    # would otherwise take for that key
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("FASTSIGNAL_OUTPUT_ROOT", raising=False)
     for flag, value in (("--etd_order", "2"), ("--solver_method", "gmres"),
                         ("--solver_tol", "1e-10"), ("--flux_scheme", "central"),
-                        ("--t_osc", "5"), ("--outd", "o2"), ("--output_c", "5")):
+                        ("--t_osc", "5"), ("--outd", "o2"), ("--output_c", "5"),
+                        ("--ode_rtol", "1e-8")):
         rc = main(["ode-simulate", "--ode_model", "pp", "--T", "1", flag, value])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -393,7 +410,7 @@ def test_unknown_flag_prints_validation_line(tmp_path, monkeypatch, capsys):
     # so is an old config echo that still holds a removed key
     cfg = tmp_path / "config_echo.txt"
     for key, value in (("solver_method", "tridiagonal"), ("flux_scheme", "upwind"),
-                       ("t_osc", "2000.0")):
+                       ("t_osc", "2000.0"), ("ode_atol", "1e-11")):
         cfg.write_text(f"n = 16\n{key} = {value}\n")
         rc = main(["simulate-eps", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
         assert rc == 1
@@ -693,6 +710,16 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
      "output_count=100000000000:"),
     (["ode-bifurcation", "--T", "5", "--sweep_count", "100000000000"], 1,
      "sweep_count=100000000000:"),
+    # a layer size eps**gamma past the float range: it raised OverflowError
+    (["simulate-eps", "--n", "16", "--T", "0.01", "--eps", "10", "--gamma", "400"], 1,
+     "gamma=400 "),
+    (["simulate-eps", "--n", "16", "--T", "0.01", "--eps", "2", "--gamma", "1e300"], 1,
+     "gamma=1e+300 "),
+    (["manifold-distance", *_SHORT, "--eps_list", "10", "--gamma", "400"], 1, "gamma=400 "),
+    (["rate-study", *_SHORT, "--eps_list", "100,10,2", "--gamma", "400"], 1, "gamma=400 "),
+    # eps**gamma is finite, the perturbation it scales is not
+    (["simulate-eps", "--n", "16", "--T", "0.01", "--eps", "1e300", "--gamma", "1",
+      "--lambda3", "1e-100", "--mu3", "1e-100"], 1, "gamma=1 "),
 ])
 def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
         tmp_path, capsys, argv, code, named):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fastsignal import ode, sim_eps
-from fastsignal.analysis import make_layer_data, InitialLayerSpec, rate_study
+from fastsignal.analysis import make_layer_data, rate_study
 from fastsignal.grid import _chemotaxis_div, _laplacian, make_grid
 from fastsignal.linsolve import _exp_factors, _source_resolvent, _spectral_resolvent
 from fastsignal.model import default_params, kinetics
@@ -84,7 +84,7 @@ def _assert_step_structure(counts):
 def test_adaptive_run_step_structure(loop_counts):
     grid = make_grid(1.0, 16)
     u0 = default_initial_fields(grid)
-    v30 = make_layer_data(u0[2], InitialLayerSpec(0.5, 1e-2), P)
+    v30 = make_layer_data(u0[2], 0.5, 1e-2, P)
     traj = run_eps(*u0, v30, 1e-2, 0.4, P, np.linspace(0.0, 0.4, 4))
     _assert_step_structure(loop_counts)
     assert loop_counts["step"] == traj.n_steps

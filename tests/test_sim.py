@@ -11,10 +11,9 @@ from hypothesis.extra.numpy import arrays
 
 from fastsignal import sim_eps
 from fastsignal.analysis import (
-    InitialLayerSpec,
     compare_trajectories,
+    initial_layer_size,
     make_layer_data,
-    manifold_distance,
     manifold_distance_study,
     norm_l2,
 )
@@ -285,7 +284,7 @@ def test_per_member_dt_batch_memory_does_not_grow_with_step_count():
     """Nor for a layer-study style batch whose members step by their own dt,
     one subset at a time."""
     u0 = default_initial_fields(make_grid(1.0, 16))
-    v30s = [make_layer_data(u0[2], InitialLayerSpec(0.5, e), P) for e in (1e-1, 1e-2)]
+    v30s = [make_layer_data(u0[2], 0.5, e, P) for e in (1e-1, 1e-2)]
     _assert_memory_flat(lambda T, times: run_batch(
         u0, [*v30s, None], [1e-1, 1e-2, None], T, P, times, dt=[2e-3, 1e-3, 2e-3]), 0.2)
 
@@ -361,7 +360,7 @@ def test_every_eps_entry_point_rejects_bad_eps(eps):
         lambda: manifold_distance_study(u10, u20, u30, 1.0, [1e-2, eps], 0.01, P, None),
         lambda: _Stepper(grid, P, eps),
         lambda: _Stepper(grid, P, eps=[1e-3, eps, None]),
-        lambda: InitialLayerSpec(1.0, eps),
+        lambda: make_layer_data(u30, 1.0, eps, P),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="eps"):
@@ -424,7 +423,7 @@ def test_batch_matches_separate_runs(mode):
     grid = make_grid(1.0, 32)
     u0 = default_initial_fields(grid)
     eps_list = (1e-1, 1e-2, 1e-3)
-    v30s = [make_layer_data(u0[2], InitialLayerSpec(0.5, e), P) for e in eps_list]
+    v30s = [make_layer_data(u0[2], 0.5, e, P) for e in eps_list]
     T, dt = 0.3, 7e-4
     times = np.linspace(0.0, T, 7)
     batch = run_batch(u0, [*v30s, None], [*eps_list, None], T, P, times, dt=dt,
@@ -446,7 +445,7 @@ def test_batch_matches_separate_runs(mode):
 def test_batch_member_over_its_cap_raises():
     grid = make_grid(1.0, 32)
     u0 = default_initial_fields(grid)
-    calm = make_layer_data(u0[2], InitialLayerSpec("on_manifold", 1e-2), P)
+    calm = make_layer_data(u0[2], "on_manifold", 1e-2, P)
     steep = Field(calm.values + 20.0 * (1.0 + np.cos(3 * np.pi * grid.centers)), grid)
     cap_calm = initial_stable_dt(*u0, calm, P, 1.0)
     cap_steep = initial_stable_dt(*u0, steep, P, 1.0)
@@ -597,7 +596,7 @@ def step_loop_cases(draw):
     grid = make_grid(1.0, n)
     u0 = default_initial_fields(grid)
     gamma = draw(st.sampled_from(["on_manifold", 0.5]))
-    data = [None if e is None else make_layer_data(u0[2], InitialLayerSpec(gamma, e), P)
+    data = [None if e is None else make_layer_data(u0[2], gamma, e, P)
             for e in members]
     caps = [initial_stable_dt(*u0, v30 if v30 is not None else Field(
                 _Stepper(grid, P).solve_elliptic(u0[2].values, 2), grid), P, 1.0)
@@ -707,7 +706,7 @@ def test_step_loop_sums_the_species_again_after_a_clip():
     grid = make_grid(1.0, 16)
     u0 = default_initial_fields(grid)
     members = [1e-1, 1e-2, 1e-3, 1e-4, None]
-    data = [None if e is None else make_layer_data(u0[2], InitialLayerSpec("on_manifold", e), P)
+    data = [None if e is None else make_layer_data(u0[2], "on_manifold", e, P)
             for e in members]
     _assert_step_loop_equals_reference(grid, members, u0, data, 1e-3, [0.0, 5e-4, 1e-3],
                                        0.9, 1e-4, ("species", -1e-3, 1, 0, 0, 5))
@@ -1100,7 +1099,7 @@ def test_snapshot_array_consumers_equal_per_state_loops(members, n, n_times, gam
     times = np.linspace(0.0, T, n_times)
 
     def layer_data(eps_list):
-        return [None if e is None else make_layer_data(u0[2], InitialLayerSpec(gamma, e), P)
+        return [None if e is None else make_layer_data(u0[2], gamma, e, P)
                 for e in eps_list]
 
     trajs = run_batch(u0, layer_data(members), members, T, P, times)
@@ -1123,5 +1122,5 @@ def test_snapshot_array_consumers_equal_per_state_loops(members, n, n_times, gam
     if eps_list:
         _, dist, _ = manifold_distance_study(*u0, gamma, eps_list, T, P, times)
         ref = run_batch(u0, layer_data(eps_list), eps_list, T, P, times, cfl=0.45)
-        want = [[manifold_distance(s, P) for s in tr.states] for tr in ref]
+        want = [[initial_layer_size(s.u3, s.v3, P) for s in tr.states] for tr in ref]
         assert dist.tobytes() == np.array(want).tobytes()
