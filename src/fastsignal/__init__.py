@@ -10,8 +10,6 @@ from .analysis import (
     make_layer_data,
     manifold_distance_study,
     manifold_projection,
-    norm_h1,
-    norm_h2_proxy,
     norm_l2,
     rate_study,
     semigroup_identity_residual,
@@ -42,7 +40,6 @@ from .ode import (
 from .sim_eps import (
     BlowUpError,
     StabilityError,
-    State,
     Trajectory,
     default_initial_fields,
     run_batch,

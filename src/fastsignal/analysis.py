@@ -22,8 +22,6 @@ __all__ = [
     "RateReport",
     "TrajectoryComparison",
     "norm_l2",
-    "norm_h1",
-    "norm_h2_proxy",
     "manifold_projection",
     "initial_layer_size",
     "make_layer_data",
@@ -45,16 +43,6 @@ STUDY_CFL = 0.45
 def norm_l2(f: Field) -> float:
     """sqrt(dx * sum f_j^2), the cell-centered L2 norm."""
     return float(_row_norms(f.values, f.grid.dx, 0))
-
-
-def norm_h1(f: Field) -> float:
-    """L2 norm of the value plus the face-centered first difference."""
-    return float(_row_norms(f.values, f.grid.dx, 1))
-
-
-def norm_h2_proxy(f: Field) -> float:
-    """H1 plus the L2 norm of the discrete Laplacian."""
-    return float(_row_norms(f.values, f.grid.dx, 2))
 
 
 def _row_norms(x: np.ndarray, dx: float, order: int) -> np.ndarray:
@@ -119,7 +107,11 @@ def make_layer_data(u30: Field, gamma: float | str, eps: float, p: ModelParams) 
     if not math.isfinite(amplitude):
         raise ValueError(f"eps={eps:g} and gamma={gamma:g} give a layer perturbation "
                          "past the float range")
-    return Field(base.values + amplitude * w.values, grid)
+    v30 = base.values + amplitude * w.values
+    if v30.min() < 0.0:
+        raise ValueError(f"eps={eps:g} and gamma={gamma:g} give a layer perturbation "
+                         "that drives the datum negative")
+    return Field(v30, grid)
 
 
 def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | str,

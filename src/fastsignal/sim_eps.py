@@ -20,7 +20,7 @@ chemicals are elliptic.  Single runs are batches of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .model import ModelParams
 from .ode import _MAX_PROJECTED_STEPS
 
 __all__ = [
-    "State",
     "Trajectory",
     "BlowUpError",
     "StabilityError",
@@ -57,27 +56,8 @@ class StabilityError(RuntimeError):
     clock to the next output time."""
 
 
-@dataclass(frozen=True)
-class State:
-    """Full solution of one run at one time; eps is None for the limiting system.
-    A Trajectory's States are views: each Field wraps a row of its ``values``."""
-
-    t: float
-    eps: float | None
-    u1: Field
-    u2: Field
-    u3: Field
-    v1: Field
-    v2: Field
-    v3: Field
-
-    @property
-    def grid(self) -> Grid:
-        return self.u1.grid
-
-
-# the rows of a snapshot, in State's order: the species, then the chemicals
-_COMPONENTS = tuple(f.name for f in fields(State))[2:]
+# the rows of a snapshot: the species, then the chemicals
+_COMPONENTS = ("u1", "u2", "u3", "v1", "v2", "v3")
 
 
 @dataclass
@@ -85,10 +65,9 @@ class Trajectory:
     """Snapshots of one run at the requested output times plus stepping diagnostics.
 
     ``values`` holds the snapshots as one (n_times, 6, n) array: values[k] is
-    (u1, u2, u3, v1, v2, v3) at times[k].  ``states`` builds one State per
-    snapshot on demand, as views into ``values``.  The diagnostics are
-    aggregates over the whole run, accumulated while stepping: the step count,
-    the worst per-step mass-balance residual and the mass clipped per species.
+    (u1, u2, u3, v1, v2, v3) at times[k].  The diagnostics are aggregates
+    over the whole run, accumulated while stepping: the step count, the worst
+    per-step mass-balance residual and the mass clipped per species.
     """
 
     times: np.ndarray
@@ -98,11 +77,6 @@ class Trajectory:
     clipped_mass: np.ndarray
     n_steps: int
     max_balance_residual: float
-
-    @property
-    def states(self) -> list:
-        return [State(t, self.eps, *(Field(x, self.grid) for x in rows))
-                for t, rows in zip(self.times.tolist(), self.values)]
 
     @property
     def initial_mass(self) -> np.ndarray:

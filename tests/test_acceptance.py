@@ -129,7 +129,8 @@ def test_criterion_4_manifold_distance():
     v30s = [make_layer_data(u30, gamma, eps, P) for gamma, eps in layers]
     trajs = run_batch((u10, u20, u30), v30s, [eps for _, eps in layers], T, P, times,
                       cfl=0.6)
-    dists = [np.array([initial_layer_size(s.u3, s.v3, P) for s in traj.states]) for traj in trajs]
+    dists = [np.array([initial_layer_size(Field(x[2], grid), Field(x[5], grid), P)
+                       for x in traj.values]) for traj in trajs]
     sup_late = [dist[times >= 0.1 * T].max() for dist in dists[:-1]]
     slope, _, _ = fit_slope(np.array(EPS_SWEEP), np.array(sup_late))
 

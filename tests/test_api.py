@@ -12,19 +12,19 @@ from fastsignal import Trajectory
 EXPORTS = {
     "BlowUpError", "BranchPoint", "Field", "Grid", "HelmholtzOperator",
     "ModelParams", "OdeTrajectory", "OscillationRecord",
-    "RateReport", "SolverConvergenceError", "SolverStats", "StabilityError", "State",
+    "RateReport", "SolverConvergenceError", "SolverStats", "StabilityError",
     "StiffnessError", "Trajectory", "TrajectoryComparison", "bifurcation_sweep",
     "classify_stability", "compare_trajectories", "default_initial_fields",
     "default_params", "detect_oscillation", "find_equilibria", "fit_slope", "gmres",
     "helmholtz_solve", "initial_layer_size", "integrate", "kinetics",
     "kinetics_jacobian", "make_grid", "make_layer_data",
     "manifold_distance_study", "manifold_projection", "model_rhs",
-    "norm_h1", "norm_h2_proxy", "norm_l2", "ode_rhs_3pop", "ode_rhs_pp", "rate_study",
+    "norm_l2", "ode_rhs_3pop", "ode_rhs_pp", "rate_study",
     "run_batch", "run_eps", "run_limit", "semigroup_identity_residual",
 }
 
 TRAJECTORY_ATTRIBUTES = {
-    "times", "values", "grid", "eps", "states", "n_steps", "clipped_mass",
+    "times", "values", "grid", "eps", "n_steps", "clipped_mass",
     "initial_mass", "max_balance_residual", "spatial_means",
 }
 

@@ -21,7 +21,7 @@ from fastsignal.analysis import (
     rate_study,
 )
 from fastsignal.cli import ConfigError, _write_snapshots, main, parse_config
-from fastsignal.grid import make_grid
+from fastsignal.grid import Field, make_grid
 from fastsignal.model import default_params
 from fastsignal.sim_eps import default_initial_fields, run_eps, run_limit
 
@@ -233,8 +233,9 @@ def test_chemical_mode_reaches_rate_study_and_manifold_distance(tmp_path, mode):
         v30 = make_layer_data(u0[2], "on_manifold", eps, p)
         traj = run_eps(*u0, v30, eps, 0.1, p, np.linspace(0.0, 0.1, 3), cfl=0.45,
                        chemical_mode=mode)
-        rows += [f"{eps:.17g},{t:.17g},{initial_layer_size(s.u3, s.v3, p):.17g}"
-                 for t, s in zip(traj.times, traj.states)]
+        rows += [f"{eps:.17g},{t:.17g},"
+                 f"{initial_layer_size(Field(x[2], grid), Field(x[5], grid), p):.17g}"
+                 for t, x in zip(traj.times, traj.values)]
     written = (tmp_path / "dist" / "manifold_distance.csv").read_text()
     assert written == "\n".join(rows) + "\n"
 
@@ -242,14 +243,16 @@ def test_chemical_mode_reaches_rate_study_and_manifold_distance(tmp_path, mode):
 def manifold_distance_per_eps_files(eps_list, gamma, T, n, count):
     """manifold_distance.csv and summary.txt as one run_eps per eps writes them."""
     p = default_params()
-    u0 = default_initial_fields(make_grid(1.0, n))
+    grid = make_grid(1.0, n)
+    u0 = default_initial_fields(grid)
     times = np.linspace(0.0, T, count)
     rows, sup_late, ratios = ["eps,t,eps_t"], [], []
     for eps in eps_list:
         v30 = make_layer_data(u0[2], gamma, eps, p)
         eps_in = initial_layer_size(u0[2], v30, p)
         traj = run_eps(*u0, v30, eps, T, p, times, cfl=0.45)
-        dist = np.array([initial_layer_size(s.u3, s.v3, p) for s in traj.states])
+        dist = np.array([initial_layer_size(Field(x[2], grid), Field(x[5], grid), p)
+                         for x in traj.values])
         rows += [f"{eps:.17g},{t:.17g},{d:.17g}" for t, d in zip(traj.times, dist)]
         sup_late.append(float(dist[traj.times >= 0.1 * T].max()))
         ratios.append(float(dist.max() / max(eps_in, 1e-300)))
@@ -492,8 +495,7 @@ def test_write_snapshots_matches_per_value_formatting(tmp_path):
     columns = ("u1", "u2", "u3", "v1", "v2", "v3")
     _write_snapshots(tmp_path, traj)
     x = grid.centers
-    for i, (t, s) in enumerate(zip(traj.times, traj.states)):
-        data = [getattr(s, c).values for c in columns]
+    for i, (t, data) in enumerate(zip(traj.times, traj.values)):
         rows = ["x," + ",".join(columns)]
         for j in range(x.size):
             rows.append(",".join([f"{x[j]:.17g}"] + [f"{d[j]:.17g}" for d in data]))
@@ -720,6 +722,17 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
     # eps**gamma is finite, the perturbation it scales is not
     (["simulate-eps", "--n", "16", "--T", "0.01", "--eps", "1e300", "--gamma", "1",
       "--lambda3", "1e-100", "--mu3", "1e-100"], 1, "gamma=1 "),
+    # a perturbation that drives the layer datum negative: it read "initial
+    # data must be non-negative", or for rate-study, which sizes its step from
+    # the datum, "a fixed dt must be finite and positive"
+    (["simulate-eps", "--n", "16", "--T", "0.01", "--eps", "1e300", "--gamma", "0.5"], 1,
+     "eps=1e+300 and gamma=0.5 "),
+    (["simulate-eps", "--n", "16", "--T", "0.01", "--eps", "100", "--gamma", "1"], 1,
+     "eps=100 and gamma=1 "),
+    (["manifold-distance", "--n", "16", "--T", "0.01", "--eps_list", "1e300", "--gamma", "1"],
+     1, "eps=1e+300 and gamma=1 "),
+    (["rate-study", "--n", "16", "--T", "0.01", "--eps_list", "1e300,1e200,1e100",
+      "--gamma", "1"], 1, "eps=1e+300 and gamma=1 "),
 ])
 def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
         tmp_path, capsys, argv, code, named):
