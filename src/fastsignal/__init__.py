@@ -19,7 +19,7 @@ from .linsolve import (
     HelmholtzOperator,
     SolverConvergenceError,
     SolverStats,
-    gmres,
+    cg,
     helmholtz_solve,
 )
 from .model import ModelParams, default_params, kinetics, kinetics_jacobian

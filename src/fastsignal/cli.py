@@ -457,12 +457,12 @@ def _verify_solvers(rng) -> tuple[float, list[str]]:
         )
         rhs = Field(vals, grid)
         sols = {}
-        for method in ("tridiagonal", "spectral", "gmres"):
+        for method in ("tridiagonal", "spectral", "cg"):
             v, _ = helmholtz_solve(op, rhs, method=method, tol=1e-10)
             sols[method] = v
         ref = norm_l2(sols["tridiagonal"])
-        for a, b in (("tridiagonal", "spectral"), ("tridiagonal", "gmres"),
-                     ("spectral", "gmres")):
+        for a, b in (("tridiagonal", "spectral"), ("tridiagonal", "cg"),
+                     ("spectral", "cg")):
             diff = norm_l2(Field(sols[a].values - sols[b].values, grid))
             worst = max(worst, diff / ref)
             if diff > 1e-9 * ref:
@@ -483,11 +483,15 @@ def _verify_homogeneous(p: ModelParams, L: float) -> tuple[float, list[str]]:
     worst = 0.0
     T = 10.0
     c = MODELS["3pop"][0]
+    v3 = c[2] * p.zeta3 / p.mu3
+    if not math.isfinite(v3):
+        raise ValueError(f"zeta3={p.zeta3:g} and mu3={p.mu3:g} make the homogeneous "
+                         "chemical v3 = u3 * zeta3 / mu3 overflow")
     for n, dt, n_times in ((16, 1e-3, 41), (32, None, 21)):
         grid = make_grid(L, n)
         times = np.linspace(0.0, T, n_times)
         u0 = [Field.constant(grid, ci) for ci in c]
-        v30 = Field.constant(grid, c[2] * p.zeta3 / p.mu3)
+        v30 = Field.constant(grid, v3)
         ref = integrate(model_rhs("3pop", p), np.array(c), T, rtol=1e-12, atol=1e-14,
                         t_eval=times)
         for traj in run_batch(u0, [v30, None], [1e-3, None], T, p, times, dt=dt):

@@ -3,7 +3,7 @@
 The operator A = -lam * Lap + mu * I on the Neumann grid is symmetric positive
 definite with smallest eigenvalue mu, so it admits three interchangeable solve
 paths: expansion in the discrete cosine modes, banded Cholesky elimination,
-and restarted GMRES.  Time stepping works in the cosine modes, which
+and conjugate gradients.  Time stepping works in the cosine modes, which
 diagonalise A exactly; the other two paths cross-check it.  The exponential
 update advances eps * dv/dt = lam * Lap v - mu * v + source exactly per mode
 for a source varying linearly over the step.
@@ -24,7 +24,7 @@ __all__ = [
     "SolverStats",
     "SolverConvergenceError",
     "helmholtz_solve",
-    "gmres",
+    "cg",
     "to_modes",
     "from_modes",
 ]
@@ -39,8 +39,8 @@ class HelmholtzOperator:
     grid: Grid
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0:
-            raise ValueError("diffusivity and decay must be positive")
+        if not (0.0 < self.lam < math.inf and 0.0 < self.mu < math.inf):
+            raise ValueError("diffusivity and decay must be finite and positive")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return -self.lam * _laplacian(values, self.grid.dx) + self.mu * values
@@ -142,7 +142,7 @@ def helmholtz_solve(
 ) -> tuple[Field, SolverStats]:
     """Solve A v = rhs by the requested path.
 
-    Direct and spectral paths are exact up to round-off; GMRES stops at
+    Direct and spectral paths are exact up to round-off; CG stops at
     ||A v - rhs||_2 <= tol * ||rhs||_2 and raises SolverConvergenceError when
     the iteration cap is hit first.
     """
@@ -154,14 +154,8 @@ def helmholtz_solve(
         x = _solve_tridiagonal_values(op.lam, op.mu, op.grid, b)
     elif method == "spectral":
         x = _spectral_resolvent(op.lam, op.mu, op.grid, b)
-    elif method == "gmres":
-        if tol <= 0:
-            raise ValueError("iterative solve needs tol > 0")
-        # full-memory cycles: short restarts stagnate on this operator once
-        # lam/dx^2 >> mu (condition number ~ 4 lam n^2 / (mu L^2))
-        n = op.grid.n
-        x, stats = gmres(op.apply, b, tol=tol, restart=max(30, n),
-                         maxit=max(500, 4 * n))
+    elif method == "cg":
+        x, stats = cg(op.apply, b, tol=tol, maxit=max(500, 4 * op.grid.n))
         iters = stats.iterations
     else:
         raise ValueError(f"unknown solve method {method!r}")
@@ -169,84 +163,45 @@ def helmholtz_solve(
     return Field(x, op.grid), SolverStats(iters, res, method)
 
 
-def gmres(
-    apply,
-    b: np.ndarray,
-    tol: float = 1e-10,
-    restart: int = 30,
-    maxit: int = 500,
-) -> tuple[np.ndarray, SolverStats]:
-    """Restarted GMRES with modified Gram-Schmidt orthogonalisation.
+def cg(apply, b: np.ndarray, tol: float = 1e-10,
+       maxit: int = 500) -> tuple[np.ndarray, SolverStats]:
+    """Conjugate gradients for a symmetric positive definite operator.
 
-    ``apply`` is the matrix-vector callback; iteration counts are inner
-    Arnoldi steps summed across restart cycles.
+    ``apply`` is the matrix-vector callback.  The recursive residual only
+    proposes convergence: the solve stops when the true residual
+    ||b - A x||_2 <= tol * ||b||_2, and a residual that is not finite never
+    counts as converged.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side contains non-finite entries")
-    n = b.size
-    x = np.zeros(n)
     bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), SolverStats(0, 0.0, "gmres")
-
-    total = 0
-    while True:
-        r = b - apply(x)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= tol * bnorm:
-            return x, SolverStats(total, float(rnorm), "gmres")
-        if total >= maxit:
-            raise SolverConvergenceError(
-                f"gmres: no convergence in {maxit} iterations "
-                f"(residual {rnorm:.3e}, target {tol * bnorm:.3e})",
-                x,
-                float(rnorm),
-                total,
-            )
-        m = min(restart, maxit - total)
-        V = np.zeros((m + 1, n))
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        V[0] = r / rnorm
-        g[0] = rnorm
-
-        j_used = 0
-        for j in range(m):
-            # np.array copies: the callback may return a view of its input
-            w = np.array(apply(V[j]), dtype=float)
-            for i in range(j + 1):
-                H[i, j] = w @ V[i]
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
-            lucky = H[j + 1, j] == 0.0
-            if not lucky:
-                V[j + 1] = w / H[j + 1, j]
-            # apply stored Givens rotations, then form the new one
-            for i in range(j):
-                hi = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = hi
-            beta = np.hypot(H[j, j], H[j + 1, j])
-            cs[j] = H[j, j] / beta
-            sn[j] = H[j + 1, j] / beta
-            H[j, j] = beta
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            total += 1
-            j_used = j + 1
-            if abs(g[j + 1]) <= tol * bnorm or lucky:
-                break
-
-        y = np.zeros(j_used)
-        for i in range(j_used - 1, -1, -1):
-            y[i] = (g[i] - H[i, i + 1 : j_used] @ y[i + 1 :]) / H[i, i]
-        x = x + V[:j_used].T @ y
+    if not np.isfinite(bnorm):
+        raise ValueError("right-hand side contains non-finite entries or its norm overflows")
+    target = tol * bnorm
+    x = np.zeros(b.size)
+    if target == 0.0:
+        return x, SolverStats(0, 0.0, "cg")
+    r = p = b
+    rr = r @ r
+    for it in range(1, maxit + 1):
+        Ap = apply(p)
+        alpha = rr / (p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rr, rr_old = r @ r, rr
+        if not rr > target * target:  # nan included: the true residual decides
+            r = p = b - apply(x)
+            rnorm = np.linalg.norm(r)
+            if rnorm <= target:
+                return x, SolverStats(it, float(rnorm), "cg")
+            rr = r @ r  # restart from the true residual
+        else:
+            p = r + (rr / rr_old) * p
+    rnorm = float(np.linalg.norm(b - apply(x)))
+    raise SolverConvergenceError(
+        f"cg: no convergence in {maxit} iterations "
+        f"(residual {rnorm:.3e}, target {target:.3e})", x, rnorm, maxit)
 
 
 def _ramp_weight(mz: np.ndarray, em1: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ EXPORTS = {
     "BlowUpError", "BranchPoint", "Field", "Grid", "HelmholtzOperator",
     "ModelParams", "OdeTrajectory", "OscillationRecord",
     "RateReport", "SolverConvergenceError", "SolverStats", "StabilityError",
-    "StiffnessError", "Trajectory", "TrajectoryComparison", "bifurcation_sweep",
+    "StiffnessError", "Trajectory", "TrajectoryComparison", "bifurcation_sweep", "cg",
     "classify_stability", "compare_trajectories", "default_initial_fields",
-    "default_params", "detect_oscillation", "find_equilibria", "fit_slope", "gmres",
+    "default_params", "detect_oscillation", "find_equilibria", "fit_slope",
     "helmholtz_solve", "initial_layer_size", "integrate", "kinetics",
     "kinetics_jacobian", "make_grid", "make_layer_data",
     "manifold_distance_study", "manifold_projection", "model_rhs",

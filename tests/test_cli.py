@@ -733,6 +733,10 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
      1, "eps=1e+300 and gamma=1 "),
     (["rate-study", "--n", "16", "--T", "0.01", "--eps_list", "1e300,1e200,1e100",
       "--gamma", "1"], 1, "eps=1e+300 and gamma=1 "),
+    # verify's homogeneous chemical c3 * zeta3 / mu3 overflows: it read "field
+    # contains non-finite entries"
+    (["verify", "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308 and mu3=0.1 "),
+    (["verify", "--mu3", "1e-308", "--zeta3", "1e10"], 1, "zeta3=1e+10 and mu3=1e-308 "),
 ])
 def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
         tmp_path, capsys, argv, code, named):
