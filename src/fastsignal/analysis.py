@@ -178,22 +178,35 @@ def compare_trajectories(A: Trajectory, B: Trajectory) -> TrajectoryComparison:
 def fit_slope(eps: np.ndarray, err: np.ndarray):
     """Least-squares slope of log(err) vs log(eps) above ERROR_FLOOR.
 
-    Returns (slope, residual, n_points); raises ValueError when fewer than
-    three points sit above the floor.
+    Returns (slope, residual, n_points), the residual being the sum of squared
+    deviations from the line; raises ValueError when fewer than three points
+    sit above the floor.  An infinite error gives a nan slope and residual.
+
+    The line is the closed-form one from centred sums, with no BLAS or LAPACK
+    call.  Each coordinate is taken relative to its first point before its
+    mean, so equal values centre to exact zeros and the centred values carry
+    round-off relative to the data's spread, not to its size.
     """
     eps = np.asarray(eps, dtype=float)
     err = np.asarray(err, dtype=float)
     keep = err > ERROR_FLOOR
-    if keep.sum() < 3:
+    n_points = int(keep.sum())
+    if n_points < 3:
         raise ValueError(
-            f"only {int(keep.sum())} error values above the floor {ERROR_FLOOR:g}; "
+            f"only {n_points} error values above the floor {ERROR_FLOOR:g}; "
             "need at least 3 to fit a rate"
         )
     x = np.log(eps[keep])
     y = np.log(err[keep])
-    coef, res, *_ = np.polyfit(x, y, 1, full=True)
-    residual = float(res[0]) if res.size else 0.0
-    return float(coef[0]), residual, int(keep.sum())
+    if not np.isfinite([x, y]).all():
+        return math.nan, math.nan, n_points
+    x, y = x - x[0], y - y[0]
+    xc = x - math.fsum(x) / n_points
+    yc = y - math.fsum(y) / n_points
+    sxx = math.fsum(xc * xc)
+    slope = math.fsum(xc * yc) / sxx if sxx else math.nan
+    r = yc - slope * xc
+    return slope, math.fsum(r * r), n_points
 
 
 @dataclass

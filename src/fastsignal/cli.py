@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -541,7 +542,16 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as ConfigError instead of printing usage and exiting."""
+    """Reports usage errors as ConfigError instead of printing usage and exiting,
+    and reads a negative float, or a float list led by one, after a flag as its
+    value: argparse's own matcher takes -1 and -0.5 but reads -5e-2, -1e300,
+    -inf and -0.1,0.2 as flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        number = r"(\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan"
+        self._negative_number_matcher = re.compile(
+            rf"^-({number})(,[+-]?({number}))*$", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from fastsignal import cli
 from fastsignal.analysis import (
     compare_trajectories,
     fit_slope,
@@ -18,7 +19,7 @@ from fastsignal.analysis import (
     manifold_projection,
     rate_study,
 )
-from fastsignal.cli import _verify_homogeneous, _verify_semigroup, _verify_solvers, main
+from fastsignal.cli import _verify_semigroup, _verify_solvers, main
 from fastsignal.grid import Field, make_grid
 from fastsignal.model import default_params, kinetics, kinetics_jacobian
 from fastsignal.ode import bifurcation_sweep
@@ -153,8 +154,8 @@ def test_criterion_6_solver_cross_agreement():
     report("criterion-6 solver agreement", not failures, f"worst rel diff={worst:.2e}")
 
 
-def test_criterion_7_homogeneous_consistency():
-    worst, failures = _verify_homogeneous(P, 1.0)
+def test_criterion_7_homogeneous_consistency(verify_homogeneous):
+    worst, failures = verify_homogeneous(P, 1.0)
     report("criterion-7 PDE-ODE consistency", not failures, f"max deviation={worst:.2e}")
 
 
@@ -256,6 +257,7 @@ def test_criterion_10_kinetics_reference_values():
            f"kinetics={got} jac_diag={np.diag(J_got)}")
 
 
-def test_verify_subcommand_gate():
+def test_verify_subcommand_gate(monkeypatch, verify_homogeneous):
+    monkeypatch.setattr(cli, "_verify_homogeneous", verify_homogeneous)
     rc = main(["verify"])
     report("verify-gate exit code", rc == 0, f"exit={rc}")

@@ -1,13 +1,17 @@
 """Tests for norms, layer construction, manifold distances and rate fitting."""
 
+import math
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fastsignal.analysis import (
+    ERROR_FLOOR,
     compare_trajectories,
     fit_slope,
     initial_layer_size,
@@ -237,6 +241,58 @@ def test_fit_slope_recovers_power_law():
     assert n2 == 3 and abs(slope2 - 0.75) <= 1e-12
     with pytest.raises(ValueError):
         fit_slope(eps, np.full(4, 1e-12))
+
+
+def _exact_fit(x, y):
+    """Least-squares slope and residual sum of squares of the points (x, y),
+    in exact rational arithmetic on the given floats, and the centred x, y."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    xm, ym = sum(x) / len(x), sum(y) / len(y)
+    xc, yc = [v - xm for v in x], [v - ym for v in y]
+    slope = sum(a * b for a, b in zip(xc, yc)) / sum(a * a for a in xc)
+    return slope, sum((b - slope * a) ** 2 for a, b in zip(xc, yc)), xc, yc
+
+
+@st.composite
+def _fit_points(draw):
+    eps = draw(st.lists(st.floats(1e-12, 1.0), min_size=3, max_size=8, unique=True))
+    err = draw(st.lists(st.floats(ERROR_FLOOR, 1e300, exclude_min=True),
+                        min_size=len(eps), max_size=len(eps)))
+    return sorted(eps, reverse=True), err
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_fit_points())
+@example(points=([1e-2, 1e-3, 1e-4], [1e-3, np.inf, 1e-5]))
+def test_fit_slope_equals_exact_least_squares(points):
+    eps, err = np.array(points[0]), np.array(points[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope, residual, n = fit_slope(eps, err)
+    assert n == len(eps)
+    x, y = np.log(eps), np.log(err)
+    if not np.isfinite(y).all():  # no line fits an infinite error
+        assert math.isnan(slope) and math.isnan(residual)
+        return
+    assume(x.min() < x.max())  # distinct eps whose logs round to one value
+    exact_slope, exact_residual, xc, yc = _exact_fit(x, y)
+    # Round-off allowances.  The centred values carry a few ulp of the data's
+    # spread, ulp * max|yc| and ulp * max|xc|.  One y moved by d moves the
+    # slope by d * |xc_i| / Sxx, so a slope whose exact value is near 0 (the
+    # centred products cancel) is known only to ulp * max|yc| * sum|xc| / Sxx.
+    # A fit exact to round-off has a residual vector of round-off alone,
+    # ulp * (max|yc| + |slope| max|xc|) per point; by the triangle inequality
+    # the residual's norm moves by at most that vector's norm.  Each allowance
+    # is 16 ulp, about 10 times the worst of 20 000 draws.
+    ulp = Fraction(2.0**-52)
+    ax, ay = [abs(v) for v in xc], [abs(v) for v in yc]
+    slope_roundoff = 16 * ulp * max(ay) * sum(ax) / sum(v * v for v in xc)
+    assert abs(Fraction(slope) - exact_slope) <= max(
+        Fraction(1e-13) * abs(exact_slope), slope_roundoff)
+    residual_roundoff = 16 * ulp * (max(ay) + abs(exact_slope) * max(ax)) * math.sqrt(n)
+    assert (abs(Fraction(residual) - exact_residual) <= max(
+        Fraction(1e-9) * exact_residual, Fraction(1e-300))
+        or abs(math.sqrt(residual) - math.sqrt(exact_residual)) <= residual_roundoff)
 
 
 def test_semigroup_identity_single_mode_closed_form():

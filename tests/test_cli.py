@@ -550,8 +550,10 @@ _CLI_GOLDEN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_CLI_GOLDEN_CASES))
-def test_cli_echo_stdout_and_files_match_golden(tmp_path, monkeypatch, capsys, case):
+def test_cli_echo_stdout_and_files_match_golden(tmp_path, monkeypatch, capsys, case,
+                                                 verify_homogeneous):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_verify_homogeneous", verify_homogeneous)
     monkeypatch.delenv("FASTSIGNAL_OUTPUT_ROOT", raising=False)
     assert main([*_CLI_GOLDEN_CASES[case], "--outdir", "out"]) == 0
     golden = Path(__file__).parent / "data" / "golden" / "cli" / case
@@ -737,6 +739,16 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
     # contains non-finite entries"
     (["verify", "--zeta3", "1.7e308"], 1, "zeta3=1.7e+308 and mu3=0.1 "),
     (["verify", "--mu3", "1e-308", "--zeta3", "1e10"], 1, "zeta3=1e+10 and mu3=1e-308 "),
+    # a negative float in exponent form, or a list led by one, after a flag is
+    # the flag's value: each read "argument --<key>: expected one argument"
+    (["ode-bifurcation", "--sweep_min", "-5e-2", "--sweep_max", "0.3", "--sweep_count", "2",
+      "--T", "10"], 1, "m1 must be >= 0, got -0.05"),
+    (["ode-bifurcation", "--sweep_min", "-1e300"], 1, "m1 must be >= 0, got -1e+300"),
+    (["ode-bifurcation", "--sweep_min", "-.5E+3"], 1, "m1 must be >= 0, got -500.0"),
+    (["ode-bifurcation", "--sweep_min", "-inf"], 1, "key 'sweep_min' must be finite, got -inf"),
+    (["simulate-eps", "--n", "16", "--T", "-1e-2"], 1, "key 'T' must be non-negative"),
+    (["rate-study", "--n", "16", "--T", "0.01", "--eps_list", "-1e-2,1e-3,1e-4"], 1,
+     "key 'eps_list' must be positive and strictly decreasing"),
 ])
 def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
         tmp_path, capsys, argv, code, named):

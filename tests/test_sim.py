@@ -19,8 +19,14 @@ from fastsignal.analysis import (
     norm_l2,
 )
 from fastsignal.cli import _write_snapshots
-from fastsignal.grid import Field, Grid, _laplacian, make_grid
-from fastsignal.linsolve import HelmholtzOperator, _exp_ramp_values, from_modes, to_modes
+from fastsignal.grid import Field, Grid, _chemotaxis_div, _laplacian, make_grid
+from fastsignal.linsolve import (
+    HelmholtzOperator,
+    _exp_ramp_values,
+    _spectral_resolvent,
+    from_modes,
+    to_modes,
+)
 from fastsignal.model import _POSITIVE, ModelParams, default_params, kinetics
 from fastsignal.ode import integrate, ode_rhs_3pop
 from fastsignal.sim_eps import (
@@ -168,6 +174,89 @@ def test_fixed_dt_self_convergence_first_order():
         errs.append(diff)
     ratio = errs[0] / errs[1]
     assert 1.5 <= ratio <= 5.0  # at least first order in the splitting
+
+
+def _method_of_lines(p: ModelParams, grid: Grid):
+    """The limiting system on the grid as one ODE for the (3 n,) species, built
+    independently of the stepper: diffusion from _laplacian, each drift from
+    _chemotaxis_div (prey away from v3, the predator up v1 and v2), reactions
+    from kinetics, and the chemicals from the cosine-mode resolvent.  Returns
+    the right-hand side and the chemicals of a species state."""
+    lam = (p.lambda1, p.lambda2, p.lambda3)
+    mu = (p.mu1, p.mu2, p.mu3)
+    zeta = (p.zeta1, p.zeta2, p.zeta3)
+    dx = grid.dx
+
+    def chemicals(u):
+        return np.array([_spectral_resolvent(lam[i], mu[i], grid, zeta[i] * u[i])
+                         for i in range(3)])
+
+    def rhs(y):
+        u = y.reshape(3, grid.n)
+        v = chemicals(u)
+        f = kinetics(u[0], u[1], u[2], p)
+        return np.concatenate([
+            p.d1 * _laplacian(u[0], dx) + _chemotaxis_div(u[0], v[2], p.chi1, dx) + f[0],
+            p.d2 * _laplacian(u[1], dx) + _chemotaxis_div(u[1], v[2], p.chi2, dx) + f[1],
+            p.d3 * _laplacian(u[2], dx) + _chemotaxis_div(u[2], v[0], -p.chi31, dx)
+            + _chemotaxis_div(u[2], v[1], -p.chi32, dx) + f[2]])
+
+    return rhs, chemicals
+
+
+@pytest.mark.parametrize("updates, T, N0", [
+    ({}, 0.2, 25),
+    ({"eta1": 0.2, "eta2": 0.2, "m1": 0.6}, 2.0, 250),  # the oscillatory regime
+], ids=["default", "oscillatory"])
+def test_limit_run_converges_to_method_of_lines_reference(updates, T, N0):
+    """run_limit at n = 16 with dt = T / N converges at first order in dt to
+    the method-of-lines solution of the same spatial discretisation.
+
+    Derivation of the bounds.  Write G(u) = F(u, R(u)) for the limiting
+    system, F the species rates at chemicals v and R the resolvent.  One step
+    is Heun's method (SSP-RK2) on the species with the chemicals frozen at
+    v = R(u_n), then v = R(u_{n+1}).  Heun reproduces the frozen system's
+    flow to O(h^3), and the frozen system drops the term F_v R' G of the
+    exact u'' = G_u G = F_u G + F_v R' G, so the local error is
+    -(h^2 / 2) F_v R' G + O(h^3), non-zero wherever the chemicals move.
+    Summed over T / h steps the global error at T is e_h = h c + h^2 d +
+    O(h^3), c != 0.  The error E_h = |e_h| of every component (species and
+    chemicals, max norm) then falls per halving of h by
+
+        E_h / E_{h/2} = 2 (1 + b h) / (1 + b h / 2) + O(h^2) = 2 + b h + O(h^2),
+
+    with b the size of d relative to c.  d collects the next Taylor terms, one
+    more time derivative of the solution and of the error than c, so b is a
+    multiple of the solution's rate Lam = max_t |G_u G| / |G| (|u''| / |u'|,
+    taken on the reference): the test allows |b| <= 10 Lam, so each ratio
+    lies within 2 +- 10 Lam h.  Lam is 2.3-2.5 in both regimes and the
+    measured |b| 0-3.8 Lam.  The reference (DP54 at rtol 1e-12) is within
+    3e-13 of one at rtol 1e-14, below 1e-7 of the finest error, so it moves
+    no ratio measurably.
+    A wrong coefficient or a stale chemical makes the errors stall at the
+    gap between the two solutions, and the ratios fall towards 1.
+    """
+    p = P.with_updates(**updates)
+    grid = make_grid(1.0, 16)
+    u0 = default_initial_fields(grid)
+    rhs, chemicals = _method_of_lines(p, grid)
+    times = np.linspace(0.0, T, 21)
+    ref = integrate(rhs, np.concatenate([f.values for f in u0]), T, rtol=1e-12, atol=1e-14,
+                    t_eval=times)
+    rates = []
+    for y in ref.states:
+        g = rhs(y)
+        delta = 1e-6 / np.abs(g).max()
+        gg = (rhs(y + delta * g) - rhs(y - delta * g)) / (2 * delta)
+        rates.append(np.abs(gg).max() / np.abs(g).max())
+    lam_rate = max(rates)
+    u_ref = ref.states[-1].reshape(3, grid.n)
+    exact = np.concatenate([u_ref, chemicals(u_ref)])
+    steps = [N0 * 2**k for k in range(4)]
+    errors = [np.abs(run_limit(*u0, T, p, [0.0, T], dt=T / N).values[-1] - exact).max()
+              for N in steps]
+    for N, coarse, fine in zip(steps, errors, errors[1:]):
+        assert abs(coarse / fine - 2.0) <= 10 * lam_rate * T / N, (N, errors)
 
 
 def test_limit_run_elliptic_consistency_everywhere():
