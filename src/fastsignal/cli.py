@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -388,8 +387,8 @@ def _cmd_ode_bifurcation(cfg: RunConfig, T: float):
     columns = ("param", "u1", "u2", "u3", "re_lambda_max", "stable", "oscillating",
                "amplitude_u1", "period")
     # about 64 floats per Newton row, one row per value and point of the
-    # 6**dim guess lattice; at most one branch.csv row per Newton row, and
-    # the echo
+    # 6**dim guess lattice (an upper bound: the sweep solves in blocks); at
+    # most one branch.csv row per Newton row, and the echo
     rows = cfg.sweep_count * 6 ** len(MODELS[cfg.ode_model][0])
     _check_projection(f"sweep_count={cfg.sweep_count}", rows * 64 * 8, 2, rows * len(columns))
     values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_count)
@@ -543,15 +542,14 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as ConfigError instead of printing usage and exiting,
-    and reads a negative float, or a float list led by one, after a flag as its
-    value: argparse's own matcher takes -1 and -0.5 but reads -5e-2, -1e300,
-    -inf and -0.1,0.2 as flags."""
+    and reads a single-dash word that is no option (-5e-2, -inf, -0.1,0.2, -5e,
+    -x) after a flag as its value: argparse reads all but -1 and -0.5 as flags."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        number = r"(\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan"
-        self._negative_number_matcher = re.compile(
-            rf"^-({number})(,[+-]?({number}))*$", re.IGNORECASE)
+    def _parse_optional(self, arg_string):
+        if (arg_string.startswith("-") and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions):
+            return None  # a positional word: a flag before it takes it
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         raise ConfigError(message)

@@ -2,8 +2,8 @@
 predator-prey systems, equilibrium/stability analysis, oscillation detection,
 and dense bifurcation sweeps.
 
-Sweeps replace continuation: one stacked damped-Newton solve searches for the
-equilibria of every parameter value at once, each equilibrium gets an
+Sweeps replace continuation: stacked damped-Newton solves over fixed blocks
+of parameter values search for the equilibria, each equilibrium gets an
 eigenvalue classification, and long integrations are run only where no
 non-negative equilibrium is stable.
 """
@@ -220,9 +220,10 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         raise ValueError("y0 must be a non-empty 1-D array of finite values")
     y = y0.tolist()
     dim = len(y)
+    from array import array  # a shared library, which the PDE commands skip
 
     if t_eval is None:
-        eval_times, out_t, out_y = None, [0.0], [y]
+        eval_times, out_t, out_y = None, array("d", [0.0]), array("d", y)
     else:
         eval_times = np.asarray(t_eval, dtype=float)
         if eval_times.ndim != 1 or not np.all(np.isfinite(eval_times)):
@@ -232,7 +233,7 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
         if eval_times.size and (eval_times[0] < 0 or eval_times[-1] > T * (1 + 1e-12) + 1e-300):
             raise ValueError("t_eval must lie inside [0, T]")
         eval_times = eval_times.tolist()
-        out_t, out_y, next_eval = [], [], 0
+        out_t, out_y, next_eval = array("d"), array("d"), 0
 
     attempt, hermite = _dp54_code(dim)
     if isinstance(rhs, _FloatRhs):
@@ -254,7 +255,7 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     if eval_times is not None:
         while next_eval < len(eval_times) and eval_times[next_eval] <= 0.0:
             out_t.append(eval_times[next_eval])
-            out_y.append(y)
+            out_y.extend(y)
             next_eval += 1
 
     # initial step from the scale of the data
@@ -282,12 +283,12 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
             if eval_times is not None:
                 while next_eval < len(eval_times) and eval_times[next_eval] <= t_new + 1e-14:
                     s = (eval_times[next_eval] - t) / h  # fraction of the step
-                    out_y.append(hermite(s, h, *y, *f, *y5, *f_new))
+                    out_y.extend(hermite(s, h, *y, *f, *y5, *f_new))
                     out_t.append(eval_times[next_eval])
                     next_eval += 1
             else:
                 out_t.append(t_new)
-                out_y.append(y5)
+                out_y.extend(y5)
             t, y, f = t_new, y5, f_new
             n_steps += 1
             grow = 0.9 * err ** -0.2 if err > 1e-12 else 5.0
@@ -304,8 +305,8 @@ def integrate(rhs, y0, T: float, rtol: float = 1e-8, atol: float = 1e-11,
     if eval_times is not None:
         # times equal to T within round-off
         out_t.extend(eval_times[next_eval:])
-        out_y.extend([y] * (len(eval_times) - next_eval))
-    return OdeTrajectory(np.array(out_t), np.array(out_y).reshape(len(out_t), dim),
+        out_y.extend(y * (len(eval_times) - next_eval))
+    return OdeTrajectory(np.frombuffer(out_t), np.frombuffer(out_y).reshape(len(out_t), dim),
                          n_steps, n_rejected)
 
 
@@ -423,7 +424,7 @@ def find_equilibria(rhs, jacobian, dim: int, args=None):
 
     ``rhs`` and ``jacobian`` take an ``(N, dim)`` stack of states and return
     ``(N, dim)`` and ``(N, dim, dim)``; every point of ``_guess_lattice(dim)``
-    is one row of a single stacked Newton solve.  Converged roots
+    is one row of one stacked Newton solve.  Converged roots
     (max |rhs| <= 1e-12) are deduplicated to 1e-8 in guess order and sorted
     lexicographically for reproducibility.
 
@@ -453,7 +454,7 @@ def find_equilibria(rhs, jacobian, dim: int, args=None):
         # a candidate survives when no earlier kept root lies within 1e-8
         cand, found = y[lo:hi], []
         while cand.shape[0]:
-            found.append(cand[0])
+            found.append(cand[0].copy())  # a view would pin cand
             cand = cand[~(np.max(np.abs(cand - cand[0]), axis=-1) < 1e-8)]
         roots.append(sorted(found, key=tuple))
     return roots[0] if values is None else roots
@@ -539,10 +540,14 @@ def _row_params(p: ModelParams, param: str, column: np.ndarray) -> ModelParams:
     return q
 
 
+_SWEEP_BLOCK_ROWS = 2592  # Newton rows per sweep block: 12 3pop values, 72 pp
+
+
 def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
                       T_osc: float = 2000.0) -> list[BranchPoint]:
     """Equilibria + stability per parameter value, with long integrations and
-    oscillation detection wherever no non-negative equilibrium is stable."""
+    oscillation detection wherever no non-negative equilibrium is stable,
+    solving the values in blocks of at most ``_SWEEP_BLOCK_ROWS`` rows."""
     _, rhs_of, jac_of = _model(model)
     dim = len(MODELS[model][0])
     if param not in {f.name for f in fields(ModelParams)}:
@@ -550,20 +555,21 @@ def bifurcation_sweep(model: str, param: str, values, p: ModelParams, *,
 
     values = np.asarray(values, dtype=float)
     params = [p.with_updates(**{param: float(val)}) for val in values]  # validates
+    lattice = _guess_lattice(dim)
+    per_block = max(1, _SWEEP_BLOCK_ROWS // len(lattice))
+    blocks = [values[i:i + per_block] for i in range(0, values.size, per_block)]
     # a value so extreme that the Jacobian overflows or is 0/0 (eta1 = 5e-324
     # squares to 0) on the guess lattice would give nan eigenvalues
-    lattice = _guess_lattice(dim)
-    with np.errstate(all="ignore"):
-        J = jac_of(np.tile(lattice, (values.size, 1)),
-                   _row_params(p, param, np.repeat(values, len(lattice))))
-    finite = np.isfinite(J).reshape(values.size, -1).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"the {model} Jacobian is not finite at "
-                         f"{param}={float(values[~finite][0])!r}")
-
-    roots = find_equilibria(lambda y, c: rhs_of(y, _row_params(p, param, c)),
-                            lambda y, c: jac_of(y, _row_params(p, param, c)),
-                            dim=dim, args=values)
+    for block in blocks:
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(jac_of(np.tile(lattice, (block.size, 1)), _row_params(
+                p, param, np.repeat(block, len(lattice))))).reshape(block.size, -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"the {model} Jacobian is not finite at "
+                             f"{param}={float(block[~finite][0])!r}")
+    roots = [eqs for block in blocks for eqs in find_equilibria(
+        lambda y, c: rhs_of(y, _row_params(p, param, c)),
+        lambda y, c: jac_of(y, _row_params(p, param, c)), dim=dim, args=block)]
     points: list[BranchPoint] = []
     for val, pv, eqs in zip(values, params, roots):
         jac = lambda y, _pv=pv: jac_of(y, _pv)

@@ -749,6 +749,10 @@ _SHORT = ["--n", "8", "--T", "0.01", "--output_count", "3", "--eps_list", "1e-2,
     (["simulate-eps", "--n", "16", "--T", "-1e-2"], 1, "key 'T' must be non-negative"),
     (["rate-study", "--n", "16", "--T", "0.01", "--eps_list", "-1e-2,1e-3,1e-4"], 1,
      "key 'eps_list' must be positive and strictly decreasing"),
+    # so is a malformed one, which reaches the key's type check
+    (["ode-bifurcation", "--sweep_min", "-5e"], 1,
+     "flags: cannot parse value '-5e' for key 'sweep_min'"),
+    (["ode-bifurcation", "--T", "-x"], 1, "flags: cannot parse value '-x' for key 'T'"),
 ])
 def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
         tmp_path, capsys, argv, code, named):
@@ -762,6 +766,13 @@ def test_extreme_coefficient_ends_in_one_status_line_without_a_warning(
     assert len(status) == 1
     kind = {0: "status=ok", 1: "kind=validation", 2: "kind=numerical"}[code]
     assert kind in status[0] and named in status[0]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["ode-bifurcation", "--T", "1", "-h"]])
+def test_help_flags_print_usage(capsys, argv):
+    # a single-dash word after a flag is its value, but -h stays the option
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: fastsignal")
 
 
 @pytest.mark.parametrize("outdir, root", [

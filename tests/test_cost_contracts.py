@@ -109,11 +109,12 @@ def test_per_member_dt_layer_batch_step_structure(loop_counts):
 
 @pytest.mark.parametrize("model, extra, values, most", [
     ("pp", {"eta1": 0.2, "eta2": 0.2}, np.linspace(0.05, 0.675, 6), 33),
-    ("3pop", {"eta2": 0.05}, np.linspace(0.05, 1.5, 24), 123),
+    ("3pop", {"eta2": 0.05}, np.linspace(0.05, 1.5, 24), 172),
 ])
 def test_sweep_newton_rhs_calls(monkeypatch, model, extra, values, most):
-    """The stacked Newton of the benchmark's unshifted m1 sweeps: one rhs call
-    per iteration's residual and per block of line-search halvings."""
+    """The stacked Newtons of the benchmark's unshifted m1 sweeps: one rhs
+    call per iteration's residual and per block of line-search halvings, in
+    each block of values (pp one block of 6, 3pop two blocks of 12)."""
     calls = []
     newton = ode._newton
 

@@ -1,6 +1,7 @@
 """Tests for the homogeneous ODE systems, integrator and bifurcation sweeps."""
 
 import itertools
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -514,22 +515,102 @@ def test_failed_line_search_costs_two_rhs_calls(n_rows):
 
 
 def test_sweep_newton_stacks_no_more_rows_than_its_guesses(monkeypatch):
-    stacks, sizes = [], []
+    stacks = []  # (rows of the stack, the largest rhs call on it)
     newton = ode._newton
 
     def recording_newton(rhs, jac, y0, args=()):
-        stacks.append(len(y0))
+        sizes = []
 
         def counted(y, *a):
             sizes.append(len(y))
             return rhs(y, *a)
 
-        return newton(counted, jac, y0, args)
+        result = newton(counted, jac, y0, args)
+        stacks.append((len(y0), max(sizes)))
+        return result
 
     monkeypatch.setattr(ode, "_newton", recording_newton)
     bifurcation_sweep("3pop", "m1", np.linspace(0.05, 1.5, 24), P.with_updates(eta2=0.05))
-    assert stacks == [24 * 6 ** 3]
-    assert max(sizes) <= stacks[0]
+    assert sum(rows for rows, _ in stacks) == 24 * 6 ** 3
+    assert all(most <= rows <= ode._SWEEP_BLOCK_ROWS for rows, most in stacks)
+
+
+def _branch_bits(points):
+    """Every field of each branch point, floats and arrays as their bytes."""
+    def osc(rec):
+        return None if rec is None else (rec.detected, rec.amplitude.tobytes(),
+                                         rec.period, rec.n_peaks)
+    return [(bp.param_value, bp.state.tobytes(), bp.eigenvalues.tobytes(), bp.stable,
+             np.float64(bp.eig_residual).tobytes(), osc(bp.oscillation)) for bp in points]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_sweep_blocking_is_invisible(monkeypatch, model):
+    """Blocks of one 3pop value (216 rows), the default blocks and one block
+    for every value give the same branch points bit for bit; 25 values leave
+    a partial last block (pp at 216 rows, 3pop at 2592)."""
+    values = np.linspace(0.05, 1.5, 25)
+    pv = P.with_updates(eta1=0.2, eta2=0.2)
+    results = []
+    for rows in (216, 2592, 10 ** 9):
+        monkeypatch.setattr(ode, "_SWEEP_BLOCK_ROWS", rows)
+        results.append(_branch_bits(bifurcation_sweep(model, "m1", values, pv, T_osc=400.0)))
+    assert results[0] == results[1] == results[2]
+    if model == "pp":
+        assert any(osc is not None and osc[0] for *_, osc in results[0])
+
+
+def test_sweep_checks_every_block_before_any_newton_work(monkeypatch):
+    """A value whose Jacobian is not finite in the last of three blocks is
+    rejected before the first block's Newton solve starts."""
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton work before the check of every block")
+
+    monkeypatch.setattr(ode, "find_equilibria", no_newton)
+    with pytest.raises(ValueError, match=r"not finite at eta1=5e-324"):
+        bifurcation_sweep("3pop", "eta1", np.linspace(1.0, 5e-324, 25), P)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_value_count():
+    """A sweep holds one block of Newton rows at a time, and each kept root
+    owns its three floats, so 96 values peak near 12 (one block).  Solved as
+    one stack, the 84 extra values would hold at least their 84 * 216
+    Jacobians of 3 * 3 floats at once (1.25 MiB, and ~7 MiB traced); the
+    growth allowed is a quarter of those Jacobians, which holds the ~6 kept
+    branch points per value (~1.4 KiB) with a margin of about 2.5."""
+    pv = P.with_updates(eta2=0.05)
+
+    def sweep(count):
+        return bifurcation_sweep("3pop", "m1", np.linspace(0.05, 1.5, count), pv, T_osc=1.0)
+
+    sweep(12)  # the generated code and numpy's caches, outside the trace
+    growth = _traced_peak(lambda: sweep(96)) - _traced_peak(lambda: sweep(12))
+    assert growth <= 84 * 6 ** 3 * 3 * 3 * 8 / 4
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_dense_output_peaks_near_its_flat_buffers(model):
+    """integrate keeps its output times and states as flat 8-byte floats
+    that become the returned arrays, so a 4 001-point run peaks near those
+    (1 + dim) * 8 B per point plus the 32 B per point of t_eval's Python
+    float list (24 B object, 8 B pointer); 25 % margin for the buffers'
+    over-allocation and the loop's floats.  A list of per-point float lists
+    would take ~0.9 MB."""
+    dim, n = MODELS[model][2], 4001
+    rhs = model_rhs(model, P)
+    t_eval = np.linspace(0.0, 2000.0, n)
+    integrate(rhs, ode.MODELS[model][0], 1.0)  # generate the attempt code untraced
+    peak = _traced_peak(lambda: integrate(rhs, ode.MODELS[model][0], 2000.0, t_eval=t_eval))
+    assert peak <= 1.25 * n * ((1 + dim) * 8 + 32)
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
