@@ -16,7 +16,7 @@ import numpy as np
 from .grid import Field, _laplacian
 from .linsolve import _mode_rates, _source_resolvent, from_modes, to_modes
 from .model import ModelParams
-from .sim_eps import Trajectory, initial_stable_dt, run_batch
+from .sim_eps import Trajectory, _integrate, _start_batch, initial_stable_dt
 
 __all__ = [
     "RateReport",
@@ -42,19 +42,12 @@ STUDY_CFL = 0.45
 
 def norm_l2(f: Field) -> float:
     """sqrt(dx * sum f_j^2), the cell-centered L2 norm."""
-    return float(_row_norms(f.values, f.grid.dx, 0))
+    return float(_row_norms(f.values, f.grid.dx))
 
 
-def _row_norms(x: np.ndarray, dx: float, order: int) -> np.ndarray:
-    # the L2 (order 0), H1 (1) or H2-proxy (2) norm of each row along the last axis
-    if order == 0:
-        return np.sqrt(dx * np.sum(x * x, axis=-1))
-    d = np.diff(x) / dx
-    sq = dx * np.sum(x**2, axis=-1) + dx * np.sum(d * d, axis=-1)
-    if order == 2:
-        lap = _laplacian(x, dx)
-        sq = sq + dx * np.sum(lap * lap, axis=-1)
-    return np.sqrt(sq)
+def _row_norms(x: np.ndarray, dx: float) -> np.ndarray:
+    # the L2 norm of each row along the last axis
+    return np.sqrt(dx * np.sum(x * x, axis=-1))
 
 
 def manifold_projection(u: Field, p: ModelParams) -> Field:
@@ -72,7 +65,7 @@ def initial_layer_size(u30: Field, v30: Field, p: ModelParams) -> float:
     if u30.grid != v30.grid:
         raise ValueError("u30 and v30 live on different grids")
     dx = v30.grid.dx
-    return float(_row_norms(_layer_residual(u30.values, v30.values, p, dx), dx, 0))
+    return float(_row_norms(_layer_residual(u30.values, v30.values, p, dx), dx))
 
 
 def make_layer_data(u30: Field, gamma: float | str, eps: float, p: ModelParams) -> Field:
@@ -121,20 +114,26 @@ def manifold_distance_study(u10: Field, u20: Field, u30: Field, gamma: float | s
 
     Each eps run starts from slow-chemical data at layer size eps**gamma.
     The runs advance as one batch, each member at its own stable step, so
-    each is bitwise its own ``run_eps``.  Returns the snapshot times, the
+    each is bitwise its own ``run_eps``.  Each output time is reduced to the
+    members' distances as the batch reaches it, so the study holds O(B * n)
+    floats, not every snapshot.  Returns the output times, the
     (len(eps_list), len(times)) distances and each run's initial layer size.
     """
     eps = [float(e) for e in eps_list]
     if not eps:
         raise ValueError("eps_list must not be empty")
     v30s = [make_layer_data(u30, gamma, e, p) for e in eps]
-    trajs = run_batch((u10, u20, u30), v30s, eps, T, p, output_times, cfl=cfl,
-                      chemical_mode=chemical_mode)
-    # the (B, n_times, n) predator and slow-chemical rows of every snapshot
-    u3, v3 = (np.array([tr.values[:, i] for tr in trajs]) for i in (2, 5))
-    dist = _row_norms(_layer_residual(u3, v3, p, u10.grid.dx), u10.grid.dx, 0)
+    stepper, u, v, times = _start_batch((u10, u20, u30), v30s, eps, T, p, output_times,
+                                        chemical_mode=chemical_mode)
+    dx = u10.grid.dx
+    dist = []  # per output time, each member's distance
+
+    def observe(k, u, v):
+        dist.append(_row_norms(_layer_residual(u[:, 2], v[:, 2], p, dx), dx))
+
+    _integrate(stepper, u, v, T, times, observe, cfl=cfl)
     eps_in = np.array([initial_layer_size(u30, v30, p) for v30 in v30s])
-    return trajs[0].times, dist, eps_in
+    return times, np.stack(dist, axis=1), eps_in
 
 
 @dataclass
@@ -158,21 +157,39 @@ class TrajectoryComparison:
         return asdict(self)
 
 
+def _difference_norms(du: np.ndarray, dv: np.ndarray, dx: float) -> np.ndarray:
+    """The norms of species and chemical differences du and dv, each
+    (..., 3, n), as (..., 7): L2 of u1, u2 and u3, the H2 proxy of v1 and v2,
+    H1 of v3, and last the H2 proxy of v3.  On a row f, H1 adds
+    dx * sum((diff f / dx)^2) to L2's dx * sum(f^2) under the root, and the
+    H2 proxy adds dx * sum((Lap f)^2) to H1's; each chemical's H1 square is
+    its H2 proxy's partial sum."""
+    g = np.diff(dv) / dx
+    h1_sq = dx * np.sum(dv * dv, axis=-1) + dx * np.sum(g * g, axis=-1)
+    lap = _laplacian(dv, dx)
+    h2 = np.sqrt(h1_sq + dx * np.sum(lap * lap, axis=-1))
+    return np.concatenate([_row_norms(du, dx), h2[..., :2], np.sqrt(h1_sq[..., 2:]),
+                           h2[..., 2:]], -1)
+
+
+def _comparison(norms: np.ndarray, times: np.ndarray) -> TrajectoryComparison:
+    """The errors of one pair from its (n_times, 7) _difference_norms: each
+    sup over the times, and the trapezoid over them of the squared last."""
+    v3_h2_sq = [h ** 2 for h in norms[:, 6].tolist()]
+    l2h2 = float(np.sqrt(np.trapezoid(v3_h2_sq, times) if len(times) > 1 else v3_h2_sq[0]))
+    return TrajectoryComparison(*norms[:, :6].max(0).tolist(), l2h2)
+
+
 def compare_trajectories(A: Trajectory, B: Trajectory) -> TrajectoryComparison:
-    """Per-component errors between a relaxation-time run and a limit run."""
+    """Per-component errors between a relaxation-time run and a limit run,
+    from their snapshots; rate_study takes the same norms of a pair at each
+    output time as the batch reaches it."""
     if len(A.times) != len(B.times) or not np.allclose(A.times, B.times):
         raise ValueError("trajectories have different snapshot schedules")
     if A.grid != B.grid:
         raise ValueError("trajectories live on different grids")
-    # each component's norm of each snapshot's difference, from one (T, 6, n) array
-    d, dx = A.values - B.values, A.grid.dx
-    species = _row_norms(d[:, :3], dx, 0)
-    chem_h2 = _row_norms(d[:, 3:], dx, 2)
-    sup = [*species.max(0).tolist(), *chem_h2[:, :2].max(0).tolist(),
-           float(_row_norms(d[:, 5], dx, 1).max())]
-    v3_h2_sq = [h ** 2 for h in chem_h2[:, 2].tolist()]
-    l2h2 = float(np.sqrt(np.trapezoid(v3_h2_sq, A.times) if len(A.times) > 1 else v3_h2_sq[0]))
-    return TrajectoryComparison(*sup, l2h2)
+    d = A.values - B.values
+    return _comparison(_difference_norms(d[:, :3], d[:, 3:], A.grid.dx), A.times)
 
 
 def fit_slope(eps: np.ndarray, err: np.ndarray):
@@ -239,12 +256,20 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     would inflate it to O(dt * eps_in) and a layer-resolving schedule would
     suppress it to O(eps * eps_in).  Either way all runs advance together as
     one batch, each member with its own step size.
+
+    The errors are compare_trajectories' of each pair, bitwise, but each
+    output time is reduced to the pairs' norms as the batch reaches it, so
+    the study holds O(B * n) floats plus 7 per pair and output time, not
+    every snapshot.
     """
     eps_list = np.asarray(list(eps_list), dtype=float)
     if eps_list.size < 3 or np.any(np.diff(eps_list) >= 0) or np.any(eps_list <= 0):
         raise ValueError("eps_list must be strictly decreasing with at least 3 entries")
     if not 0.0 < T < np.inf:
         raise ValueError("rate study needs a finite T > 0")
+    if not n_outputs >= 2:
+        # one output time, t = 0, has no error to measure
+        raise ValueError(f"n_outputs must be at least 2, got {n_outputs!r}")
     eps = [float(e) for e in eps_list]
     v30s = [make_layer_data(u30, gamma, e, p) for e in eps]
     # base fixed step, sized once from the initial state with a safety margin
@@ -256,12 +281,22 @@ def rate_study(u10: Field, u20: Field, u30: Field, gamma: float | str,
     else:
         # each eps run gets its own limit run, both at dt_eps
         limits, dts = [None] * k, [dt0 * float(np.sqrt(e / eps[0])) for e in eps] * 2
-    trajs = run_batch((u10, u20, u30), [*v30s, *limits], [*eps, *limits], T, p,
-                      np.linspace(0.0, T, n_outputs), dt=dts, chemical_mode=chemical_mode)
+    stepper, u, v, times = _start_batch(
+        (u10, u20, u30), [*v30s, *limits], [*eps, *limits], T, p,
+        np.linspace(0.0, T, n_outputs), dt=dts, chemical_mode=chemical_mode)
+    dx = u10.grid.dx
+    norms = []  # per output time, each pair's (k, 7) _difference_norms
+
+    def observe(j, u, v):
+        # eps member i against limit member k + i, or against the one shared
+        # limit member k by broadcasting
+        norms.append(_difference_norms(u[:k] - u[k:], v[:k] - v[k:], dx))
+
+    _integrate(stepper, u, v, T, times, observe, cfl=cfl, dt_fixed=dts)
 
     eps_in = np.array([initial_layer_size(u30, v30, p) for v30 in v30s])
-    limit_runs = trajs[k:] * k if gamma == "on_manifold" else trajs[k:]
-    comps = [compare_trajectories(a, b).as_dict() for a, b in zip(trajs[:k], limit_runs)]
+    norms = np.array(norms)
+    comps = [_comparison(norms[:, i], times).as_dict() for i in range(k)]
     errors = {c: np.array([d[c] for d in comps]) for c in RateReport.COLUMNS}
 
     slopes = {}

@@ -124,7 +124,9 @@ def _check_projection(keys: str, nbytes: int, files: int, values: int) -> None:
 
 def _check_pde_projection(cfg: RunConfig, runs: int, files: int, values: int) -> None:
     # per run: output_count snapshots of 6 rows of n, and about 64 rows of n
-    # for the coefficient planes and a step's temporaries
+    # for the coefficient planes and a step's temporaries.  A rate or
+    # manifold-distance study keeps no snapshots, only a few norms per output
+    # time, so for the two studies this is an upper bound
     _check_projection(f"output_count={cfg.output_count} and n={cfg.n}",
                       runs * (6 * cfg.output_count + 64) * cfg.n * 8, files, values)
 

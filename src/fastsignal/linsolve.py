@@ -82,7 +82,10 @@ def _dct_plan(n: int) -> tuple:
     # inverse mode k is c_k + i c_{n-k}; at k = 0 the real twiddle and irfft drop the i c_0
     inv_in = np.stack([k, (n - k) % n], axis=-1).ravel()
     inv_twiddle = np.where(k == 0, 1.0, 0.5 * w.conj())
-    return even_odd[-j % n], fwd_twiddle, fwd_out, inv_in, inv_twiddle, -np.argsort(even_odd) % n
+    # the inverse permutation by a scatter: np.argsort would page in numpy's sort code
+    inv_out = np.empty_like(j)
+    inv_out[even_odd] = j
+    return even_odd[-j % n], fwd_twiddle, fwd_out, inv_in, inv_twiddle, -inv_out % n
 
 
 def to_modes(values: np.ndarray) -> np.ndarray:

@@ -376,8 +376,13 @@ _EpsStepper = _LimitStepper = _Stepper
 def _normalise_output_times(T: float, output_times) -> np.ndarray:
     if output_times is None:
         output_times = np.linspace(0.0, T, 64)
-    # sorted and deduplicated as np.unique does, which would import numpy.ma
-    times = np.sort(np.asarray(output_times, dtype=float), axis=None)
+    # sorted and deduplicated as np.unique does, which would import numpy.ma;
+    # a strictly increasing request is its own sort, and skipping np.sort
+    # keeps numpy's sort code out of a run's memory.  Ties still sort: which
+    # of -0.0 and 0.0 np.unique keeps depends on the order the sort leaves
+    times = np.asarray(output_times, dtype=float).reshape(-1)
+    if not (times[1:] > times[:-1]).all():
+        times = np.sort(times)
     if (times.size == 0 or not np.isfinite(times).all() or times[0] < 0
             or times[-1] > T + 1e-12 * max(T, 1.0)):
         raise ValueError("output times must lie inside [0, T]")
@@ -387,29 +392,31 @@ def _normalise_output_times(T: float, output_times) -> np.ndarray:
     return times
 
 
-def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
-               dt_fixed=None) -> list:
-    """Step every member of the (B, 3, n) batch (u, v) from t = 0 to T.
+def _integrate(stepper: _Stepper, u, v, T: float, times: np.ndarray, observe, *,
+               cfl: float, dt_fixed=None) -> tuple[list, list]:
+    """Step every member of the (B, 3, n) batch (u, v) from t = 0 to T, through
+    the normalised output times ``times``.
 
-    Returns one Trajectory per member, whose values are its slice of one
-    (B, n_times, 6, n) snapshot array.  Each member keeps its own clock and
-    steps with its own dt: its entry of dt_fixed (one value, or one per
-    member), checked against its own stability bound, or its own stable step.
-    Each member shortens its last step to land on each output time and then
-    waits until every member has landed there.  A step too small to move the
-    output time it heads for raises StabilityError instead of stepping forever,
-    and so does a first step that projects a run past _MAX_PROJECTED_STEPS.
+    Calls observe(k, u, v) at times[0] = 0 and again once every member has
+    landed on times[k]; u and v are the batch's (B, 3, n) species and
+    chemicals, to be read, not written, and only during the call.  Returns
+    each member's step count and worst per-step mass-balance residual.
+
+    Each member keeps its own clock and steps with its own dt: its entry of
+    dt_fixed (one value, or one per member), checked against its own
+    stability bound, or its own stable step.  Each member shortens its last
+    step to land on each output time and then waits until every member has
+    landed there.  A step too small to move the output time it heads for
+    raises StabilityError instead of stepping forever, and so does a first
+    step that projects a run past _MAX_PROJECTED_STEPS.
     """
-    times = _normalise_output_times(T, output_times)
     dx = stepper.grid.dx
     p = stepper.p
     n_members = u.shape[0]
     if dt_fixed is not None:
         dt_fixed = np.broadcast_to(np.asarray(dt_fixed, dtype=float), (n_members,)).tolist()
 
-    # every snapshot of every member, written in place at each output time
-    snaps = np.empty((n_members, times.size, 6, u.shape[-1]))
-    snaps[:, 0, :3], snaps[:, 0, 3:] = u, v
+    observe(0, u, v)
     # per-member clocks and aggregates as Python floats: a batch is a handful
     # of members, and per-element float arithmetic is what numpy's is
     t = [0.0] * n_members
@@ -476,24 +483,14 @@ def _integrate(stepper: _Stepper, u, v, T: float, output_times, *, cfl: float,
                 n_steps[b] += 1
                 max_residual[b] = max(max_residual[b], r)
         t = [target] * n_members
-        snaps[:, k, :3], snaps[:, k, 3:] = u, v
-
-    return [Trajectory(times, snaps[b], stepper.grid, stepper.eps[b],
-                       stepper.clipped[b].copy(), n_steps[b], max_residual[b])
-            for b in range(n_members)]
+        observe(k, u, v)
+    return n_steps, max_residual
 
 
-def run_batch(u0, v30s, eps, T: float, p: ModelParams, output_times=None, *,
-              cfl: float = 0.9, dt=None, chemical_mode: str = "mixed") -> list:
-    """Integrate a batch of runs from t = 0 to T; one Trajectory per member,
-    each bitwise the member's own run.
-
-    Member b has relaxation parameter eps[b], None for a limit run.  All start
-    from the species data u0 = (u10, u20, u30) with the fast chemicals at their
-    elliptic solves; v3 starts from v30s[b], or for a limit member (None) from
-    its elliptic solve too.  Each member steps by the fixed dt (one value, or
-    one per member; shortened to land on output times) or its own stable step.
-    """
+def _start_batch(u0, v30s, eps, T: float, p: ModelParams, output_times=None, *,
+                 dt=None, chemical_mode: str = "mixed"):
+    """run_batch's input checks and set-up: the stepper, the (B, 3, n) species
+    and chemicals at t = 0, and the normalised output times."""
     stepper = _Stepper(u0[0].grid, p, list(eps), chemical_mode=chemical_mode)
     if not 0.0 <= T < np.inf:
         raise ValueError("T must be finite and non-negative")
@@ -513,7 +510,34 @@ def run_batch(u0, v30s, eps, T: float, p: ModelParams, output_times=None, *,
     v[:, 1] = stepper.solve_elliptic(u[:, 1], 1)
     for b, v30 in enumerate(v30s):
         v[b, 2] = stepper.solve_elliptic(u[b, 2], 2) if v30 is None else v30.values
-    return _integrate(stepper, u, v, T, output_times, cfl=cfl, dt_fixed=dt)
+    return stepper, u, v, _normalise_output_times(T, output_times)
+
+
+def run_batch(u0, v30s, eps, T: float, p: ModelParams, output_times=None, *,
+              cfl: float = 0.9, dt=None, chemical_mode: str = "mixed") -> list:
+    """Integrate a batch of runs from t = 0 to T; one Trajectory per member,
+    each bitwise the member's own run.
+
+    Member b has relaxation parameter eps[b], None for a limit run.  All start
+    from the species data u0 = (u10, u20, u30) with the fast chemicals at their
+    elliptic solves; v3 starts from v30s[b], or for a limit member (None) from
+    its elliptic solve too.  Each member steps by the fixed dt (one value, or
+    one per member; shortened to land on output times) or its own stable step.
+    The members' values are slices of one (B, n_times, 6, n) snapshot array,
+    the only place a run keeps every output time.
+    """
+    stepper, u, v, times = _start_batch(u0, v30s, eps, T, p, output_times, dt=dt,
+                                        chemical_mode=chemical_mode)
+    snaps = np.empty((len(u), times.size, 6, u.shape[-1]))
+
+    def observe(k, u, v):
+        snaps[:, k, :3], snaps[:, k, 3:] = u, v
+
+    n_steps, max_residual = _integrate(stepper, u, v, T, times, observe, cfl=cfl,
+                                       dt_fixed=dt)
+    return [Trajectory(times, snaps[b], stepper.grid, stepper.eps[b],
+                       stepper.clipped[b].copy(), n_steps[b], max_residual[b])
+            for b in range(len(u))]
 
 
 def run_eps(u10: Field, u20: Field, u30: Field, v30: Field, eps: float, T: float,

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,10 +14,15 @@ from hypothesis.extra.numpy import arrays
 
 from fastsignal.analysis import (
     ERROR_FLOOR,
+    STUDY_CFL,
+    RateReport,
+    _layer_residual,
+    _row_norms,
     compare_trajectories,
     fit_slope,
     initial_layer_size,
     make_layer_data,
+    manifold_distance_study,
     manifold_projection,
     norm_l2,
     rate_study,
@@ -23,7 +30,13 @@ from fastsignal.analysis import (
 )
 from fastsignal.grid import Field, _laplacian, make_grid, mode_eigenvalues, mode_vector
 from fastsignal.model import default_params
-from fastsignal.sim_eps import Trajectory, default_initial_fields, run_limit
+from fastsignal.sim_eps import (
+    Trajectory,
+    default_initial_fields,
+    initial_stable_dt,
+    run_batch,
+    run_limit,
+)
 
 P = default_params()
 GRID = make_grid(1.0, 256)
@@ -335,24 +348,26 @@ def test_rate_study_small_on_manifold():
 def test_layer_study_is_one_batch_equal_to_per_pair_runs(monkeypatch):
     """A numeric-gamma study steps every eps run and its own limit run as one
     batch, each pair at its own dt_eps, and each member is bitwise the run of
-    its pair alone."""
+    its pair alone.  The batch is the one the study sets up, run again
+    through run_batch, which keeps its snapshots."""
     from fastsignal import analysis
-    from fastsignal.sim_eps import initial_stable_dt, run_batch
+    from fastsignal.sim_eps import _start_batch, initial_stable_dt, run_batch
 
     grid = make_grid(1.0, 16)
     u0 = default_initial_fields(grid)
     gamma, eps_list, T, n_outputs = 0.5, (1e-2, 1e-3, 1e-4), 0.2, 5
     calls = []
 
-    def spy(u0, v30s, eps, *args, **kwargs):
-        calls.append((eps, run_batch(u0, v30s, eps, *args, **kwargs)))
-        return calls[-1][1]
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return _start_batch(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "run_batch", spy)
+    monkeypatch.setattr(analysis, "_start_batch", spy)
     report = rate_study(*u0, gamma, eps_list, T, P, n_outputs=n_outputs)
     assert len(calls) == 1
-    members, batch = calls[0]
-    assert members == [*eps_list, None, None, None]
+    args, kwargs = calls[0]
+    assert args[2] == [*eps_list, None, None, None]
+    batch = run_batch(*args, **kwargs)
 
     times = np.linspace(0.0, T, n_outputs)
     v30s = [make_layer_data(u0[2], gamma, e, P) for e in eps_list]
@@ -383,3 +398,125 @@ def test_rate_study_validation():
     for T in (np.nan, np.inf):  # checked before the output times are spaced over T
         with pytest.raises(ValueError, match="finite T > 0"):
             rate_study(u10, u20, u30, 1.0, [1e-2, 1e-3, 1e-4], T, P)
+    # 0 outputs read as times outside [0, T]; 1 output gave all-zero errors
+    for n_outputs in (-1, 0, 1):
+        with pytest.raises(ValueError, match=f"n_outputs must be at least 2, got {n_outputs}"):
+            rate_study(u10, u20, u30, 1.0, [1e-2, 1e-3, 1e-4], 0.2, P, n_outputs=n_outputs)
+
+
+def _rate_study_reference(u0, gamma, eps_list, T, n_outputs, chemical_mode):
+    """rate_study through every snapshot: run_batch, then compare_trajectories
+    per pair and fit_slope per column.  A layer study's pairs run one batch
+    each, whose two members share dt_eps and so land on each output time
+    together; in the study's batch they land at different steps.  Returns
+    eps_in, the errors and the slopes."""
+    eps = [float(e) for e in eps_list]
+    v30s = [make_layer_data(u0[2], gamma, e, P) for e in eps]
+    dt0 = initial_stable_dt(*u0, v30s[0], P, STUDY_CFL)
+    times = np.linspace(0.0, T, n_outputs)
+    if gamma == "on_manifold":
+        trajs = run_batch(u0, [*v30s, None], [*eps, None], T, P, times, dt=dt0,
+                          chemical_mode=chemical_mode)
+        pairs = [(a, trajs[-1]) for a in trajs[:-1]]
+    else:
+        pairs = [run_batch(u0, [v30, None], [e, None], T, P, times,
+                           dt=dt0 * float(np.sqrt(e / eps[0])), chemical_mode=chemical_mode)
+                 for e, v30 in zip(eps, v30s)]
+    comps = [compare_trajectories(a, b).as_dict() for a, b in pairs]
+    errors = {c: np.array([d[c] for d in comps]) for c in RateReport.COLUMNS}
+    slopes = {}
+    for c in RateReport.COLUMNS:
+        try:
+            slopes[c] = fit_slope(np.array(eps), errors[c])
+        except ValueError:
+            pass
+    eps_in = np.array([initial_layer_size(u0[2], v30, P) for v30 in v30s])
+    return eps_in, errors, slopes
+
+
+@pytest.mark.parametrize("n_outputs", [2, 5, 64])
+@pytest.mark.parametrize("chemical_mode", ["mixed", "fully_parabolic"])
+@pytest.mark.parametrize("gamma", ["on_manifold", 0.5, 1.5])
+def test_rate_study_equals_snapshot_reference(gamma, chemical_mode, n_outputs):
+    """The errors rate_study reduces at each output time, and the eps_in and
+    slopes, are bitwise those taken from the kept snapshots: the on-manifold
+    study's shared limit member and a layer study's per-pair ones, whose
+    members land on an output time at different steps."""
+    u0 = default_initial_fields(make_grid(1.0, 16))
+    eps_list, T = (1e-2, 1e-3, 1e-4), 0.1
+    report = rate_study(*u0, gamma, eps_list, T, P, n_outputs=n_outputs,
+                        chemical_mode=chemical_mode)
+    eps_in, errors, slopes = _rate_study_reference(u0, gamma, eps_list, T, n_outputs,
+                                                   chemical_mode)
+    assert report.eps_in.tobytes() == eps_in.tobytes()
+    assert list(report.errors) == list(errors)
+    for c in RateReport.COLUMNS:
+        assert report.errors[c].tobytes() == errors[c].tobytes(), c
+    assert repr(report.slopes) == repr(slopes)
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.15, 0.3], [0.3, 0.1, 0.1, 0.17]])
+@pytest.mark.parametrize("chemical_mode", ["mixed", "fully_parabolic"])
+@pytest.mark.parametrize("gamma", ["on_manifold", 0.5, 1.5])
+def test_manifold_distance_study_equals_snapshot_reference(gamma, chemical_mode, times):
+    """The distances manifold_distance_study reduces at each output time are
+    bitwise the layer residuals' L2 norms over each member's snapshots, from
+    its own run_batch.  In the study's batch each member steps at its own
+    stable step, so the members land on an output time at different steps."""
+    grid = make_grid(1.0, 16)
+    u0 = default_initial_fields(grid)
+    # layers this thick set each member's stable step for several steps
+    eps_list, T = (1.0, 0.3, 0.1), 0.3
+    got = manifold_distance_study(*u0, gamma, eps_list, T, P, times,
+                                  chemical_mode=chemical_mode)
+    v30s = [make_layer_data(u0[2], gamma, e, P) for e in eps_list]
+    trajs = [run_batch(u0, [v30], [e], T, P, times, cfl=STUDY_CFL,
+                       chemical_mode=chemical_mode)[0] for e, v30 in zip(eps_list, v30s)]
+    assert len({tr.n_steps for tr in trajs}) > 1 or gamma == "on_manifold"
+    u3, v3 = (np.array([tr.values[:, i] for tr in trajs]) for i in (2, 5))
+    dist = _row_norms(_layer_residual(u3, v3, P, grid.dx), grid.dx)
+    eps_in = np.array([initial_layer_size(u0[2], v30, P) for v30 in v30s])
+    assert got[0].tobytes() == trajs[0].times.tobytes()
+    assert got[1].shape == dist.shape
+    assert got[1].tobytes() == dist.tobytes()
+    assert got[2].tobytes() == eps_in.tobytes()
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("study", ["rate_study", "manifold_distance_study"])
+def test_study_memory_grows_only_by_its_norm_rows(study):
+    """A study with 256 output times instead of 16 peaks higher by no more
+    than the per-time norm rows it keeps, not by snapshots: at n = 64 with 4
+    eps runs and the limit run, every snapshot of the batch would add
+    5 * 240 * 6 * 64 * 8 B = 3.7 MB."""
+    grid = make_grid(1.0, 64)
+    u0 = default_initial_fields(grid)
+    eps_list, T = (1e-2, 1e-3, 1e-4, 1e-5), 0.005
+    if study == "rate_study":
+        def run(n_outputs):
+            rate_study(*u0, "on_manifold", eps_list, T, P, n_outputs=n_outputs)
+        # one (eps runs, 7) row of norms per output time
+        row = np.empty((len(eps_list), 7))
+    else:
+        def run(n_outputs):
+            manifold_distance_study(*u0, 0.5, eps_list, T, P, np.linspace(0.0, T, n_outputs))
+        # one distance per eps run and output time
+        row = np.empty(len(eps_list))
+
+    run(16)  # fill the solver caches outside the trace
+    short = _traced_peak(lambda: run(16))
+    long = _traced_peak(lambda: run(256))
+    # each kept row is an array object and its list slot, and the finish
+    # copies its data once more (np.array / np.stack of the rows)
+    per_time = sys.getsizeof(row) + 8 + row.nbytes
+    # margin: twice the rows, plus 16 KB for the longer times array and the
+    # trapezoid's per-member lists
+    assert long - short <= 2 * (256 - 16) * per_time + 16 * 1024

@@ -269,9 +269,9 @@ def manifold_distance_per_eps_files(eps_list, gamma, T, n, count):
 @pytest.mark.parametrize("gamma", ["on_manifold", "0.5"])
 def test_manifold_distance_is_one_batch_equal_to_per_eps_runs(tmp_path, monkeypatch, gamma):
     calls = []
-    run_batch = analysis.run_batch
-    monkeypatch.setattr(analysis, "run_batch",
-                        lambda *a, **kw: calls.append(a) or run_batch(*a, **kw))
+    start_batch = analysis._start_batch  # the set-up of the study's one batch
+    monkeypatch.setattr(analysis, "_start_batch",
+                        lambda *a, **kw: calls.append(a) or start_batch(*a, **kw))
     eps_list = (1e-2, 1e-3, 1e-4)
     rc = main(["manifold-distance", "--n", "32", "--T", "0.3", "--output_count", "7",
                "--gamma", gamma, "--eps_list", "1e-2,1e-3,1e-4",

@@ -27,11 +27,20 @@ _PER_STEP = {"to_modes": 1, "from_modes": 1, "_heun_species": 1, "_species_rates
 
 @pytest.fixture
 def loop_counts(monkeypatch):
-    """Calls made inside sim_eps._integrate, by name: every fastsignal module
-    binding of each counted function is replaced, so a caller that imported
-    the name is counted too."""
+    """Calls made inside sim_eps._integrate's stepping loop, by name: every
+    fastsignal module binding of each counted function is replaced, so a
+    caller that imported the name is counted too.  Calls from the output-time
+    observer _integrate is given are not the loop's: they are counted under
+    "observe", once per observer call."""
     counts = {}
     inside = [False]
+
+    def substitute(fn, replacement):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "fastsignal":
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, replacement)
 
     def count(fn, name=None):
         name = name or fn.__name__
@@ -41,11 +50,7 @@ def loop_counts(monkeypatch):
             counts[name] += inside[0]
             return fn(*args, **kwargs)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "fastsignal":
-                for key, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, key, counted)
+        substitute(fn, counted)
 
     for fn in (sim_eps.to_modes, sim_eps.from_modes, sim_eps._heun_species,
                sim_eps._species_rates, sim_eps._stable_dt_values, _exp_factors,
@@ -59,16 +64,25 @@ def loop_counts(monkeypatch):
 
     integrate = sim_eps._integrate
 
-    def traced_integrate(*args, **kwargs):
+    def traced_integrate(stepper, u, v, T, times, observe, **kwargs):
+        def outside_observe(*args):
+            counts["observe"] += 1
+            inside[0] = False
+            try:
+                return observe(*args)
+            finally:
+                inside[0] = True
+
+        counts["output_times"] += times.size
         inside[0] = True
         try:
-            return integrate(*args, **kwargs)
+            return integrate(stepper, u, v, T, times, outside_observe, **kwargs)
         finally:
             inside[0] = False
 
-    counts["step"] = 0
+    counts["step"] = counts["observe"] = counts["output_times"] = 0
     monkeypatch.setattr(sim_eps._Stepper, "step", counted_step)
-    monkeypatch.setattr(sim_eps, "_integrate", traced_integrate)
+    substitute(integrate, traced_integrate)
     return counts
 
 
@@ -79,6 +93,8 @@ def _assert_step_structure(counts):
         name: k * steps for name, k in _PER_STEP.items()}
     assert {fn.__name__: counts[fn.__name__] for fn in _OUTSIDE_THE_LOOP} == {
         fn.__name__: 0 for fn in _OUTSIDE_THE_LOOP}
+    # the observer ran once per output time, t = 0 included
+    assert counts["observe"] == counts["output_times"] > 0
 
 
 def test_adaptive_run_step_structure(loop_counts):
@@ -96,6 +112,7 @@ def test_fixed_schedule_batch_step_structure(loop_counts):
     rate_study(*default_initial_fields(grid), "on_manifold", [1e-1, 1e-2, 1e-3], 0.2, P,
                n_outputs=n_outputs)
     _assert_step_structure(loop_counts)
+    assert loop_counts["observe"] == n_outputs
     # the one exponential row set refactors only when its dt changes: onto the
     # shortened step that lands on an output time, and back
     assert loop_counts["_exp_factors"] <= 2 * (n_outputs - 1) < loop_counts["step"]
